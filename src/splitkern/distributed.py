@@ -16,7 +16,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .estimator import KernelExpansion, fit_iterative, fit_spectral, spectral_model
 from .filters import FilterSpec, filter_values
-from .kernels import Kernel, gram
+from .kernels import Kernel, kernel_operator
 
 
 @dataclass(frozen=True)
@@ -85,23 +85,12 @@ class AveragedEstimator:
                                kernel=self.block_fits[0].kernel)
 
 
-def _sub_gram(G, ix):
-    if G is None:
-        return None
-    lo = int(ix[0])
-    if np.array_equal(ix, np.arange(lo, lo + len(ix))):
-        return G[lo:lo + len(ix), lo:lo + len(ix)]
-    return G[np.ix_(ix, ix)]
-
-
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
                     part: Partition, method: str = "spectral",
-                    workers=None, G=None) -> AveragedEstimator:
+                    workers=None) -> AveragedEstimator:
     """Fit every block with the same `lam` and average the results.
 
-    With ``m == 1`` this reduces exactly to the single-machine fit.  `G`
-    may be the precomputed Gram matrix of the full `x` (its diagonal
-    blocks are reused).
+    With ``m == 1`` this reduces exactly to the single-machine fit.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -110,10 +99,9 @@ def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     blocks = part.blocks()
 
     def fit_one(ix):
-        Gb = _sub_gram(G, ix)
         if method == "iterative":
-            return fit_iterative(kernel, filt, lam, x[ix], y[ix], G=Gb)
-        return fit_spectral(kernel, filt, lam, x[ix], y[ix], G=Gb)
+            return fit_iterative(kernel, filt, lam, x[ix], y[ix])
+        return fit_spectral(kernel, filt, lam, x[ix], y[ix])
 
     fits = parallel_map(fit_one, blocks, workers)
     return AveragedEstimator(block_fits=tuple(fits))
@@ -138,7 +126,7 @@ class DiagnosticSplit:
 
 def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
                      part: Partition, f_true, f_true_norm_sq=None,
-                     workers=None, G=None) -> DiagnosticSplit:
+                     workers=None) -> DiagnosticSplit:
     """Split the total error of a distributed fit into its two parts.
 
     `f_true` must be evaluable at the sample inputs; its squared RKHS
@@ -155,7 +143,7 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
 
     def split_one(ix):
         xb, yb = x[ix], y[ix]
-        model = spectral_model(kernel, xb, _sub_gram(G, ix))
+        model = spectral_model(kernel, xb)
         fitted = fit_spectral(kernel, filt, lam, xb, yb, model=model)
         # noise-free coefficients: same filter applied to f_true's values
         fb = np.asarray(f_true(xb), dtype=float)
@@ -172,12 +160,9 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
 
     f_tilde = surrogate.as_expansion()
     f_bar = fitted.as_expansion()
-    perm = np.concatenate(blocks)
-    Gfull = gram(kernel, f_tilde.points) if G is None else _sub_gram(G, perm)
-
-    diff = f_tilde.coefficients - f_bar.coefficients
-    sample_sq = float(diff @ Gfull @ diff)
-    tilde_sq = float(f_tilde.coefficients @ Gfull @ f_tilde.coefficients)
+    op = kernel_operator(kernel, f_tilde.points)   # also f_bar's anchors
+    sample_sq = op.quad_form(f_tilde.coefficients - f_bar.coefficients)
+    tilde_sq = op.quad_form(f_tilde.coefficients)
     cross = float(f_tilde.coefficients @ np.asarray(f_true(f_tilde.points)))
     approx_sq = f_true_norm_sq - 2.0 * cross + tilde_sq
     return DiagnosticSplit(

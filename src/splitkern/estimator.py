@@ -1,4 +1,4 @@
-"""Single-block spectral estimators realized through the Gram matrix.
+"""Single-block spectral estimators realized through the Gram operator.
 
 Fitting applies a filter to the normalized Gram operator
 ``M = kappa**-2 * G / n`` (spectrum inside [0, 1]) and returns a kernel
@@ -14,11 +14,12 @@ is part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .filters import FilterSpec, filter_values
-from .kernels import Kernel, gram
+from .kernels import Kernel, KernelOperator, is_sobolev_min, kernel_operator
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -38,6 +39,11 @@ class KernelExpansion:
 
     def __call__(self, x):
         return predict(self, x)
+
+    @cached_property
+    def operator(self) -> KernelOperator:
+        """Gram operator of the anchors, built on first use."""
+        return kernel_operator(self.kernel, self.points)
 
 
 @dataclass(frozen=True)
@@ -61,21 +67,15 @@ def _as_data(x, y):
         raise ValueError(f"got {x.size} inputs but {y.size} outputs")
     if x.size == 0:
         raise ValueError("need at least one sample")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs and outputs must be finite")
     return x, y
 
 
-def normalized_gram(kernel: Kernel, x, G=None) -> np.ndarray:
-    """``kappa**-2 * G / n`` for anchors `x` (reuses `G` when supplied)."""
-    if G is None:
-        G = gram(kernel, x)
-    return G / (kernel.kappa ** 2 * len(x))
-
-
-def spectral_model(kernel: Kernel, x, G=None) -> SpectralModel:
+def spectral_model(kernel: Kernel, x) -> SpectralModel:
     """Eigendecompose the normalized Gram operator of the anchors `x`."""
     x = np.asarray(x, dtype=float).ravel()
-    M = normalized_gram(kernel, x, G)
-    evals, vecs = np.linalg.eigh(M)
+    evals, vecs = kernel_operator(kernel, x).spectrum()
     evals = np.clip(evals[::-1], 0.0, 1.0)
     evals[evals < EIGENVALUE_FLOOR] = 0.0
     return SpectralModel(eigenvalues=evals, eigenvectors=vecs[:, ::-1],
@@ -83,23 +83,23 @@ def spectral_model(kernel: Kernel, x, G=None) -> SpectralModel:
 
 
 def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                 G=None, model: SpectralModel | None = None) -> KernelExpansion:
+                 model: SpectralModel | None = None) -> KernelExpansion:
     """Fit one block by filtering the spectrum of the normalized Gram.
 
-    `G` (raw Gram) or `model` (its eigendecomposition) can be passed to
-    avoid recomputation when several fits share the same anchors.
+    `model` (its eigendecomposition) can be passed to avoid recomputation
+    when several fits share the same anchors.
     """
     x, y = _as_data(x, y)
     if model is None:
-        model = spectral_model(kernel, x, G)
+        model = spectral_model(kernel, x)
     gvals = filter_values(filt, lam, model.eigenvalues)
     V = model.eigenvectors
     alpha = (V @ (gvals * (V.T @ y))) / (kernel.kappa ** 2 * x.size)
     return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
 
 
-def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                  G=None) -> KernelExpansion:
+def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
+                  x, y) -> KernelExpansion:
     """Run an iterative filter as an actual iteration in coefficient space.
 
     Landweber: ``alpha <- alpha + b - M alpha`` with ``b = kappa**-2 y/n``;
@@ -109,8 +109,7 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     if not filt.iterative:
         raise ValueError(f"{filt.kind} has no iterative form")
     x, y = _as_data(x, y)
-    if G is None:
-        G = gram(kernel, x)
+    op = kernel_operator(kernel, x)
     n = x.size
     scale = 1.0 / (kernel.kappa ** 2 * n)
     b = scale * y
@@ -119,7 +118,7 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     if filt.kind == "landweber":
         alpha = b.copy()                      # one step from alpha = 0
         for _ in range(k - 1):
-            alpha += b - scale * (G @ alpha)
+            alpha += b - scale * op.matvec(alpha)
         return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
 
     nu = filt.nu
@@ -132,14 +131,17 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
         om = (4 * (2 * j + 2 * nu - 1) * (j + nu - 1)
               / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)))
         alpha, prev = (alpha + mu * (alpha - prev)
-                       + om * (b - scale * (G @ alpha))), alpha
+                       + om * (b - scale * op.matvec(alpha))), alpha
     return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
 
 
 def predict(expansion: KernelExpansion, x):
     """Evaluate the expansion at `x` (scalar or array)."""
     xs = np.asarray(x, dtype=float)
-    K = expansion.kernel.fn(expansion.points[:, None],
-                            np.atleast_1d(xs)[None, :])
-    out = expansion.coefficients @ K
+    if is_sobolev_min(expansion.kernel):
+        out = expansion.operator.cross(expansion.coefficients, xs.ravel())
+    else:
+        K = expansion.kernel.fn(expansion.points[:, None],
+                                np.atleast_1d(xs)[None, :])
+        out = expansion.coefficients @ K
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,15 +25,11 @@ from ._parallel import parallel_map
 from .distributed import AveragedEstimator, fit_distributed, partition
 from .estimator import KernelExpansion, spectral_model
 from .filters import FilterSpec, by_name as filter_by_name, filter_values
-from .kernels import Kernel, gram, sobolev_min
+from .kernels import Kernel, kernel_operator, rkhs_norm_sq, sobolev_min
 from .smoothness import TargetFunction, target_by_name
 
 RESULT_HEADER = "n,m,alpha,lambda,k,run,hk_error,l2_error,wall_ms"
 SUMMARY_HEADER = "n,m,alpha,lambda,k,runs,hk_mean,hk_se,l2_mean,l2_se"
-
-# beyond this anchor count the dense cross-Gram for the RKHS error is
-# replaced by the piecewise quadrature fallback
-HK_DENSE_LIMIT = 8192
 
 
 @dataclass
@@ -127,8 +124,8 @@ def gen_data(target, n: int, sigma: float, seed):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
     x = rng.random(n)
@@ -153,60 +150,30 @@ def _target_norm_sq(target) -> float:
     return float(nrm)
 
 
-def hk_error(est, target, G=None) -> float:
+def hk_error(est, target) -> float:
     """RKHS-norm error ``||est - target||`` via the reproducing property.
 
     ``||f_hat - f||^2 = a' G a - 2 sum_j a_j f(x_j) + ||f||^2`` where `a`
-    are the (averaged) expansion weights.  `G`, if given, must be the
-    Gram matrix of ``est.as_expansion().points`` in that order.  Above
-    ``HK_DENSE_LIMIT`` anchors (built-in kernel only) a piecewise
-    quadrature of the derivative difference is used instead.
+    are the (averaged) expansion weights.
     """
     exp = _as_expansion(est)
     nrm = _target_norm_sq(target)
     alpha, pts = exp.coefficients, exp.points
-    if G is None and pts.size > HK_DENSE_LIMIT \
-            and exp.kernel.name == "sobolev-min" \
-            and getattr(target, "derivative", None) is not None:
-        return _sobolev_hk_quadrature(alpha, pts, target)
-    if G is None:
-        G = gram(exp.kernel, pts)
-    sq = float(alpha @ (G @ alpha)) \
+    sq = rkhs_norm_sq(exp) \
         - 2.0 * float(alpha @ np.asarray(target(pts), dtype=float)) + nrm
     if sq < -1e-10:
         raise ArithmeticError(f"negative squared error {sq}")
     return math.sqrt(max(sq, 0.0))
 
 
-def _sobolev_hk_quadrature(alpha, pts, target, nodes_per_segment=12) -> float:
-    """O(n * nodes) RKHS error for the built-in kernel.
-
-    The expansion derivative is piecewise constant between sorted
-    anchors, so each segment is integrated exactly against the analytic
-    target derivative by Gauss-Legendre.
-    """
-    order = np.argsort(pts, kind="stable")
-    ts = pts[order]
-    al = alpha[order]
-    const = float(alpha @ pts)
-    suffix = np.concatenate([np.cumsum(al[::-1])[::-1], [0.0]])
-    edges = np.unique(np.concatenate([[0.0], ts, [1.0]]))
-    starts, ends = edges[:-1], edges[1:]
-    idx = np.searchsorted(ts, starts, side="right")
-    deriv = suffix[idx] - const
-
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_segment)
-    half = 0.5 * (ends - starts)
-    mid = 0.5 * (ends + starts)
-    X = mid[:, None] + half[:, None] * xg[None, :]
-    W = half[:, None] * wg[None, :]
-    diff = deriv[:, None] - np.asarray(target.derivative(X), dtype=float)
-    return math.sqrt(max(float(np.sum(W * diff ** 2)), 0.0))
-
-
+@lru_cache(maxsize=None)
 def _gl_nodes(quad_nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1], cached and read-only."""
     xg, wg = np.polynomial.legendre.leggauss(int(quad_nodes))
-    return 0.5 * (xg + 1.0), 0.5 * wg
+    nodes, weights = 0.5 * (xg + 1.0), 0.5 * wg
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def l2_error(est, target, quad_nodes: int = 512) -> float:
@@ -232,14 +199,14 @@ class ErrorCurves:
     l2: np.ndarray
 
 
-def _curves_iterative(kernel, filt, x, y, target, k_max, G, quad_nodes):
+def _curves_iterative(kernel, filt, x, y, target, k_max, quad_nodes):
     n = x.size
     scale = 1.0 / (kernel.kappa ** 2 * n)
     b = scale * y
     fvec = np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
     xg, wg = _gl_nodes(quad_nodes)
-    P = kernel.fn(xg[:, None], x[None, :])
+    op = kernel_operator(kernel, x)
     fg = np.asarray(target(xg), dtype=float)
 
     hk_sq = np.empty(k_max)
@@ -247,13 +214,13 @@ def _curves_iterative(kernel, filt, x, y, target, k_max, G, quad_nodes):
 
     def record(k, alpha, Galpha):
         hk_sq[k - 1] = float(alpha @ Galpha) - 2.0 * float(alpha @ fvec) + nrm
-        resid = P @ alpha - fg
+        resid = op.cross(alpha, xg) - fg
         l2[k - 1] = math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0))
 
     if filt.kind == "landweber":
         alpha = b.copy()
         for k in range(1, k_max + 1):
-            Galpha = G @ alpha
+            Galpha = op.matvec(alpha)
             record(k, alpha, Galpha)
             if k < k_max:
                 alpha = alpha + b - scale * Galpha
@@ -263,7 +230,7 @@ def _curves_iterative(kernel, filt, x, y, target, k_max, G, quad_nodes):
         prev = np.zeros(n)
         alpha = (4 * nu + 2) / (4 * nu + 1) * b
         for k in range(1, k_max + 1):
-            Galpha = G @ alpha
+            Galpha = op.matvec(alpha)
             record(k, alpha, Galpha)
             if k < k_max:
                 j = k + 1
@@ -283,16 +250,16 @@ def _curves_iterative(kernel, filt, x, y, target, k_max, G, quad_nodes):
                        hk_sq=np.maximum(hk_sq, 0.0), l2=l2)
 
 
-def _curves_spectral(kernel, filt, x, y, target, lam_grid, G, quad_nodes):
+def _curves_spectral(kernel, filt, x, y, target, lam_grid, quad_nodes):
     n = x.size
     scale = 1.0 / (kernel.kappa ** 2 * n)
-    model = spectral_model(kernel, x, G)
+    model = spectral_model(kernel, x)
     V, ev = model.eigenvectors, model.eigenvalues
     c = V.T @ y
     d = V.T @ np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
     xg, wg = _gl_nodes(quad_nodes)
-    P = kernel.fn(xg[:, None], x[None, :])
+    op = kernel_operator(kernel, x)
     fg = np.asarray(target(xg), dtype=float)
 
     hk_sq = np.empty(len(lam_grid))
@@ -302,7 +269,7 @@ def _curves_spectral(kernel, filt, x, y, target, lam_grid, G, quad_nodes):
         hk_sq[i] = scale * float(np.sum(ev * (gv * c) ** 2)) \
             - 2.0 * scale * float(np.sum(gv * c * d)) + nrm
         alpha = scale * (V @ (gv * c))
-        resid = P @ alpha - fg
+        resid = op.cross(alpha, xg) - fg
         l2[i] = math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0))
     return ErrorCurves(lambdas=np.asarray(lam_grid, dtype=float), steps=None,
                        hk_sq=np.maximum(hk_sq, 0.0), l2=l2)
@@ -360,11 +327,10 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
 
     def one_run(r: int) -> ErrorCurves:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
-        G = gram(kernel, x)
         if filt.iterative:
-            return _curves_iterative(kernel, filt, x, y, target, k_top, G,
+            return _curves_iterative(kernel, filt, x, y, target, k_top,
                                      cfg.quad_nodes)
-        return _curves_spectral(kernel, filt, x, y, target, grid, G,
+        return _curves_spectral(kernel, filt, x, y, target, grid,
                                 cfg.quad_nodes)
 
     curves = parallel_map(one_run, range(cfg.runs), cfg.workers)
@@ -438,7 +404,6 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels, n=None):
     n = cfg.n if n is None else n
     rng = run_rng(cfg.seed, run)
     x, y = gen_data(target, n, cfg.sigma, rng)
-    G = gram(kernel, x) if n <= HK_DENSE_LIMIT else None
     method = "iterative" if filt.iterative else "spectral"
     k = filt.steps(lam) if filt.iterative else None
     results = []
@@ -447,15 +412,8 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels, n=None):
         shuffle_seed = rng.spawn(1)[0] if cfg.shuffle else None
         part = partition(n, m, shuffle_seed)
         est = fit_distributed(kernel, filt, lam, x, y, part, method=method,
-                              workers=1, G=G)
-        perm = np.concatenate(part.blocks())
-        if G is None:
-            Gp = None
-        elif np.array_equal(perm, np.arange(n)):
-            Gp = G
-        else:
-            Gp = G[np.ix_(perm, perm)]
-        hk = hk_error(est, target, G=Gp)
+                              workers=1)
+        hk = hk_error(est, target)
         l2 = l2_error(est, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
         results.append(RunResult(

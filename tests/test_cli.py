@@ -121,3 +121,26 @@ def test_cli_determinism_across_workers(tmp_path, capsys):
         assert code == 0
         texts.append(out_file.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_shuffled_sweep_alpha_identical_across_workers(tmp_path, capsys):
+    texts = []
+    for i, workers in enumerate(("1", "2")):
+        out_file = tmp_path / f"shuf{i}.csv"
+        code, _, _ = run_cli(capsys, "sweep-alpha", "--filter", "nu-method",
+                             "--n", "256", "--sigma", "0.005",
+                             "--lambda", "oracle", "--k-max", "16",
+                             "--alphas", "0,0.3,0.6", "--shuffle",
+                             "--runs", "3", "--seed", "7",
+                             "--workers", workers, "--out", str(out_file))
+        assert code == 0
+        texts.append(out_file.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_non_finite_sigma_exits_2(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--filter", "tikhonov",
+                           "--n", "16", "--sigma", "nan", "--lambda", "0.1",
+                           "--runs", "1")
+    assert code == 2
+    assert "finite" in err

@@ -4,7 +4,7 @@ import pytest
 from splitkern.distributed import (AveragedEstimator, diagnostic_split,
                                    fit_distributed, partition)
 from splitkern.estimator import fit_spectral
-from splitkern.filters import spectral_cutoff, tikhonov
+from splitkern.filters import nu_method, spectral_cutoff, tikhonov
 from splitkern.kernels import sobolev_min
 from splitkern.smoothness import quadratic_bump, zero_target
 
@@ -100,15 +100,30 @@ def test_as_expansion_matches_mean(kernel):
     assert np.allclose(exp(xs), avg(xs), atol=1e-14)
 
 
-def test_gram_reuse_matches(kernel):
-    from splitkern.kernels import gram
-    x, y = _data(40, seed=8)
-    part = partition(40, 4)
-    direct = fit_distributed(kernel, tikhonov(), 0.1, x, y, part)
-    reused = fit_distributed(kernel, tikhonov(), 0.1, x, y, part,
-                             G=gram(kernel, x))
-    for a, b in zip(direct.block_fits, reused.block_fits):
-        assert np.array_equal(a.coefficients, b.coefficients)
+def test_iterative_blocks_match_dense_kernel(kernel, dense_sobolev):
+    x, y = _data(120, seed=8)
+    part = partition(120, 4, shuffle_seed=3)
+    fast = fit_distributed(kernel, nu_method(), 1.0 / 15 ** 2, x, y, part,
+                           method="iterative")
+    ref = fit_distributed(dense_sobolev, nu_method(), 1.0 / 15 ** 2, x, y,
+                          part, method="iterative")
+    for a, b in zip(fast.block_fits, ref.block_fits):
+        assert np.max(np.abs(a.coefficients - b.coefficients)) \
+            <= 1e-10 * np.max(np.abs(b.coefficients))
+
+
+def test_diagnostic_split_matches_dense_kernel(kernel, dense_sobolev):
+    target = quadratic_bump()
+    rng = np.random.default_rng(13)
+    x = rng.random(96)
+    y = target(x) + 0.01 * rng.standard_normal(96)
+    part = partition(96, 3, shuffle_seed=5)
+    fast = diagnostic_split(kernel, tikhonov(), 0.01, x, y, part, target)
+    ref = diagnostic_split(dense_sobolev, tikhonov(), 0.01, x, y, part,
+                           target)
+    assert fast.approximation_norm == pytest.approx(ref.approximation_norm,
+                                                    rel=1e-9)
+    assert fast.sample_norm == pytest.approx(ref.sample_norm, rel=1e-9)
 
 
 def test_variance_reduction_through_averaging(kernel):

@@ -67,6 +67,17 @@ def test_nu_method_paths_agree(kernel, k):
     assert np.max(np.abs(it.coefficients - sp.coefficients)) < 1e-6
 
 
+@pytest.mark.parametrize("filt,lam", [(landweber(), 1.0 / 300),
+                                      (nu_method(), 1.0 / 40 ** 2)])
+def test_fit_iterative_structured_matches_dense(kernel, dense_sobolev,
+                                                filt, lam):
+    x, y = _data(500, seed=21)
+    x[::7] = x[1::7]                         # tied anchors
+    fast = fit_iterative(kernel, filt, lam, x, y).coefficients
+    ref = fit_iterative(dense_sobolev, filt, lam, x, y).coefficients
+    assert np.max(np.abs(fast - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_fit_iterative_rejects_non_iterative(kernel):
     x, y = _data(8)
     with pytest.raises(ValueError):
@@ -78,6 +89,24 @@ def test_size_mismatch_rejected(kernel):
         fit_spectral(kernel, tikhonov(), 0.5, [0.1, 0.2], [1.0])
     with pytest.raises(ValueError):
         fit_spectral(kernel, tikhonov(), 0.5, [], [])
+
+
+def test_non_finite_data_rejected(kernel):
+    x = [0.1, 0.5, 0.9]
+    with pytest.raises(ValueError):
+        fit_spectral(kernel, tikhonov(), 0.5, x, [1.0, np.inf, 0.0])
+    with pytest.raises(ValueError):
+        fit_iterative(kernel, nu_method(), 0.5, [0.1, np.nan, 0.9],
+                      [1.0, 2.0, 0.0])
+
+
+def test_predict_matches_dense_kernel(kernel, dense_sobolev):
+    rng = np.random.default_rng(10)
+    pts, alpha = rng.random(40), rng.standard_normal(40)
+    xs = np.concatenate([rng.random(30), pts, [0.0, 1.0]])
+    fast = predict(KernelExpansion(alpha, pts, kernel), xs)
+    ref = predict(KernelExpansion(alpha, pts, dense_sobolev), xs)
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.sum(np.abs(alpha))
 
 
 def test_predict_values(kernel):

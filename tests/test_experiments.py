@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from splitkern.distributed import fit_distributed, partition
-from splitkern.estimator import KernelExpansion, fit_spectral
+from splitkern.estimator import KernelExpansion, fit_iterative, fit_spectral
 from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
-                                   _sobolev_hk_quadrature, gen_data, hk_error,
-                                   l2_error, oracle_select, results_csv,
-                                   simulate, summary_csv, sweep_alpha, sweep_n)
-from splitkern.filters import nu_method, tikhonov
+                                   _curves_iterative, _gl_nodes, gen_data,
+                                   hk_error, l2_error, oracle_select,
+                                   results_csv, simulate, summary_csv,
+                                   sweep_alpha, sweep_n)
+from splitkern.filters import landweber, nu_method, tikhonov
 from splitkern.kernels import gram, sobolev_min
 from splitkern.smoothness import quadratic_bump, scaled_sine
 
@@ -52,6 +54,8 @@ def test_gen_data_validation(bump):
         gen_data(bump, 0, 0.1, 0)
     with pytest.raises(ValueError):
         gen_data(bump, 10, -0.1, 0)
+    with pytest.raises(ValueError):
+        gen_data(bump, 10, math.nan, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +107,14 @@ def test_hk_error_matches_quadrature_oracle(kernel, bump):
         assert direct == pytest.approx(oracle, abs=1e-6)
 
 
-def test_hk_quadrature_fallback_matches_dense(kernel, bump):
+def test_hk_error_matches_dense_kernel(kernel, dense_sobolev, bump):
     rng = np.random.default_rng(7)
-    x = rng.random(64)
-    y = bump(x) + 0.05 * rng.standard_normal(64)
-    est = fit_spectral(kernel, tikhonov(), 0.01, x, y)
-    dense = hk_error(est, bump)
-    quad = _sobolev_hk_quadrature(est.coefficients, est.points, bump)
-    assert quad == pytest.approx(dense, abs=1e-10)
+    x = rng.random(2000)
+    y = bump(x) + 0.005 * rng.standard_normal(2000)
+    alpha = fit_iterative(kernel, nu_method(), 1.0 / 30 ** 2, x, y).coefficients
+    fast = hk_error(KernelExpansion(alpha, x, kernel), bump)
+    ref = hk_error(KernelExpansion(alpha, x, dense_sobolev), bump)
+    assert fast == pytest.approx(ref, rel=1e-9)
 
 
 def test_hk_error_averaged_equals_concatenated_expansion(kernel, bump):
@@ -120,6 +124,25 @@ def test_hk_error_averaged_equals_concatenated_expansion(kernel, bump):
     avg = fit_distributed(kernel, tikhonov(), 0.05, x, y, partition(60, 3))
     assert hk_error(avg, bump) == pytest.approx(
         hk_error(avg.as_expansion(), bump), rel=1e-12)
+
+
+def test_gl_nodes_cached_and_read_only():
+    xg, wg = _gl_nodes(128)
+    assert _gl_nodes(128)[0] is xg
+    assert not xg.flags.writeable and not wg.flags.writeable
+    with pytest.raises(ValueError):
+        xg[0] = 0.5
+    assert float(np.sum(wg)) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("filt", [landweber(), nu_method()])
+def test_curves_iterative_structured_matches_dense(kernel, dense_sobolev,
+                                                   bump, filt):
+    x, y = gen_data(bump, 400, 0.005, 4)
+    fast = _curves_iterative(kernel, filt, x, y, bump, 40, 512)
+    ref = _curves_iterative(dense_sobolev, filt, x, y, bump, 40, 512)
+    assert np.allclose(fast.hk_sq, ref.hk_sq, rtol=1e-10, atol=0)
+    assert np.allclose(fast.l2, ref.l2, rtol=1e-10, atol=0)
 
 
 def test_l2_error_values(kernel, bump):
@@ -271,3 +294,17 @@ def test_wall_ms_off_by_default_on_when_asked(bump):
     assert rows[0].wall_ms is None
     rows_t = simulate(replace(cfg, timing=True))
     assert rows_t[0].wall_ms is not None and rows_t[0].wall_ms > 0
+
+
+def test_sweep_alpha_memory_bounded():
+    # a dense Gram at n = 8192 alone is 512 MiB
+    cfg = ExperimentConfig(filter="nu-method", n=8192, runs=1, k_max=8,
+                           seed=2, workers=1)
+    tracemalloc.start()
+    try:
+        res = sweep_alpha(cfg, [0.0, 0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.rows) == 2
+    assert peak < 64 * 2 ** 20

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from splitkern.estimator import KernelExpansion
-from splitkern.kernels import (evaluate, gram, kappa_of, rkhs_norm_sq,
+from splitkern.kernels import (DenseOperator, SobolevMinOperator, evaluate,
+                               gram, kappa_of, kernel_operator, rkhs_norm_sq,
                                sobolev_min, user_kernel)
 
 
@@ -46,6 +47,21 @@ def test_gram_hand_values(kernel):
 def test_gram_rejects_empty(kernel):
     with pytest.raises(ValueError):
         gram(kernel, [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_rejects_non_finite(kernel, bad):
+    with pytest.raises(ValueError):
+        gram(kernel, [0.1, bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_rejects_non_finite_anchor(kernel, dense_sobolev, bad):
+    for k in (kernel, dense_sobolev):
+        with pytest.raises(ValueError):
+            kernel_operator(k, [0.2, bad, 0.7])
+    with pytest.raises(ValueError):
+        kernel_operator(kernel, [])
 
 
 def test_symmetry_exact(kernel):
@@ -107,3 +123,45 @@ def test_rkhs_norm_matches_derivative_integral(kernel):
         deriv = float(np.sum(alpha * (mid < pts)) - alpha @ pts)
         total += deriv ** 2 * (b - a)
     assert rkhs_norm_sq(exp) == pytest.approx(total, rel=1e-10)
+
+
+def test_operator_version_follows_kernel(kernel, dense_sobolev):
+    pts = [0.2, 0.6]
+    assert isinstance(kernel_operator(kernel, pts), SobolevMinOperator)
+    assert isinstance(kernel_operator(dense_sobolev, pts), DenseOperator)
+
+
+ANCHORS = {
+    "unsorted": np.random.default_rng(6).random(200),
+    "tied": np.array([0.3, 0.7, 0.3, 0.5, 0.7, 0.7, 0.1, 0.3]),
+    "endpoints": np.array([0.0, 1.0, 0.5, 0.0, 0.25, 1.0, 0.75]),
+    "single": np.array([0.4]),
+}
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_structured_operator_matches_dense_gram(kernel, name):
+    # error measured against the rounding scale |G| |a| of each result
+    pts = ANCHORS[name]
+    op = kernel_operator(kernel, pts)
+    G = gram(kernel, pts)
+    rng = np.random.default_rng(pts.size)
+    t = np.concatenate([rng.random(50), pts, [0.0, 1.0]])
+    K = kernel.fn(pts[:, None], t[None, :])
+    for _ in range(5):
+        a = rng.standard_normal(pts.size)
+        scale = np.max(np.abs(G) @ np.abs(a))
+        assert np.max(np.abs(op.matvec(a) - G @ a)) <= 1e-12 * scale
+        scale = np.max(np.abs(a) @ np.abs(K))
+        assert np.max(np.abs(op.cross(a, t) - a @ K)) <= 1e-12 * scale
+        scale = float(np.abs(a) @ np.abs(G) @ np.abs(a))
+        assert abs(op.quad_form(a) - float(a @ G @ a)) <= 1e-12 * scale
+
+
+def test_dense_operator_is_the_gram(dense_sobolev):
+    pts = ANCHORS["unsorted"]
+    op = kernel_operator(dense_sobolev, pts)
+    G = gram(dense_sobolev, pts)
+    a = np.random.default_rng(7).standard_normal(pts.size)
+    assert np.array_equal(op.matvec(a), G @ a)
+    assert op.quad_form(a) == float(a @ (G @ a))
