@@ -24,7 +24,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distributed import AveragedEstimator, partition
-from .estimator import fit_spectral, spectral_model
+from .estimator import KernelExpansion, coefficient_solver
 from .filters import FilterSpec
 from .kernels import Kernel
 
@@ -91,21 +91,27 @@ def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
                 m_k: int, workers=None) -> list[AveragedEstimator]:
     """Averaged estimators over `m_k` blocks, one per lattice value.
 
-    Pure function of the training data: each block is eigendecomposed
-    once and every lattice value reuses the decomposition.
+    Pure function of the training data: each block is solved once for
+    the whole lattice (one eigendecomposition, or one shifted solve for
+    Tikhonov with the built-in kernel; see ``coefficient_solver``).
     """
     x_t = np.asarray(x_t, dtype=float).ravel()
     y_t = np.asarray(y_t, dtype=float).ravel()
     blocks = partition(len(x_t), m_k).blocks()
-    models = parallel_map(lambda ix: spectral_model(kernel, x_t[ix]),
-                          blocks, workers)
-    out = []
-    for lam in lattice:
-        fits = [fit_spectral(kernel, filt, float(lam), x_t[ix], y_t[ix],
-                             model=mod)
-                for ix, mod in zip(blocks, models)]
-        out.append(AveragedEstimator(block_fits=tuple(fits)))
-    return out
+    solvers = parallel_map(
+        lambda ix: coefficient_solver(kernel, filt, x_t[ix]), blocks, workers)
+    coefs = [solve(lattice, y_t[ix]) for solve, ix in zip(solvers, blocks)]
+    # Each fit gets its own copy of its coefficients, made on this thread
+    # after every solve.  Keeping the solves' arrays instead (made between
+    # their temporaries, or on pool threads) left the validation predicts'
+    # large temporaries at the top of the heap, where glibc trimmed and
+    # refaulted them on every call: 8x the page faults and +30% adapt
+    # time with a user kernel.
+    return [AveragedEstimator(block_fits=tuple(
+                KernelExpansion(coefficients=np.array(c[i]), points=x_t[ix],
+                                kernel=kernel)
+                for ix, c in zip(blocks, coefs)))
+            for i in range(len(lattice))]
 
 
 @dataclass(frozen=True)

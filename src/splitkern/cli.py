@@ -26,15 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adaptivity, experiments, filters, kernels, smoothness, theory
-from .experiments import ExperimentConfig
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+from .experiments import ExperimentConfig, _fmt
 
 
 def _emit(text: str, out: str | None, label: str = "") -> None:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimator import KernelExpansion, fit_iterative, fit_spectral, spectral_model
-from .filters import FilterSpec, filter_values
+from .estimator import (KernelExpansion, coefficient_solver, fit_iterative,
+                        fit_spectral)
+from .filters import FilterSpec
 from .kernels import Kernel, kernel_operator
 
 
@@ -139,20 +140,15 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     blocks = part.blocks()
-    scale = 1.0 / kernel.kappa ** 2
 
     def split_one(ix):
-        xb, yb = x[ix], y[ix]
-        model = spectral_model(kernel, xb)
-        fitted = fit_spectral(kernel, filt, lam, xb, yb, model=model)
-        # noise-free coefficients: same filter applied to f_true's values
-        fb = np.asarray(f_true(xb), dtype=float)
-        gvals = filter_values(filt, lam, model.eigenvalues)
-        V = model.eigenvectors
-        coef = scale / len(ix) * (V @ (gvals * (V.T @ fb)))
-        surrogate = KernelExpansion(coefficients=coef, points=xb,
-                                    kernel=kernel)
-        return fitted, surrogate
+        # the surrogate is the same fit to the noise-free values f_true(x)
+        xb = x[ix]
+        solve = coefficient_solver(kernel, filt, xb)
+        return tuple(
+            KernelExpansion(coefficients=solve([lam], v)[0], points=xb,
+                            kernel=kernel)
+            for v in (y[ix], np.asarray(f_true(xb), dtype=float)))
 
     pairs = parallel_map(split_one, blocks, workers)
     fitted = AveragedEstimator(block_fits=tuple(p[0] for p in pairs))

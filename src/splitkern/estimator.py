@@ -6,6 +6,10 @@ expansion ``f(x) = sum_j alpha_j K(x_j, x)`` with
 
     alpha = kappa**-2 / n * V g_lam(Lambda) V' y.
 
+For Tikhonov, ``g_lam(t) = 1/(lam + t)``, this is ``alpha = (G + lam *
+kappa**2 * n * I)^{-1} y``; with the built-in kernel that system is solved
+in O(n) without the eigendecomposition (:func:`coefficient_solver`).
+
 Iterative filters can alternatively be run as actual iterations in
 coefficient space; both paths agree to high accuracy and the agreement
 is part of the test suite.
@@ -18,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .filters import FilterSpec, filter_values
+from .filters import FilterSpec, check_lambda, filter_values
 from .kernels import Kernel, KernelOperator, is_sobolev_min, kernel_operator
 
 # spectrum entries below this are indistinguishable from zero
@@ -82,19 +86,45 @@ def spectral_model(kernel: Kernel, x) -> SpectralModel:
                          points=x, kappa=kernel.kappa)
 
 
-def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                 model: SpectralModel | None = None) -> KernelExpansion:
-    """Fit one block by filtering the spectrum of the normalized Gram.
+def coefficient_solver(kernel: Kernel, filt: FilterSpec, x):
+    """``solve(lams, y)``: expansion coefficients of the single-block fits
+    on the anchors `x`, one array per lambda in `lams`.
 
-    `model` (its eigendecomposition) can be passed to avoid recomputation
-    when several fits share the same anchors.
+    The one place the fitting path is chosen.  Tikhonov on the built-in
+    kernel solves ``(G + lam * kappa**2 * n * I) alpha = y`` with
+    :meth:`SobolevMinOperator.solve_shifted`: O(n) per lambda, no
+    eigendecomposition.  Every other pair filters one
+    :func:`spectral_model` of the anchors, shared by every ``solve``.
     """
-    x, y = _as_data(x, y)
-    if model is None:
+    x = np.asarray(x, dtype=float).ravel()
+    scale = kernel.kappa ** 2 * x.size
+    if filt.kind == "tikhonov" and is_sobolev_min(kernel):
+        op = kernel_operator(kernel, x)
+
+        def solve(lams, y):
+            _, y = _as_data(x, y)
+            c = [check_lambda(float(lam)) for lam in lams]
+            return op.solve_shifted(np.array(c) * scale, y)
+    else:
         model = spectral_model(kernel, x)
-    gvals = filter_values(filt, lam, model.eigenvalues)
-    V = model.eigenvectors
-    alpha = (V @ (gvals * (V.T @ y))) / (kernel.kappa ** 2 * x.size)
+        V = model.eigenvectors
+
+        def solve(lams, y):
+            _, y = _as_data(x, y)
+            Vty = V.T @ y
+            return [(V @ (filter_values(filt, float(lam), model.eigenvalues)
+                          * Vty)) / scale for lam in lams]
+    return solve
+
+
+def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float,
+                 x, y) -> KernelExpansion:
+    """Fit one block: filter the spectrum of the normalized Gram, or, for
+    Tikhonov on the built-in kernel, solve the shifted system (see
+    :func:`coefficient_solver`, which also serves several fits on the
+    same anchors)."""
+    x, y = _as_data(x, y)
+    alpha = coefficient_solver(kernel, filt, x)([lam], y)[0]
     return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
 
 
@@ -136,12 +166,12 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
 
 
 def predict(expansion: KernelExpansion, x):
-    """Evaluate the expansion at `x` (scalar or array)."""
+    """Evaluate the expansion at `x` (scalar or array of any shape)."""
     xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
     if is_sobolev_min(expansion.kernel):
-        out = expansion.operator.cross(expansion.coefficients, xs.ravel())
+        out = expansion.operator.cross(expansion.coefficients, flat)
     else:
-        K = expansion.kernel.fn(expansion.points[:, None],
-                                np.atleast_1d(xs)[None, :])
+        K = expansion.kernel.fn(expansion.points[:, None], flat[None, :])
         out = expansion.coefficients @ K
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -23,8 +23,8 @@ import numpy as np
 from . import theory
 from ._parallel import parallel_map
 from .distributed import AveragedEstimator, fit_distributed, partition
-from .estimator import KernelExpansion, spectral_model
-from .filters import FilterSpec, by_name as filter_by_name, filter_values
+from .estimator import KernelExpansion, coefficient_solver
+from .filters import FilterSpec, by_name as filter_by_name
 from .kernels import Kernel, kernel_operator, rkhs_norm_sq, sobolev_min
 from .smoothness import TargetFunction, target_by_name
 
@@ -251,12 +251,7 @@ def _curves_iterative(kernel, filt, x, y, target, k_max, quad_nodes):
 
 
 def _curves_spectral(kernel, filt, x, y, target, lam_grid, quad_nodes):
-    n = x.size
-    scale = 1.0 / (kernel.kappa ** 2 * n)
-    model = spectral_model(kernel, x)
-    V, ev = model.eigenvectors, model.eigenvalues
-    c = V.T @ y
-    d = V.T @ np.asarray(target(x), dtype=float)
+    fvec = np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
     xg, wg = _gl_nodes(quad_nodes)
     op = kernel_operator(kernel, x)
@@ -264,11 +259,9 @@ def _curves_spectral(kernel, filt, x, y, target, lam_grid, quad_nodes):
 
     hk_sq = np.empty(len(lam_grid))
     l2 = np.empty(len(lam_grid))
-    for i, lam in enumerate(lam_grid):
-        gv = filter_values(filt, float(lam), ev)
-        hk_sq[i] = scale * float(np.sum(ev * (gv * c) ** 2)) \
-            - 2.0 * scale * float(np.sum(gv * c * d)) + nrm
-        alpha = scale * (V @ (gv * c))
+    alphas = coefficient_solver(kernel, filt, x)(lam_grid, y)
+    for i, alpha in enumerate(alphas):
+        hk_sq[i] = op.quad_form(alpha) - 2.0 * float(alpha @ fvec) + nrm
         resid = op.cross(alpha, xg) - fg
         l2[i] = math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0))
     return ErrorCurves(lambdas=np.asarray(lam_grid, dtype=float), steps=None,

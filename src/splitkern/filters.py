@@ -134,9 +134,20 @@ def by_name(name: str, nu: float = 1.0) -> FilterSpec:
     return ctor(nu) if ctor is nu_method else ctor()
 
 
+# Smallest accepted lambda.  Spectrum entries below 1e-14 are rounding
+# noise (``estimator.EIGENVALUE_FLOOR``), so a smaller lambda regularizes
+# nothing a fit can resolve; and coefficients grow like 1/lambda (a
+# Tikhonov fit of the built-in kernel divides by lam * kappa**2 * n, which
+# underflows to 0 for subnormal lambda), so the floor keeps every accepted
+# lambda's coefficients finite.
+LAMBDA_MIN = 1e-14
+
+
 def check_lambda(lam: float) -> float:
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    """Return `lam` if it lies in ``[LAMBDA_MIN, 1]``, else raise."""
+    if not (LAMBDA_MIN <= lam <= 1.0):
+        raise ValueError(
+            f"lambda must lie in [{LAMBDA_MIN:g}, 1], got {lam}")
     return lam
 
 

@@ -182,3 +182,18 @@ def test_adapt_lattice_tie_breaks_toward_larger_lambda():
                                        y[result.split.train], lev.m_k)]
         minimizers = [i for i, e in enumerate(errs) if e == min(errs)]
         assert lev.lambda_hat == np.sort(lattice)[::-1][minimizers[0]]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_adapt_solve_matches_eigh_path(dense_sobolev, seed):
+    # Tikhonov lattices of the built-in kernel take the shifted solve, the
+    # dense kernel the eigendecomposition of the same Gram
+    x, y = gen_data(quadratic_bump(), 512, 0.005, seed)
+    lattice = np.logspace(-6, 0, 25)
+    fast, ref = (adapt(x, y, k, tikhonov(), lattice, delta=0.5, seed=seed)
+                 for k in (sobolev_min(), dense_sobolev))
+    assert fast.k_star == ref.k_star
+    assert [lev.lambda_hat for lev in fast.trace] == \
+        [lev.lambda_hat for lev in ref.trace]
+    for a, b in zip(fast.trace, ref.trace):
+        assert a.err == pytest.approx(b.err, rel=1e-9)

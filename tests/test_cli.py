@@ -144,3 +144,27 @@ def test_non_finite_sigma_exits_2(capsys):
                            "--runs", "1")
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("flags", [("--lambda", "9e-15"),
+                                   ("--lambda", "oracle",
+                                    "--grid-min", "1e-15")])
+def test_lambda_below_floor_exits_2(capsys, flags):
+    code, _, err = run_cli(capsys, "simulate", "--filter", "tikhonov",
+                           "--n", "16", "--runs", "1", *flags)
+    assert code == 2
+    assert "lambda must lie in" in err
+
+
+def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
+    texts = []
+    for i, workers in enumerate(("1", "2")):
+        out_file = tmp_path / f"rate{i}.csv"
+        code, _, _ = run_cli(capsys, "sweep-n", "--filter", "tikhonov",
+                             "--lambda", "oracle", "--ns", "64,128,256",
+                             "--sigma", "0.005", "--runs", "3", "--seed", "4",
+                             "--workers", workers, "--out", str(out_file))
+        assert code == 0
+        summary = out_file.with_suffix(".summary.csv")
+        texts.append(out_file.read_bytes() + summary.read_bytes())
+    assert texts[0] == texts[1]

@@ -3,7 +3,7 @@ import pytest
 
 from splitkern.estimator import (KernelExpansion, fit_iterative, fit_spectral,
                                  predict, spectral_model)
-from splitkern.filters import (filter_values, landweber, nu_method,
+from splitkern.filters import (LAMBDA_MIN, filter_values, landweber, nu_method,
                                spectral_cutoff, tikhonov)
 from splitkern.kernels import gram, sobolev_min
 
@@ -165,3 +165,36 @@ def test_filtered_spectrum_respects_axioms(kernel):
         assert np.max(np.abs(gv * pos)) <= filt.Dprime + 1e-12
         assert np.max(np.abs(gv)) <= filt.E / lam_eff + 1e-9
         assert np.max(np.abs(1 - gv * pos)) <= filt.gamma0 + 1e-12
+
+
+def test_predict_keeps_2d_shape(kernel, dense_sobolev):
+    rng = np.random.default_rng(12)
+    pts, alpha = rng.random(10), rng.standard_normal(10)
+    xs = np.array([[0.1, 0.5], [0.9, 0.0]])
+    fast = predict(KernelExpansion(alpha, pts, kernel), xs)
+    ref = predict(KernelExpansion(alpha, pts, dense_sobolev), xs)
+    assert fast.shape == ref.shape == (2, 2)
+    flat = predict(KernelExpansion(alpha, pts, dense_sobolev), xs.ravel())
+    assert np.array_equal(ref.ravel(), flat)
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.sum(np.abs(alpha))
+
+
+@pytest.mark.parametrize("lam", [LAMBDA_MIN, 1e-6])
+def test_tikhonov_solve_matches_eigh_path(kernel, dense_sobolev, lam):
+    # the shifted solve against the eigendecomposition of the same Gram
+    # (the dense kernel); at lam = LAMBDA_MIN both stay finite
+    x, y = _data(64, seed=19)
+    x[:4] = [0.0, 1.0, x[10], x[10]]           # endpoint and tied anchors
+    fast = fit_spectral(kernel, tikhonov(), lam, x, y).coefficients
+    ref = fit_spectral(dense_sobolev, tikhonov(), lam, x, y).coefficients
+    assert np.isfinite(fast).all() and np.isfinite(ref).all()
+    assert np.max(np.abs(fast - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_lambda_below_floor_rejected_on_both_paths(kernel, dense_sobolev):
+    x, y = _data(8, seed=21)
+    below = np.nextafter(LAMBDA_MIN, 0.0)
+    for k in (kernel, dense_sobolev):
+        for lam in (below, 5e-324):
+            with pytest.raises(ValueError):
+                fit_spectral(k, tikhonov(), lam, x, y)

@@ -8,10 +8,11 @@ import pytest
 from splitkern.distributed import fit_distributed, partition
 from splitkern.estimator import KernelExpansion, fit_iterative, fit_spectral
 from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
-                                   _curves_iterative, _gl_nodes, gen_data,
-                                   hk_error, l2_error, oracle_select,
-                                   results_csv, simulate, summary_csv,
-                                   sweep_alpha, sweep_n)
+                                   _curves_iterative, _curves_spectral,
+                                   _gl_nodes, gen_data, hk_error, l2_error,
+                                   oracle_select, results_csv, run_rng,
+                                   simulate, summary_csv, sweep_alpha,
+                                   sweep_n)
 from splitkern.filters import landweber, nu_method, tikhonov
 from splitkern.kernels import gram, sobolev_min
 from splitkern.smoothness import quadratic_bump, scaled_sine
@@ -143,6 +144,26 @@ def test_curves_iterative_structured_matches_dense(kernel, dense_sobolev,
     ref = _curves_iterative(dense_sobolev, filt, x, y, bump, 40, 512)
     assert np.allclose(fast.hk_sq, ref.hk_sq, rtol=1e-10, atol=0)
     assert np.allclose(fast.l2, ref.l2, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_curves_spectral_solve_matches_eigh(kernel, dense_sobolev, bump,
+                                            seed):
+    # Tikhonov on the built-in kernel takes the shifted solve; the dense
+    # kernel takes the eigendecomposition of the same Gram
+    grid = np.logspace(0, -6, 40)
+    fast, ref = [], []
+    for r in range(3):
+        x, y = gen_data(bump, 512, 0.005, run_rng(seed, r))
+        fast.append(_curves_spectral(kernel, tikhonov(), x, y, bump, grid,
+                                     512))
+        ref.append(_curves_spectral(dense_sobolev, tikhonov(), x, y, bump,
+                                    grid, 512))
+        assert np.allclose(fast[-1].hk_sq, ref[-1].hk_sq, rtol=1e-9, atol=0)
+        assert np.allclose(fast[-1].l2, ref[-1].l2, rtol=1e-9, atol=0)
+    rms = [np.sqrt(np.mean([c.hk_sq for c in cs], axis=0))
+           for cs in (fast, ref)]
+    assert np.argmin(rms[0]) == np.argmin(rms[1])
 
 
 def test_l2_error_values(kernel, bump):
@@ -307,4 +328,19 @@ def test_sweep_alpha_memory_bounded():
     finally:
         tracemalloc.stop()
     assert len(res.rows) == 2
+    assert peak < 64 * 2 ** 20
+
+
+def test_tikhonov_oracle_memory_bounded():
+    # oracle curves over 40 lambdas plus the assessment fit at n = 8192;
+    # a dense Gram alone is 512 MiB
+    cfg = ExperimentConfig(filter="tikhonov", n=8192, runs=1, seed=3,
+                           workers=1)
+    tracemalloc.start()
+    try:
+        rows = simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1 and math.isfinite(rows[0].hk_error)
     assert peak < 64 * 2 ** 20

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from splitkern.filters import (by_name, filter_values, g, landweber,
-                               nu_method, residual, spectral_cutoff, tikhonov,
+from splitkern.filters import (LAMBDA_MIN, by_name, check_lambda,
+                               filter_values, g, landweber, nu_method,
+                               residual, spectral_cutoff, tikhonov,
                                verify_axioms)
 
 LOG_GRID = np.logspace(-4, 0, 100)
@@ -49,6 +50,9 @@ def test_domain_validation():
         g(f, 0.0, 0.5)
     with pytest.raises(ValueError):
         g(f, 1.5, 0.5)
+    assert check_lambda(LAMBDA_MIN) == LAMBDA_MIN
+    with pytest.raises(ValueError):
+        g(f, np.nextafter(LAMBDA_MIN, 0.0), 0.5)
 
 
 def test_step_mapping():

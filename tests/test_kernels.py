@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,73 @@ def test_dense_operator_is_the_gram(dense_sobolev):
     a = np.random.default_rng(7).standard_normal(pts.size)
     assert np.array_equal(op.matvec(a), G @ a)
     assert op.quad_form(a) == float(a @ (G @ a))
+
+
+_PAIRS = np.random.default_rng(8).random(24)
+SOLVE_ANCHORS = {
+    **ANCHORS,
+    "all-endpoints": np.array([1.0, 0.0, 0.0, 1.0]),
+    "pairs-1e-13": np.concatenate([_PAIRS, _PAIRS + 1e-13]),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_ANCHORS))
+def test_solve_shifted_matches_dense_solve(kernel, name):
+    # relative to the largest coefficient; the dense LU solve itself is
+    # only good to about 1e-11 on the near-tied pairs
+    pts = SOLVE_ANCHORS[name]
+    G = gram(kernel, pts)
+    y = np.random.default_rng(pts.size).standard_normal(pts.size)
+    c = np.array([1.0, 1e-2, 1e-4, 1e-6]) * kernel.kappa ** 2 * pts.size
+    got = kernel_operator(kernel, pts).solve_shifted(c, y)
+    assert got.shape == (c.size, pts.size)
+    for row, ci in zip(got, c):
+        ref = np.linalg.solve(G + ci * np.eye(pts.size), y)
+        assert np.max(np.abs(row - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_solve_shifted_rejects_bad_input(kernel):
+    op = kernel_operator(kernel, [0.2, 0.6])
+    for c in ([0.0], [-1.0], [np.nan], [[1.0]]):
+        with pytest.raises(ValueError):
+            op.solve_shifted(np.array(c), [1.0, 2.0])
+    with pytest.raises(ValueError):
+        op.solve_shifted([1.0], [1.0, 2.0, 3.0])
+
+
+def _exact_solve(pts, c, y):
+    """``(G + c I)^{-1} y`` in exact rational arithmetic (the floats are
+    exact rationals), rounded once at the end."""
+    n = len(pts)
+    P = [Fraction(float(p)) for p in pts]
+    M = [[min(P[i], P[j]) - P[i] * P[j] + (Fraction(float(c)) if i == j
+                                           else 0) for j in range(n)]
+         + [Fraction(float(y[i]))] for i in range(n)]
+    for k in range(n):
+        for r in range(k + 1, n):
+            f = M[r][k] / M[k][k]
+            M[r] = [a - f * b for a, b in zip(M[r], M[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (M[k][n] - sum(M[k][j] * x[j] for j in range(k + 1, n))) \
+            / M[k][k]
+    return np.array([float(v) for v in x])
+
+
+_P = np.random.default_rng(3).random(5)
+
+
+@pytest.mark.parametrize("pts", [
+    np.concatenate([_P, [1e-12, 1.0 - 1e-12, 0.5, 0.25, 0.75]]),
+    np.concatenate([_P, _P + 1e-13]),
+], ids=["near-both-ends", "pairs-1e-13"])
+def test_solve_shifted_matches_exact_solve(kernel, pts):
+    # to 1e-13 of the largest coefficient: the dense LU solve misses this
+    # by 6e-12 on the pairs, and a Sherman-Morrison denominator formed as
+    # 1 - h'A^{-1}h (cancelling to about 1e-12 here) by 1e-11 near the ends
+    y = np.random.default_rng(4).standard_normal(pts.size)
+    c = np.array([1.0, 1e-2, 1e-4, 1e-6]) * kernel.kappa ** 2 * pts.size
+    got = kernel_operator(kernel, pts).solve_shifted(c, y)
+    for row, ci in zip(got, c):
+        ref = _exact_solve(pts, ci, y)
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
