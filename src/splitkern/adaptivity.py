@@ -12,7 +12,8 @@ the validation mean squared error is recorded per level.  Levels stop at
 i.e. once the error stops improving appreciably, and the estimator fitted
 at level k* with its selected lambda is returned.  Validation data only
 ever enters through the error evaluation; the per-lambda fits depend on
-the training part alone.
+the training part alone.  A level's whole lattice is scored with one
+kernel evaluation per block against the validation points.
 """
 
 from __future__ import annotations
@@ -59,6 +60,27 @@ def empirical_error(est, x_val, y_val) -> float:
     return float(np.mean(resid ** 2))
 
 
+def lattice_errors(ests, x_val, y_val) -> np.ndarray:
+    """`empirical_error` of each estimator of one lattice.
+
+    The estimators share their blocks' anchors (as `fit_lattice` returns
+    them), so each block's kernel is evaluated at the validation points
+    once, against its coefficients for every lattice value stacked as
+    rows.  Block predictions are summed in ascending block order and
+    divided by the block count, as `AveragedEstimator` does.  The errors
+    equal `empirical_error` bit for bit with the built-in kernel; a user
+    kernel's one matrix product for the lattice rounds differently.
+    """
+    total = None
+    for fits in zip(*(e.block_fits for e in ests)):
+        pred = fits[0].operator.cross(
+            np.stack([f.coefficients for f in fits]), x_val)
+        total = pred if total is None else total + pred
+    resid = y_val - total / ests[0].m
+    # row by row: np.mean over an axis sums in another order
+    return np.array([float(np.mean(r ** 2)) for r in resid])
+
+
 def stopping_index(errors, delta: float):
     """First level whose improvement drops below a delta-fraction of the
     smallest improvement seen so far; None if never triggered.
@@ -103,10 +125,10 @@ def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
     coefs = [solve(lattice, y_t[ix]) for solve, ix in zip(solvers, blocks)]
     # Each fit gets its own copy of its coefficients, made on this thread
     # after every solve.  Keeping the solves' arrays instead (made between
-    # their temporaries, or on pool threads) left the validation predicts'
-    # large temporaries at the top of the heap, where glibc trimmed and
-    # refaulted them on every call: 8x the page faults and +30% adapt
-    # time with a user kernel.
+    # their temporaries, or on pool threads) leaves the validation
+    # scoring's large temporaries at the top of the heap, where glibc
+    # trims and refaults them: with a user kernel, 3.5x the page faults
+    # of an adapt call in a fresh process and about +12% time.
     return [AveragedEstimator(block_fits=tuple(
                 KernelExpansion(coefficients=np.array(c[i]), points=x_t[ix],
                                 kernel=kernel)
@@ -176,7 +198,7 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
     for k, m_k in enumerate(m_sequence, start=1):
         # argmin over the descending lattice: ties go to the larger lambda
         ests = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k, workers)
-        errv = np.array([empirical_error(e, x_v, y_v) for e in ests])
+        errv = lattice_errors(ests, x_v, y_v)
         i = int(np.argmin(errv))
         errs.append(float(errv[i]))
         chosen.append((float(lattice[i]), ests[i]))

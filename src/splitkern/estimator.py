@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .filters import FilterSpec, check_lambda, filter_values
+from .filters import MAX_STEPS, FilterSpec, check_lambda, filter_values
 from .kernels import Kernel, KernelOperator, is_sobolev_min, kernel_operator
 
 # spectrum entries below this are indistinguishable from zero
@@ -134,16 +134,20 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
 
     Landweber: ``alpha <- alpha + b - M alpha`` with ``b = kappa**-2 y/n``;
     the nu-method runs its three-term recurrence.  Matches `fit_spectral`
-    with the same filter.
+    with the same filter.  A lambda that needs more than
+    ``filters.MAX_STEPS`` steps is rejected before any step is taken.
     """
     if not filt.iterative:
         raise ValueError(f"{filt.kind} has no iterative form")
+    k = filt.steps(lam)
+    if k > MAX_STEPS:
+        raise ValueError(f"lambda {lam:g} needs {k} {filt.kind} steps, "
+                         f"more than the {MAX_STEPS} an iterative fit runs")
     x, y = _as_data(x, y)
     op = kernel_operator(kernel, x)
     n = x.size
     scale = 1.0 / (kernel.kappa ** 2 * n)
     b = scale * y
-    k = filt.steps(lam)
 
     if filt.kind == "landweber":
         alpha = b.copy()                      # one step from alpha = 0

@@ -143,6 +143,13 @@ def by_name(name: str, nu: float = 1.0) -> FilterSpec:
 LAMBDA_MIN = 1e-14
 
 
+# Most steps an iterative fit runs: the Landweber count at the default
+# oracle grid floor, 1e-6.  The closed forms (`FilterSpec.steps`,
+# `filter_values`) take any count; an iteration of 1e14 steps, which
+# Landweber at LAMBDA_MIN asks for, would never finish.
+MAX_STEPS = 10 ** 6
+
+
 def check_lambda(lam: float) -> float:
     """Return `lam` if it lies in ``[LAMBDA_MIN, 1]``, else raise."""
     if not (LAMBDA_MIN <= lam <= 1.0):

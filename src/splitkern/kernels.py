@@ -136,7 +136,12 @@ class KernelOperator:
         raise NotImplementedError
 
     def cross(self, coef, t) -> np.ndarray:
-        """``sum_j coef[j] * K(x_j, t)`` at the 1-D array of points `t`."""
+        """``sum_j coef[j] * K(x_j, t)`` at the 1-D array of points `t`.
+
+        A 2-D `coef` holds one expansion per row and gives one row of
+        values per expansion, ``(len(coef), len(t))``: the kernel is
+        evaluated against `t` once for all of them.
+        """
         raise NotImplementedError
 
     def quad_form(self, a) -> float:
@@ -190,12 +195,24 @@ class SobolevMinOperator(KernelOperator):
         self._gaps = np.diff(np.concatenate(([0.0], self._sorted, [1.0])))
 
     def _sums(self, coef):
-        """Prefix ``P`` and slope ``D`` per segment (index = anchors <= t)."""
-        a = np.asarray(coef, dtype=float)[self._order]
-        prefix = np.zeros(a.size + 1)
-        (self._sorted * a).cumsum(out=prefix[1:])
-        slope = np.zeros(a.size + 1)
-        a[::-1].cumsum(out=slope[-2::-1])          # sum_{q >= r} a_q
+        """Prefix ``P`` and slope ``D`` per segment (index = anchors <= t).
+
+        Segments run along axis 0.  A 2-D `coef` (one expansion per row)
+        gets one column per expansion, whose sums are the same sequential
+        additions as for that row alone.  ``np.add.accumulate`` runs along
+        axis 0 without an axis argument, and costs less per call than
+        ``ndarray.cumsum``: the 1-D products, which iterative fits make
+        thousands of times on small blocks, pay nothing for the 2-D case.
+        """
+        a = np.asarray(coef, dtype=float)
+        xs, shape = self._sorted, self._gaps.shape
+        if a.ndim == 2:
+            a, xs, shape = a.T, xs[:, None], shape + (len(a),)
+        a = a[self._order]
+        prefix = np.zeros(shape)
+        np.add.accumulate(xs * a, out=prefix[1:])
+        slope = np.zeros(shape)
+        np.add.accumulate(a[::-1], out=slope[-2::-1])  # sum_{q >= r} a_q
         slope -= prefix[-1]
         return prefix, slope
 
@@ -207,8 +224,10 @@ class SobolevMinOperator(KernelOperator):
         return self._values(v, self.points, self._rank)
 
     def cross(self, coef, t):
-        return self._values(
-            coef, t, np.searchsorted(self._sorted, t, side="right"))
+        seg = np.searchsorted(self._sorted, t, side="right")
+        if np.ndim(coef) == 2:                 # one column per expansion
+            return self._values(coef, t[:, None], seg).T
+        return self._values(coef, t, seg)
 
     def quad_form(self, a):
         """``int f'^2``: exact, and never negative."""

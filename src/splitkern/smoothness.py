@@ -103,12 +103,6 @@ def target_by_name(name: str) -> TargetFunction:
     return _TARGETS[key]()
 
 
-def basis_function(j: int, x):
-    """The j-th orthonormal basis element ``sqrt(2)/(pi j) sin(pi j x)``."""
-    x = np.asarray(x, dtype=float)
-    return math.sqrt(2.0) / (math.pi * j) * np.sin(math.pi * j * x)
-
-
 def fourier_coefficients(target: TargetFunction, J: int, nodes=None,
                          force_quadrature=False) -> np.ndarray:
     """Basis coefficients ``c_1 .. c_J`` of the target.

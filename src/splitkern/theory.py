@@ -27,7 +27,6 @@ class TheoryParams:
     sigma: float = 1.0
     R: float = 1.0
     n: int = 1
-    M: float = 1.0  # output bound; carried along, unused by the formulas
 
     def __post_init__(self):
         if self.r <= 0:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from splitkern import theory
-from splitkern.experiments import ExperimentConfig, sweep_n
+from splitkern.experiments import ExperimentConfig, sweep_alpha, sweep_n
 from splitkern.smoothness import (fourier_coefficients, max_smoothness,
                                   target_by_name)
 
@@ -58,3 +58,50 @@ def test_rate_slope_matches_theory():
     print(f"\n{verdict} rate slope {slope:+.4f} (se {slope_se:.4f}), "
           f"band [{lo:+.4f}, {hi:+.4f}] around theory {expected:+.4f}")
     assert lo <= slope <= hi
+
+
+def test_alpha_plateau_and_rise():
+    """Mean RKHS error against the partition exponent, nu-method oracle.
+
+    One lambda, chosen at m = 1, is shared by every block.  Theory keeps
+    the full rate for alpha up to ``alpha_bound`` (0.5 for this target).
+    The runs are paired (every alpha refits the same data), so each alpha
+    is compared with alpha = 0 through the per-run differences
+    ``hk(alpha) - hk(0)``, whose standard error is the band's unit.
+    Plateau: at alpha <= alpha_bound - 0.1 the mean difference lies in the
+    band +-Z SE.  Rise: at alpha >= alpha_bound + 0.2 it lies above it.
+    The alphas in between are the transition and are only reported.
+    """
+    cfg = ExperimentConfig(target="quadratic-bump", filter="nu-method",
+                           nu=1.0, n=2048, sigma=0.005, lam="oracle",
+                           k_max=64, runs=10, seed=0)
+    alphas = [0.0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8]
+    target = target_by_name(cfg.target)
+    r = max_smoothness(fourier_coefficients(target, 200)).r_max
+    bound = theory.alpha_bound(
+        theory.TheoryParams(r=r, b=2.0, sigma=cfg.sigma, n=cfg.n))
+    assert bound == pytest.approx(0.5, abs=1e-3)
+    # the bound is 0.5 up to rounding; compare alphas with a little slack
+    plateau = [a for a in alphas if 0 < a <= bound - 0.1 + 1e-9]
+    rise = [a for a in alphas if a >= bound + 0.2 - 1e-9]
+    assert (plateau, rise) == ([0.2, 0.4], [0.7, 0.8])
+
+    res = sweep_alpha(cfg, alphas)
+    hk = {}
+    for row in res.rows:
+        hk.setdefault(row.alpha, {})[row.run] = row.hk_error
+    base = np.array([hk[0.0][i] for i in range(cfg.runs)])
+    failures = []
+    print()
+    for a in plateau + rise:
+        diff = np.array([hk[a][i] for i in range(cfg.runs)]) - base
+        mean = float(diff.mean())
+        se = float(diff.std(ddof=1)) / math.sqrt(cfg.runs)
+        ok = abs(mean) <= Z * se if a in plateau else mean > Z * se
+        kind = "plateau" if a in plateau else "rise"
+        print(f"{'PASS' if ok else 'FAIL'} alpha {a:g} {kind}: "
+              f"hk(alpha) - hk(0) = {mean:+.3e}, band +-{Z * se:.3e} "
+              f"(hk ratio {1 + mean / base.mean():.3f})")
+        if not ok:
+            failures.append(a)
+    assert not failures

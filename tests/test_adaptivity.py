@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from splitkern.adaptivity import (adapt, default_m_sequence, empirical_error,
-                                  fit_lattice, holdout_split, stopping_index)
+                                  fit_lattice, holdout_split, lattice_errors,
+                                  stopping_index)
 from splitkern.estimator import KernelExpansion
 from splitkern.experiments import gen_data
-from splitkern.filters import tikhonov
-from splitkern.kernels import sobolev_min
+from splitkern.filters import nu_method, spectral_cutoff, tikhonov
+from splitkern.kernels import sobolev_min, user_kernel
 from splitkern.smoothness import quadratic_bump
 
 
@@ -197,3 +198,73 @@ def test_adapt_solve_matches_eigh_path(dense_sobolev, seed):
         [lev.lambda_hat for lev in ref.trace]
     for a, b in zip(fast.trace, ref.trace):
         assert a.err == pytest.approx(b.err, rel=1e-9)
+
+
+def gaussian(calls=None, x_val=None):
+    """Gaussian user kernel; with `calls`, counts its evaluations at the
+    validation points `x_val`."""
+    def fn(x, t):
+        if calls is not None and np.array_equal(np.ravel(t), x_val):
+            calls.append(np.shape(x))
+        return np.exp(-(x - t) ** 2 / (2 * 0.1 ** 2))
+    return user_kernel(fn, kappa=1.0, name="gaussian")
+
+
+@pytest.mark.parametrize("filt", [tikhonov(), nu_method(), spectral_cutoff()])
+def test_lattice_errors_match_empirical_error(filt):
+    # built-in kernel: the same additions in the same order, bit for bit
+    x, y = gen_data(quadratic_bump(), 300, 0.01, 12)
+    split = holdout_split(len(x), 0.2, seed=3)
+    lattice = np.logspace(-5, 0, 9)[::-1]
+    for m in (7, 3, 1):
+        ests = fit_lattice(sobolev_min(), filt, lattice, x[split.train],
+                           y[split.train], m)
+        x_v, y_v = x[split.validation], y[split.validation]
+        ref = [empirical_error(e, x_v, y_v) for e in ests]
+        assert list(lattice_errors(ests, x_v, y_v)) == ref
+
+
+def test_lattice_errors_match_empirical_error_user_kernel():
+    # One matrix product for the whole lattice sums in another order than
+    # one product per fit.  Each of the two is within s * eps |c| @ |K| of
+    # the exact block prediction (s anchors), so the predictions differ by
+    # at most twice that, d, and each error by at most mean(2 |r| d + d^2).
+    kernel = gaussian()
+    eps = np.finfo(float).eps
+    x, y = gen_data(quadratic_bump(), 300, 0.01, 13)
+    split = holdout_split(len(x), 0.2, seed=4)
+    x_v, y_v = x[split.validation], y[split.validation]
+    lattice = np.logspace(-6, 0, 13)[::-1]
+    for m in (9, 4):
+        ests = fit_lattice(kernel, tikhonov(), lattice, x[split.train],
+                           y[split.train], m)
+        got = lattice_errors(ests, x_v, y_v)
+        for est, err in zip(ests, got):
+            d = sum(2 * f.points.size * eps * np.abs(f.coefficients)
+                    @ np.abs(kernel.fn(f.points[:, None], x_v[None, :]))
+                    for f in est.block_fits) / m
+            r = np.abs(y_v - est(x_v))
+            assert abs(err - empirical_error(est, x_v, y_v)) \
+                <= np.mean(2 * r * d + d ** 2)
+
+
+def test_adapt_evaluates_each_block_once_per_level():
+    x, y = gen_data(quadratic_bump(), 400, 0.01, 14)
+    split = holdout_split(len(x), 0.2, seed=5)
+    calls = []
+    kernel = gaussian(calls, x[split.validation])
+    result = adapt(x, y, kernel, tikhonov(), np.logspace(-6, 0, 25),
+                   m_sequence=[16, 7, 3, 1], delta=0.5, seed=5, workers=1)
+    assert len(calls) == sum(lev.m_k for lev in result.trace)
+
+
+@pytest.mark.parametrize("kernel", [sobolev_min(), gaussian()],
+                         ids=["sobolev-min", "gaussian"])
+def test_adapt_identical_across_workers(kernel):
+    x, y = gen_data(quadratic_bump(), 400, 0.01, 15)
+    one, two = (adapt(x, y, kernel, tikhonov(), np.logspace(-6, 0, 13),
+                      delta=0.5, seed=6, workers=w) for w in (1, 2))
+    assert one.trace == two.trace
+    assert (one.k_star, one.lambda_hat) == (two.k_star, two.lambda_hat)
+    for a, b in zip(one.estimator.block_fits, two.estimator.block_fits):
+        assert np.array_equal(a.coefficients, b.coefficients)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,17 @@ def test_lambda_below_floor_exits_2(capsys, flags):
                            "--n", "16", "--runs", "1", *flags)
     assert code == 2
     assert "lambda must lie in" in err
+
+
+@pytest.mark.parametrize("filt", ["landweber", "nu-method"])
+def test_too_many_iterations_exits_2(capsys, filt):
+    # lambda = 1e-14 asks for 1e14 Landweber (1e7 nu-method) steps
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "simulate", "--filter", filt, "--n", "16",
+                           "--lambda", "1e-14", "--runs", "1")
+    assert code == 2
+    assert "steps" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from splitkern.estimator import (KernelExpansion, fit_iterative, fit_spectral,
                                  predict, spectral_model)
-from splitkern.filters import (LAMBDA_MIN, filter_values, landweber, nu_method,
-                               spectral_cutoff, tikhonov)
+from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, filter_values, landweber,
+                               nu_method, spectral_cutoff, tikhonov)
 from splitkern.kernels import gram, sobolev_min
 
 
@@ -76,6 +76,20 @@ def test_fit_iterative_structured_matches_dense(kernel, dense_sobolev,
     fast = fit_iterative(kernel, filt, lam, x, y).coefficients
     ref = fit_iterative(dense_sobolev, filt, lam, x, y).coefficients
     assert np.max(np.abs(fast - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_fit_iterative_rejects_too_many_steps(kernel):
+    x, y = _data(8)
+    for filt, lam in ((landweber(), 1.0 / (MAX_STEPS + 1)),
+                      (nu_method(), LAMBDA_MIN)):
+        assert filt.steps(lam) > MAX_STEPS
+        with pytest.raises(ValueError, match="steps"):
+            fit_iterative(kernel, filt, lam, x, y)
+    # the default oracle grid floor is still within reach, and the
+    # closed forms take any step count
+    assert landweber().steps(1e-6) == MAX_STEPS
+    vals = filter_values(landweber(), LAMBDA_MIN, np.linspace(0, 1, 11))
+    assert np.isfinite(vals).all()
 
 
 def test_fit_iterative_rejects_non_iterative(kernel):

@@ -160,6 +160,28 @@ def test_structured_operator_matches_dense_gram(kernel, name):
         assert abs(op.quad_form(a) - float(a @ G @ a)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_cross_rows_match_row_by_row(kernel, dense_sobolev, name):
+    # a 2-D coef holds one expansion per row; the structured operator adds
+    # in the same order as for one row, the dense one multiplies matrices
+    pts = ANCHORS[name]
+    rng = np.random.default_rng(pts.size + 1)
+    t = np.concatenate([rng.random(40), pts, [0.0, 1.0]])
+    coef = rng.standard_normal((6, pts.size))
+    op = kernel_operator(kernel, pts)
+    got = op.cross(coef, t)
+    assert got.shape == (6, t.size)
+    for row, c in zip(got, coef):
+        assert np.array_equal(row, op.cross(c, t))
+    dense = kernel_operator(dense_sobolev, pts)
+    got = dense.cross(coef, t)
+    K = np.abs(dense_sobolev.fn(pts[:, None], t[None, :]))
+    assert got.shape == (6, t.size)
+    for row, c in zip(got, coef):
+        scale = np.max(np.abs(c) @ K)
+        assert np.max(np.abs(row - dense.cross(c, t))) <= 1e-13 * scale
+
+
 def test_dense_operator_is_the_gram(dense_sobolev):
     pts = ANCHORS["unsorted"]
     op = kernel_operator(dense_sobolev, pts)
