@@ -14,8 +14,8 @@ from .experiments import (ExperimentConfig, OracleSelection, RunResult,
 from .filters import (FilterSpec, g, landweber, nu_method, residual,
                       spectral_cutoff, tikhonov, verify_axioms)
 from .filters import by_name as filter_by_name
-from .kernels import (Kernel, KernelOperator, evaluate, gram, kappa_of,
-                      kernel_operator, rkhs_norm_sq, sobolev_min, user_kernel)
+from .kernels import (Kernel, KernelOperator, gram, kernel_operator,
+                      rkhs_norm_sq, sobolev_min, user_kernel)
 from .smoothness import (SmoothnessReport, TargetFunction,
                          fourier_coefficients, max_smoothness, quadratic_bump,
                          scaled_sine, target_by_name, user_target)

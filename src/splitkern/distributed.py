@@ -87,24 +87,20 @@ class AveragedEstimator:
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                    part: Partition, method: str = "spectral",
-                    workers=None) -> AveragedEstimator:
+                    part: Partition, workers=None) -> AveragedEstimator:
     """Fit every block with the same `lam` and average the results.
 
+    Iterative filters (Landweber, nu-method) run as iterations
+    (:func:`fit_iterative`), every other filter by :func:`fit_spectral`.
     With ``m == 1`` this reduces exactly to the single-machine fit.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if len(part.assignment) != x.size:
         raise ValueError("partition size does not match data size")
-    blocks = part.blocks()
-
-    def fit_one(ix):
-        if method == "iterative":
-            return fit_iterative(kernel, filt, lam, x[ix], y[ix])
-        return fit_spectral(kernel, filt, lam, x[ix], y[ix])
-
-    fits = parallel_map(fit_one, blocks, workers)
+    fit = fit_iterative if filt.iterative else fit_spectral
+    fits = parallel_map(lambda ix: fit(kernel, filt, lam, x[ix], y[ix]),
+                        part.blocks(), workers)
     return AveragedEstimator(block_fits=tuple(fits))
 
 

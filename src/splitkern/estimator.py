@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from .filters import MAX_STEPS, FilterSpec, check_lambda, filter_values
+from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
+                      iterate)
 from .kernels import Kernel, KernelOperator, is_sobolev_min, kernel_operator
 
 # spectrum entries below this are indistinguishable from zero
@@ -60,8 +62,6 @@ class SpectralModel:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    points: np.ndarray
-    kappa: float
 
 
 def _as_data(x, y):
@@ -78,12 +78,10 @@ def _as_data(x, y):
 
 def spectral_model(kernel: Kernel, x) -> SpectralModel:
     """Eigendecompose the normalized Gram operator of the anchors `x`."""
-    x = np.asarray(x, dtype=float).ravel()
     evals, vecs = kernel_operator(kernel, x).spectrum()
     evals = np.clip(evals[::-1], 0.0, 1.0)
     evals[evals < EIGENVALUE_FLOOR] = 0.0
-    return SpectralModel(eigenvalues=evals, eigenvectors=vecs[:, ::-1],
-                         points=x, kappa=kernel.kappa)
+    return SpectralModel(eigenvalues=evals, eigenvectors=vecs[:, ::-1])
 
 
 def coefficient_solver(kernel: Kernel, filt: FilterSpec, x):
@@ -112,8 +110,10 @@ def coefficient_solver(kernel: Kernel, filt: FilterSpec, x):
         def solve(lams, y):
             _, y = _as_data(x, y)
             Vty = V.T @ y
-            return [(V @ (filter_values(filt, float(lam), model.eigenvalues)
-                          * Vty)) / scale for lam in lams]
+            # row by row: one matrix product for every lambda rounds
+            # differently
+            return [(V @ (g * Vty)) / scale
+                    for g in filter_values(filt, lams, model.eigenvalues)]
     return solve
 
 
@@ -132,50 +132,23 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
                   x, y) -> KernelExpansion:
     """Run an iterative filter as an actual iteration in coefficient space.
 
-    Landweber: ``alpha <- alpha + b - M alpha`` with ``b = kappa**-2 y/n``;
-    the nu-method runs its three-term recurrence.  Matches `fit_spectral`
-    with the same filter.  A lambda that needs more than
-    ``filters.MAX_STEPS`` steps is rejected before any step is taken.
+    :func:`filters.iterate` on ``M = G / (kappa**2 n)`` from ``b = y /
+    (kappa**2 n)``; Landweber steps ``alpha + (b - M alpha)``.  Matches
+    `fit_spectral` with the same filter, with ``k - 1`` products with G
+    for k steps.  A lambda that needs more than ``filters.MAX_STEPS``
+    steps is rejected before any step is taken.
     """
-    if not filt.iterative:
-        raise ValueError(f"{filt.kind} has no iterative form")
-    k = filt.steps(lam)
-    if k > MAX_STEPS:
-        raise ValueError(f"lambda {lam:g} needs {k} {filt.kind} steps, "
-                         f"more than the {MAX_STEPS} an iterative fit runs")
+    k = check_steps(filt.steps(lam))    # rejects non-iterative filters
     x, y = _as_data(x, y)
     op = kernel_operator(kernel, x)
-    n = x.size
-    scale = 1.0 / (kernel.kappa ** 2 * n)
-    b = scale * y
-
-    if filt.kind == "landweber":
-        alpha = b.copy()                      # one step from alpha = 0
-        for _ in range(k - 1):
-            alpha += b - scale * op.matvec(alpha)
-        return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
-
-    nu = filt.nu
-    prev = np.zeros(n)
-    alpha = (4 * nu + 2) / (4 * nu + 1) * b
-    for j in range(2, k + 1):
-        mu = ((j - 1) * (2 * j - 3) * (2 * j + 2 * nu - 1)
-              / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)
-                 * (2 * j + 2 * nu - 3)))
-        om = (4 * (2 * j + 2 * nu - 1) * (j + nu - 1)
-              / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)))
-        alpha, prev = (alpha + mu * (alpha - prev)
-                       + om * (b - scale * op.matvec(alpha))), alpha
+    scale = 1.0 / (kernel.kappa ** 2 * x.size)
+    steps = iterate(filt, scale * y, lambda v: scale * op.matvec(v))
+    alpha = next(islice(steps, k - 1, None))
     return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
 
 
 def predict(expansion: KernelExpansion, x):
     """Evaluate the expansion at `x` (scalar or array of any shape)."""
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    if is_sobolev_min(expansion.kernel):
-        out = expansion.operator.cross(expansion.coefficients, flat)
-    else:
-        K = expansion.kernel.fn(expansion.points[:, None], flat[None, :])
-        out = expansion.coefficients @ K
+    out = expansion.operator.cross(expansion.coefficients, xs.ravel())
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from . import theory
 from ._parallel import parallel_map
 from .distributed import AveragedEstimator, fit_distributed, partition
 from .estimator import KernelExpansion, coefficient_solver
-from .filters import FilterSpec, by_name as filter_by_name
+from .filters import FilterSpec, check_steps, iterate
+from .filters import by_name as filter_by_name
 from .kernels import Kernel, kernel_operator, rkhs_norm_sq, sobolev_min
 from .smoothness import TargetFunction, target_by_name
 
@@ -199,73 +201,47 @@ class ErrorCurves:
     l2: np.ndarray
 
 
-def _curves_iterative(kernel, filt, x, y, target, k_max, quad_nodes):
-    n = x.size
-    scale = 1.0 / (kernel.kappa ** 2 * n)
-    b = scale * y
+def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
+    """Errors of one run's fits to ``(x, y)`` at every grid point: the
+    ascending step counts `grid` of an iterative filter, or the lambdas
+    `grid` of any other.
+
+    An iterative filter is stepped once to the largest count; each
+    product ``G alpha`` of a step also gives that iterate's ``alpha' G
+    alpha``, and one more product scores the last step.
+    """
     fvec = np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
     xg, wg = _gl_nodes(quad_nodes)
-    op = kernel_operator(kernel, x)
     fg = np.asarray(target(xg), dtype=float)
+    op = kernel_operator(kernel, x)
+    hk_sq, l2 = [], []
 
-    hk_sq = np.empty(k_max)
-    l2 = np.empty(k_max)
-
-    def record(k, alpha, Galpha):
-        hk_sq[k - 1] = float(alpha @ Galpha) - 2.0 * float(alpha @ fvec) + nrm
+    def record(alpha, quad):
+        hk_sq.append(quad - 2.0 * float(alpha @ fvec) + nrm)
         resid = op.cross(alpha, xg) - fg
-        l2[k - 1] = math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0))
+        l2.append(math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0)))
 
-    if filt.kind == "landweber":
-        alpha = b.copy()
-        for k in range(1, k_max + 1):
+    if filt.iterative:
+        ks = np.asarray(grid)
+        scale = 1.0 / (kernel.kappa ** 2 * x.size)
+
+        def apply(alpha):
             Galpha = op.matvec(alpha)
-            record(k, alpha, Galpha)
-            if k < k_max:
-                alpha = alpha + b - scale * Galpha
-        lam_eff = 1.0 / np.arange(1, k_max + 1, dtype=float)
-    elif filt.kind == "nu-method":
-        nu = filt.nu
-        prev = np.zeros(n)
-        alpha = (4 * nu + 2) / (4 * nu + 1) * b
-        for k in range(1, k_max + 1):
-            Galpha = op.matvec(alpha)
-            record(k, alpha, Galpha)
-            if k < k_max:
-                j = k + 1
-                mu = ((j - 1) * (2 * j - 3) * (2 * j + 2 * nu - 1)
-                      / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)
-                         * (2 * j + 2 * nu - 3)))
-                om = (4 * (2 * j + 2 * nu - 1) * (j + nu - 1)
-                      / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)))
-                alpha, prev = (alpha + mu * (alpha - prev)
-                               + om * (b - scale * Galpha)), alpha
-        lam_eff = np.arange(1, k_max + 1, dtype=float) ** -2.0
+            record(alpha, float(alpha @ Galpha))
+            return scale * Galpha
+
+        steps = iterate(filt, scale * y, apply)
+        apply(next(islice(steps, int(ks[-1]) - 1, None)))
+        hk_sq, l2 = np.array(hk_sq)[ks - 1], np.array(l2)[ks - 1]
+        kf = ks.astype(float)
+        lambdas = 1.0 / kf if filt.kind == "landweber" else kf ** -2.0
     else:
-        raise ValueError(f"{filt.kind} is not iterative")
-
-    return ErrorCurves(lambdas=lam_eff,
-                       steps=np.arange(1, k_max + 1),
-                       hk_sq=np.maximum(hk_sq, 0.0), l2=l2)
-
-
-def _curves_spectral(kernel, filt, x, y, target, lam_grid, quad_nodes):
-    fvec = np.asarray(target(x), dtype=float)
-    nrm = _target_norm_sq(target)
-    xg, wg = _gl_nodes(quad_nodes)
-    op = kernel_operator(kernel, x)
-    fg = np.asarray(target(xg), dtype=float)
-
-    hk_sq = np.empty(len(lam_grid))
-    l2 = np.empty(len(lam_grid))
-    alphas = coefficient_solver(kernel, filt, x)(lam_grid, y)
-    for i, alpha in enumerate(alphas):
-        hk_sq[i] = op.quad_form(alpha) - 2.0 * float(alpha @ fvec) + nrm
-        resid = op.cross(alpha, xg) - fg
-        l2[i] = math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0))
-    return ErrorCurves(lambdas=np.asarray(lam_grid, dtype=float), steps=None,
-                       hk_sq=np.maximum(hk_sq, 0.0), l2=l2)
+        for alpha in coefficient_solver(kernel, filt, x)(grid, y):
+            record(alpha, op.quad_form(alpha))
+        lambdas, ks = np.asarray(grid, dtype=float), None
+    return ErrorCurves(lambdas=lambdas, steps=ks,
+                       hk_sq=np.maximum(hk_sq, 0.0), l2=np.asarray(l2))
 
 
 def _resolve_pieces(cfg: ExperimentConfig):
@@ -278,8 +254,8 @@ def _default_grid(cfg: ExperimentConfig, filt: FilterSpec):
     log-spaced lambdas (first grid entry = strongest regularization, so
     argmin tie-breaking errs toward more smoothing)."""
     if filt.iterative:
-        k_max = cfg.k_max if cfg.k_max else filt.steps(cfg.grid_min)
-        return np.arange(1, int(k_max) + 1)
+        k_max = filt.steps(cfg.grid_min) if cfg.k_max is None else cfg.k_max
+        return np.arange(1, check_steps(int(k_max)) + 1)
     return np.logspace(0.0, math.log10(cfg.grid_min), cfg.grid_size)
 
 
@@ -311,30 +287,21 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
     if grid.size == 0:
         raise ValueError("empty parameter grid")
     if filt.iterative:
-        ks = np.unique(grid.astype(int))           # ascending: fewest steps first
-        if ks[0] < 1:
-            raise ValueError("step grid must be positive")
-        k_top = int(ks[-1])
+        grid = np.unique(grid.astype(int))         # ascending: fewest steps first
+        check_steps(int(grid[0]))
+        check_steps(int(grid[-1]))
     else:
         grid = np.sort(grid.astype(float))[::-1]   # descending: largest lambda first
 
     def one_run(r: int) -> ErrorCurves:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
-        if filt.iterative:
-            return _curves_iterative(kernel, filt, x, y, target, k_top,
-                                     cfg.quad_nodes)
-        return _curves_spectral(kernel, filt, x, y, target, grid,
-                                cfg.quad_nodes)
+        return _error_curves(kernel, filt, x, y, target, grid, cfg.quad_nodes)
 
     curves = parallel_map(one_run, range(cfg.runs), cfg.workers)
     hk_sq = np.stack([c.hk_sq for c in curves])
     l2 = np.stack([c.l2 for c in curves])
     lam_eff = curves[0].lambdas
     steps = curves[0].steps
-    if filt.iterative:                             # keep only requested steps
-        cols = ks - 1
-        hk_sq, l2 = hk_sq[:, cols], l2[:, cols]
-        lam_eff, steps = lam_eff[cols], ks
     rms = np.sqrt(hk_sq.mean(axis=0))
     best = int(np.argmin(rms))
     return OracleSelection(
@@ -397,15 +364,13 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels, n=None):
     n = cfg.n if n is None else n
     rng = run_rng(cfg.seed, run)
     x, y = gen_data(target, n, cfg.sigma, rng)
-    method = "iterative" if filt.iterative else "spectral"
     k = filt.steps(lam) if filt.iterative else None
     results = []
     for a, m in levels:
         t0 = time.perf_counter()
         shuffle_seed = rng.spawn(1)[0] if cfg.shuffle else None
         part = partition(n, m, shuffle_seed)
-        est = fit_distributed(kernel, filt, lam, x, y, part, method=method,
-                              workers=1)
+        est = fit_distributed(kernel, filt, lam, x, y, part, workers=1)
         hk = hk_error(est, target)
         l2 = l2_error(est, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None

@@ -21,6 +21,7 @@ effective parameter never exceeds the request.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -158,6 +159,15 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
+def check_steps(k: int) -> int:
+    """Return the step count `k` if it lies in ``[1, MAX_STEPS]``, else
+    raise: before any step is taken or any per-step array allocated."""
+    if not 1 <= k <= MAX_STEPS:
+        raise ValueError(f"{k} iterative steps requested; an iterative "
+                         f"fit runs 1 to {MAX_STEPS} steps")
+    return k
+
+
 def _landweber_values(k: int, t: np.ndarray) -> np.ndarray:
     # (1 - (1-t)^k)/t evaluated via expm1/log1p; the naive form loses
     # ~1e-12 relative accuracy near t = 0
@@ -169,40 +179,74 @@ def _landweber_values(k: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nu_values(k: int, t: np.ndarray, nu: float) -> np.ndarray:
-    u_prev = np.zeros_like(t)
-    if k < 1:
-        return u_prev
-    u = np.full_like(t, (4 * nu + 2) / (4 * nu + 1))
-    for j in range(2, k + 1):
+def iterate(filt: FilterSpec, b, apply):
+    """Yield ``alpha_k = g_k(A) b`` for k = 1, 2, ... of an iterative
+    filter, where ``apply(v) = A v`` and A has its spectrum in [0, 1].
+
+    Landweber steps ``alpha + (b - A alpha)`` from ``alpha_1 = b``; the
+    nu-method runs Brakhage's three-term recurrence (Engl, Hanke &
+    Neubauer, *Regularization of Inverse Problems*, 1996, ch. 6).  Each
+    step after the first calls `apply` once, on the iterate it advances
+    from, and every iterate is a new array.  This is the one place the
+    iterations are written: filter values (``A = diag(t)``, ``b = 1``),
+    coefficient-space fits and the oracle's error curves all step here.
+    """
+    if filt.kind == "landweber":
+        alpha = b.copy()
+        while True:
+            yield alpha
+            alpha = alpha + (b - apply(alpha))
+    if filt.kind != "nu-method":
+        raise ValueError(f"{filt.kind} has no iterative form")
+    nu = filt.nu
+    prev = np.zeros_like(b)
+    alpha = (4 * nu + 2) / (4 * nu + 1) * b
+    for j in itertools.count(2):
+        yield alpha
         mu = ((j - 1) * (2 * j - 3) * (2 * j + 2 * nu - 1)
               / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)
                  * (2 * j + 2 * nu - 3)))
         om = (4 * (2 * j + 2 * nu - 1) * (j + nu - 1)
               / ((j + 2 * nu - 1) * (2 * j + 4 * nu - 1)))
-        u, u_prev = u + mu * (u - u_prev) + om * (1.0 - t * u), u
-    return u
+        alpha, prev = (alpha + mu * (alpha - prev)
+                       + om * (b - apply(alpha))), alpha
 
 
-def filter_values(filt: FilterSpec, lam: float, t) -> np.ndarray:
+def filter_values(filt: FilterSpec, lam, t) -> np.ndarray:
     """Vectorized `g_lam` on `t` in [0, 1], continuously extended at 0.
 
-    This is the single source of truth for every filter; the iterative
-    fitting paths are required (and tested) to reproduce it.
+    An array `lam` gives one row per value (shape ``lam.shape +
+    t.shape``), each equal to the call with that value alone; the
+    nu-method fills every row from one pass of its recurrence to the
+    largest step count.  This is the single source of truth for every
+    filter; the iterative fitting paths are required (and tested) to
+    reproduce it.
     """
-    check_lambda(lam)
+    lams = np.asarray(lam, dtype=float)
+    for v in lams.flat:
+        check_lambda(v)
     t = np.asarray(t, dtype=float)
     if t.size and (t.min() < 0 or t.max() > 1):
         raise ValueError("filter argument must lie in [0, 1]")
+    col = lams.reshape(lams.shape + (1,) * t.ndim)
     if filt.kind == "tikhonov":
-        return 1.0 / (lam + t)
+        return 1.0 / (col + t)
     if filt.kind == "cutoff":
-        return np.where(t >= lam, 1.0 / np.where(t > 0, t, 1.0), 0.0)
+        return np.where(t >= col, 1.0 / np.where(t > 0, t, 1.0), 0.0)
+    if not filt.iterative:
+        raise ValueError(f"unknown filter kind {filt.kind!r}")
+    ks = [filt.steps(v) for v in lams.flat]
     if filt.kind == "landweber":
-        return _landweber_values(filt.steps(lam), t)
-    if filt.kind == "nu-method":
-        return _nu_values(filt.steps(lam), t, filt.nu)
-    raise ValueError(f"unknown filter kind {filt.kind!r}")
+        rows = [_landweber_values(k, t) for k in ks]
+    else:
+        kept = dict.fromkeys(ks)
+        steps = iterate(filt, np.ones_like(t), lambda u: t * u)
+        for k, u in enumerate(itertools.islice(steps, max(ks, default=0)),
+                              start=1):
+            if k in kept:
+                kept[k] = u
+        rows = [kept[k] for k in ks]
+    return np.array(rows).reshape(lams.shape + t.shape)
 
 
 def g(filt: FilterSpec, lam: float, t):
@@ -261,10 +305,8 @@ def verify_axioms(filt: FilterSpec, lambda_grid, t_grid,
     gq = filt.gamma_q(q)
 
     max_tg = max_gs = max_r = max_quali = 0.0
-    for lam in lams:
-        check_lambda(lam)
+    for lam, gv in zip(lams, filter_values(filt, lams, ts)):
         lam_eff = filt.effective_lambda(lam)
-        gv = filter_values(filt, lam, ts)
         rv = 1.0 - ts * gv
         max_tg = max(max_tg, float(np.max(np.abs(ts * gv))))
         max_gs = max(max_gs, float(np.max(np.abs(gv))) * lam_eff)

@@ -43,9 +43,6 @@ class Kernel:
         Supremum bound ``sup_x sqrt(K(x, x))``.
     low, high : float
         Domain endpoints; inputs outside ``[low, high]`` are rejected.
-    exactly_symmetric : bool
-        If the evaluation rule is symmetric in floating point (true for
-        the built-in), Gram assembly skips the symmetrizing pass.
     """
 
     name: str
@@ -53,10 +50,6 @@ class Kernel:
     kappa: float
     low: float = 0.0
     high: float = 1.0
-    exactly_symmetric: bool = True
-
-    def __call__(self, x, t):
-        return evaluate(self, x, t)
 
 
 def _sobolev_min_fn(x, t):
@@ -71,13 +64,11 @@ def sobolev_min() -> Kernel:
     return Kernel(name="sobolev-min", fn=_sobolev_min_fn, kappa=0.5)
 
 
-def user_kernel(fn, kappa, name="user", low=0.0, high=1.0,
-                exactly_symmetric=False) -> Kernel:
+def user_kernel(fn, kappa, name="user", low=0.0, high=1.0) -> Kernel:
     """Wrap a custom positive semidefinite kernel with its sup bound."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    return Kernel(name=name, fn=fn, kappa=float(kappa), low=low, high=high,
-                  exactly_symmetric=exactly_symmetric)
+    return Kernel(name=name, fn=fn, kappa=float(kappa), low=low, high=high)
 
 
 def _check_domain(kernel: Kernel, a) -> np.ndarray:
@@ -90,26 +81,12 @@ def _check_domain(kernel: Kernel, a) -> np.ndarray:
     return a
 
 
-def evaluate(kernel: Kernel, x, t):
-    """Evaluate ``K(x, t)``; scalars in, scalar out, arrays broadcast."""
-    xa = _check_domain(kernel, x)
-    ta = _check_domain(kernel, t)
-    out = kernel.fn(xa, ta)
-    if np.isscalar(x) and np.isscalar(t):
-        return float(out)
-    return out
-
-
-def kappa_of(kernel: Kernel) -> float:
-    """Supremum bound ``sup_x sqrt(K(x, x))`` carried by the kernel."""
-    return kernel.kappa
-
-
 def gram(kernel: Kernel, points) -> np.ndarray:
     """Dense Gram matrix ``G[i, j] = K(x_i, x_j)`` for the given anchors.
 
-    The result is exactly symmetric; asymmetric floating-point noise from
-    a user evaluation rule is averaged out.
+    The result is exactly symmetric: floating-point asymmetry of the
+    evaluation rule is averaged out, and a rule that is symmetric in
+    floating point (the built-in) comes out bit for bit unchanged.
     """
     pts = _check_domain(kernel, points)
     if pts.ndim != 1:
@@ -117,9 +94,7 @@ def gram(kernel: Kernel, points) -> np.ndarray:
     if pts.size == 0:
         raise ValueError("gram requires at least one point")
     G = kernel.fn(pts[:, None], pts[None, :])
-    if not kernel.exactly_symmetric:
-        G = 0.5 * (G + G.T)
-    return G
+    return 0.5 * (G + G.T)
 
 
 class KernelOperator:

@@ -152,6 +152,11 @@ def max_smoothness(coefficients, zero_tol: float = ZERO_COEFF_TOL) -> Smoothness
     ``r_max = (2p - 1)/4``, the divergence boundary of
     ``sum j**(4r) c_j**2``.  A finitely supported sequence gets
     ``r_max = inf``.
+
+    ``r_max`` is a least-squares estimate, not an exact value: for
+    ``quadratic_bump`` it is 0.7499999999999997, so
+    ``theory.alpha_bound`` there is 0.49999999999999994.  Compare
+    thresholds derived from it with a little slack.
     """
     c = np.asarray(coefficients, dtype=float)
     J = c.size

@@ -10,4 +10,4 @@ def dense_sobolev():
     Gram product goes through the dense operator: the reference for the
     structured one."""
     return user_kernel(lambda x, t: np.minimum(x, t) - x * t, kappa=0.5,
-                       name="sobolev-min-dense", exactly_symmetric=True)
+                       name="sobolev-min-dense")

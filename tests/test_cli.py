@@ -169,6 +169,18 @@ def test_too_many_iterations_exits_2(capsys, filt):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("k_max", ["0", "-3", str(10 ** 15)])
+def test_oracle_step_grid_out_of_range_exits_2(capsys, k_max):
+    # 0 no longer means the default grid; 10**15 steps are rejected before
+    # the step grid is allocated
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "oracle", "--filter", "nu-method",
+                           "--n", "16", "--runs", "1", "--k-max", k_max)
+    assert code == 2
+    assert "steps" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
     texts = []
     for i, workers in enumerate(("1", "2")):

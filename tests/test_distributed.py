@@ -3,8 +3,8 @@ import pytest
 
 from splitkern.distributed import (AveragedEstimator, diagnostic_split,
                                    fit_distributed, partition)
-from splitkern.estimator import fit_spectral
-from splitkern.filters import nu_method, spectral_cutoff, tikhonov
+from splitkern.estimator import fit_iterative, fit_spectral
+from splitkern.filters import landweber, nu_method, spectral_cutoff, tikhonov
 from splitkern.kernels import sobolev_min
 from splitkern.smoothness import quadratic_bump, zero_target
 
@@ -62,6 +62,22 @@ def test_m1_identity(kernel):
     assert np.array_equal(avg.block_fits[0].coefficients, single.coefficients)
 
 
+@pytest.mark.parametrize("filt,lam,fit", [
+    (nu_method(), 1.0 / 12 ** 2, fit_iterative),
+    (landweber(), 1.0 / 40, fit_iterative),
+    (tikhonov(), 0.01, fit_spectral),
+    (spectral_cutoff(), 0.01, fit_spectral),
+], ids=["nu-method", "landweber", "tikhonov", "cutoff"])
+def test_block_fit_path_follows_filter(kernel, filt, lam, fit):
+    # iterative filters iterate, the others filter the spectrum
+    x, y = _data(90, seed=4)
+    part = partition(90, 3)
+    avg = fit_distributed(kernel, filt, lam, x, y, part)
+    for ix, block in zip(part.blocks(), avg.block_fits):
+        ref = fit(kernel, filt, lam, x[ix], y[ix])
+        assert np.array_equal(block.coefficients, ref.coefficients)
+
+
 def test_prediction_is_mean_of_local_predictions(kernel):
     x, y = _data(64, seed=1)
     part = partition(64, 2)
@@ -103,10 +119,9 @@ def test_as_expansion_matches_mean(kernel):
 def test_iterative_blocks_match_dense_kernel(kernel, dense_sobolev):
     x, y = _data(120, seed=8)
     part = partition(120, 4, shuffle_seed=3)
-    fast = fit_distributed(kernel, nu_method(), 1.0 / 15 ** 2, x, y, part,
-                           method="iterative")
+    fast = fit_distributed(kernel, nu_method(), 1.0 / 15 ** 2, x, y, part)
     ref = fit_distributed(dense_sobolev, nu_method(), 1.0 / 15 ** 2, x, y,
-                          part, method="iterative")
+                          part)
     for a, b in zip(fast.block_fits, ref.block_fits):
         assert np.max(np.abs(a.coefficients - b.coefficients)) \
             <= 1e-10 * np.max(np.abs(b.coefficients))

@@ -5,7 +5,7 @@ from splitkern.estimator import (KernelExpansion, fit_iterative, fit_spectral,
                                  predict, spectral_model)
 from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, filter_values, landweber,
                                nu_method, spectral_cutoff, tikhonov)
-from splitkern.kernels import gram, sobolev_min
+from splitkern.kernels import SobolevMinOperator, gram, sobolev_min
 
 
 @pytest.fixture
@@ -90,6 +90,21 @@ def test_fit_iterative_rejects_too_many_steps(kernel):
     assert landweber().steps(1e-6) == MAX_STEPS
     vals = filter_values(landweber(), LAMBDA_MIN, np.linspace(0, 1, 11))
     assert np.isfinite(vals).all()
+
+
+@pytest.mark.parametrize("filt", [landweber(), nu_method()])
+def test_fit_iterative_products(kernel, monkeypatch, filt):
+    # k steps make k - 1 products with the Gram operator
+    products = []
+    real = SobolevMinOperator.matvec
+    monkeypatch.setattr(SobolevMinOperator, "matvec",
+                        lambda self, v: products.append(1) or real(self, v))
+    x, y = _data(30, seed=6)
+    for k in (1, 2, 17):
+        products.clear()
+        lam = 1.0 / k if filt.kind == "landweber" else float(k) ** -2
+        fit_iterative(kernel, filt, lam, x, y)
+        assert len(products) == k - 1
 
 
 def test_fit_iterative_rejects_non_iterative(kernel):

@@ -8,13 +8,12 @@ import pytest
 from splitkern.distributed import fit_distributed, partition
 from splitkern.estimator import KernelExpansion, fit_iterative, fit_spectral
 from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
-                                   _curves_iterative, _curves_spectral,
-                                   _gl_nodes, gen_data, hk_error, l2_error,
-                                   oracle_select, results_csv, run_rng,
-                                   simulate, summary_csv, sweep_alpha,
-                                   sweep_n)
-from splitkern.filters import landweber, nu_method, tikhonov
-from splitkern.kernels import gram, sobolev_min
+                                   _error_curves, _gl_nodes, gen_data,
+                                   hk_error, l2_error, oracle_select,
+                                   results_csv, run_rng, simulate,
+                                   summary_csv, sweep_alpha, sweep_n)
+from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
+from splitkern.kernels import SobolevMinOperator, gram, sobolev_min
 from splitkern.smoothness import quadratic_bump, scaled_sine
 
 
@@ -140,10 +139,28 @@ def test_gl_nodes_cached_and_read_only():
 def test_curves_iterative_structured_matches_dense(kernel, dense_sobolev,
                                                    bump, filt):
     x, y = gen_data(bump, 400, 0.005, 4)
-    fast = _curves_iterative(kernel, filt, x, y, bump, 40, 512)
-    ref = _curves_iterative(dense_sobolev, filt, x, y, bump, 40, 512)
+    ks = np.arange(1, 41)
+    fast = _error_curves(kernel, filt, x, y, bump, ks, 512)
+    ref = _error_curves(dense_sobolev, filt, x, y, bump, ks, 512)
     assert np.allclose(fast.hk_sq, ref.hk_sq, rtol=1e-10, atol=0)
     assert np.allclose(fast.l2, ref.l2, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("filt", [landweber(), nu_method()])
+def test_curves_iterative_products(kernel, bump, monkeypatch, filt):
+    # a curve to k_max makes k_max products with the Gram operator and
+    # keeps the requested steps only
+    products = []
+    real = SobolevMinOperator.matvec
+    monkeypatch.setattr(SobolevMinOperator, "matvec",
+                        lambda self, v: products.append(1) or real(self, v))
+    x, y = gen_data(bump, 50, 0.005, 6)
+    curves = _error_curves(kernel, filt, x, y, bump, np.array([2, 5, 9]), 64)
+    assert len(products) == 9
+    assert list(curves.steps) == [2, 5, 9] and curves.hk_sq.shape == (3,)
+    full = _error_curves(kernel, filt, x, y, bump, np.arange(1, 10), 64)
+    assert np.array_equal(curves.hk_sq, full.hk_sq[[1, 4, 8]])
+    assert np.array_equal(curves.l2, full.l2[[1, 4, 8]])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -155,10 +172,9 @@ def test_curves_spectral_solve_matches_eigh(kernel, dense_sobolev, bump,
     fast, ref = [], []
     for r in range(3):
         x, y = gen_data(bump, 512, 0.005, run_rng(seed, r))
-        fast.append(_curves_spectral(kernel, tikhonov(), x, y, bump, grid,
-                                     512))
-        ref.append(_curves_spectral(dense_sobolev, tikhonov(), x, y, bump,
-                                    grid, 512))
+        fast.append(_error_curves(kernel, tikhonov(), x, y, bump, grid, 512))
+        ref.append(_error_curves(dense_sobolev, tikhonov(), x, y, bump, grid,
+                                 512))
         assert np.allclose(fast[-1].hk_sq, ref[-1].hk_sq, rtol=1e-9, atol=0)
         assert np.allclose(fast[-1].l2, ref[-1].l2, rtol=1e-9, atol=0)
     rms = [np.sqrt(np.mean([c.hk_sq for c in cs], axis=0))
@@ -218,18 +234,23 @@ def test_oracle_iterative_grid_semantics():
     assert sel.steps is not None and sel.steps[0] == 1 and sel.steps[-1] == 12
     assert sel.lam == pytest.approx(float(sel.k) ** -2)
     assert nu_method().steps(sel.lam) == sel.k
+    for bad in ([0, 3], [3, MAX_STEPS + 1]):
+        with pytest.raises(ValueError, match="steps"):
+            oracle_select(cfg, grid=bad)
 
 
-def test_oracle_sigma0_curve_matches_refit(kernel, bump):
+@pytest.mark.parametrize("filt", [landweber(), nu_method()],
+                         ids=["landweber", "nu-method"])
+def test_oracle_sigma0_curve_matches_refit(kernel, bump, filt):
     # curve errors at step k equal an explicit iterative fit at k
-    from splitkern.estimator import fit_iterative
-    cfg = ExperimentConfig(filter="nu-method", n=40, sigma=0.01, runs=1,
+    cfg = ExperimentConfig(filter=filt.kind, n=40, sigma=0.01, runs=1,
                            seed=5, workers=1, k_max=8)
     sel = oracle_select(cfg)
     x, y = gen_data(bump, 40, 0.01, np.random.default_rng(
         np.random.SeedSequence(entropy=5, spawn_key=(0,))))
     for k in [1, 4, 8]:
-        est = fit_iterative(kernel, nu_method(), float(k) ** -2, x, y)
+        est = fit_iterative(kernel, filt, sel.lambdas[k - 1], x, y)
+        assert filt.steps(sel.lambdas[k - 1]) == k
         assert math.sqrt(sel.hk_sq_runs[0, k - 1]) == pytest.approx(
             hk_error(est, bump), rel=1e-9, abs=1e-12)
 

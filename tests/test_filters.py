@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splitkern import filters
 from splitkern.filters import (LAMBDA_MIN, by_name, check_lambda,
                                filter_values, g, landweber, nu_method,
                                residual, spectral_cutoff, tikhonov,
@@ -182,3 +183,32 @@ def test_verify_axioms_flags_violations():
     worse = dataclasses.replace(bad, Dprime=0.1)
     report = verify_axioms(worse, [0.5], [0.5], q=1.0)
     assert not report.ok and "t*g" in report.violations[0]
+
+
+@pytest.mark.parametrize("filt", [tikhonov(), landweber(), nu_method(),
+                                  nu_method(3.0), spectral_cutoff()],
+                         ids=["tikhonov", "landweber", "nu1", "nu3",
+                              "cutoff"])
+def test_filter_values_lambda_rows_one_pass(monkeypatch, filt):
+    # a lambda array gives one row per value, bit for bit the call with
+    # that value alone; the nu-method steps once to the largest count
+    t = np.linspace(0.0, 1.0, 101)
+    lams = np.array([1.0, 0.04, 1e-4, 0.04, 0.01])
+    rows = filter_values(filt, lams, t)
+    assert rows.shape == (lams.size, t.size)
+    for lam, row in zip(lams, rows):
+        assert np.array_equal(row, filter_values(filt, float(lam), t))
+    assert filter_values(filt, lams[:0], t).shape == (0, t.size)
+    if filt.kind != "nu-method":
+        return
+    applied = []
+    real = filters.iterate
+
+    def counting(filt, b, apply):
+        return real(filt, b, lambda v: applied.append(1) or apply(v))
+
+    monkeypatch.setattr(filters, "iterate", counting)
+    again = filter_values(filt, lams, t)
+    assert np.array_equal(again, rows)
+    ks = [filt.steps(lam) for lam in lams]          # 1, 5, 100, 5, 10
+    assert len(applied) == max(ks) - 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from splitkern.estimator import KernelExpansion
-from splitkern.kernels import (DenseOperator, SobolevMinOperator, evaluate,
-                               gram, kappa_of, kernel_operator, rkhs_norm_sq,
-                               sobolev_min, user_kernel)
+from splitkern.kernels import (DenseOperator, SobolevMinOperator, gram,
+                               kernel_operator, rkhs_norm_sq, sobolev_min,
+                               user_kernel)
 
 
 @pytest.fixture
@@ -15,28 +15,32 @@ def kernel():
 
 
 def test_eval_hand_values(kernel):
-    assert evaluate(kernel, 0.5, 0.5) == 0.25
-    assert evaluate(kernel, 0.25, 0.75) == 0.0625
+    assert kernel.fn(0.5, 0.5) == 0.25
+    assert kernel.fn(0.25, 0.75) == 0.0625
+    assert gram(kernel, [0.25, 0.75])[0, 1] == 0.0625
 
 
 def test_eval_vanishes_at_left_endpoint(kernel):
-    for t in [0.0, 0.3, 0.5, 0.99, 1.0]:
-        assert evaluate(kernel, 0.0, t) == 0.0
+    t = np.array([0.0, 0.3, 0.5, 0.99, 1.0])
+    assert np.array_equal(kernel.fn(0.0, t), np.zeros(5))
+    assert np.array_equal(gram(kernel, np.r_[0.0, t])[0], np.zeros(6))
 
 
-def test_eval_rejects_out_of_domain(kernel):
-    with pytest.raises(ValueError):
-        evaluate(kernel, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        evaluate(kernel, 0.5, 1.5)
+def test_eval_rejects_out_of_domain(kernel, dense_sobolev):
+    for k in (kernel, dense_sobolev):
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                gram(k, [0.5, bad])
+            with pytest.raises(ValueError):
+                kernel_operator(k, [bad, 0.5])
 
 
 def test_kappa_values(kernel):
-    assert kappa_of(kernel) == 0.5
+    assert kernel.kappa == 0.5
     zero = user_kernel(lambda x, t: np.zeros_like(x * t), kappa=0.0)
-    assert kappa_of(zero) == 0.0
+    assert zero.kappa == 0.0
     other = user_kernel(lambda x, t: np.minimum(x, t), kappa=1.0)
-    assert kappa_of(other) == 1.0
+    assert other.kappa == 1.0
 
 
 def test_gram_hand_values(kernel):
@@ -70,7 +74,23 @@ def test_symmetry_exact(kernel):
     rng = np.random.default_rng(1)
     x = rng.random(1000)
     t = rng.random(1000)
-    assert np.array_equal(evaluate(kernel, x, t), evaluate(kernel, t, x))
+    assert np.array_equal(kernel.fn(x, t), kernel.fn(t, x))
+    # the symmetrizing pass leaves an exactly symmetric rule bit for bit
+    G = gram(kernel, x[:200])
+    assert np.array_equal(G, kernel.fn(x[:200, None], x[None, :200]))
+    assert np.array_equal(G, G.T)
+
+
+def test_gram_symmetrizes_user_rule():
+    # a rule that is not symmetric in floating point
+    skew = user_kernel(lambda x, t: np.minimum(x, t) - x * t + 1e-3 * (x - t),
+                       kappa=1.0)
+    pts = np.random.default_rng(9).random(50)
+    G = gram(skew, pts)
+    K = skew.fn(pts[:, None], pts[None, :])
+    assert not np.array_equal(K, K.T)
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(G, 0.5 * (K + K.T))
 
 
 def test_gram_positive_semidefinite(kernel):
@@ -84,7 +104,8 @@ def test_gram_positive_semidefinite(kernel):
 def test_kappa_bounds_diagonal(kernel):
     rng = np.random.default_rng(3)
     x = rng.random(1000)
-    assert np.all(evaluate(kernel, x, x) <= kernel.kappa ** 2 + 1e-15)
+    assert np.all(kernel.fn(x, x) <= kernel.kappa ** 2 + 1e-15)
+    assert np.all(np.diag(gram(kernel, x)) <= kernel.kappa ** 2 + 1e-15)
 
 
 def test_reproducing_property(kernel):
@@ -94,7 +115,7 @@ def test_reproducing_property(kernel):
     alpha = rng.standard_normal(32)
     fhat = KernelExpansion(coefficients=alpha, points=pts, kernel=kernel)
     for x in rng.random(50):
-        inner = float(alpha @ evaluate(kernel, pts, np.full_like(pts, x)))
+        inner = float(alpha @ kernel.fn(pts, np.full_like(pts, x)))
         assert abs(inner - fhat(x)) < 1e-12
 
 
