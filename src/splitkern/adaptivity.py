@@ -157,15 +157,13 @@ class AdaptResult:
 
 def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
           m_sequence=None, delta: float = 0.5, val_fraction: float = 0.2,
-          seed=0, workers=None, refit_on_all: bool = False) -> AdaptResult:
+          seed=0, workers=None) -> AdaptResult:
     """Data-driven level and lambda selection by hold-out.
 
     Returns the stopping level, the lambda selected there, the estimator
     fitted on the training part, and the per-level trace.  If the level
     sequence is exhausted without triggering the stopping rule, the last
-    level is returned with ``triggered=False``.  With ``refit_on_all`` the
-    returned estimator is refitted at (k*, lambda_hat) on the full sample
-    (selection still uses the hold-out split).
+    level is returned with ``triggered=False``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -211,8 +209,5 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
             break
 
     lam_hat, est = chosen[k_star - 1]
-    if refit_on_all:
-        est = fit_lattice(kernel, filt, [lam_hat], x, y,
-                          m_sequence[k_star - 1], workers)[0]
     return AdaptResult(k_star=k_star, lambda_hat=lam_hat, estimator=est,
                        trace=tuple(trace), triggered=triggered, split=split)

@@ -9,10 +9,11 @@ Subcommands:
   sweep-n      errors across sample sizes, with fitted slopes
   adapt        hold-out adaptive parameter selection
 
-Experiment commands accept ``--config FILE`` (INI; keys of the
-``[experiment]`` section mirror the ExperimentConfig fields) with
-command-line flags taking precedence.  CSV goes to ``--out`` (plus a
-``.summary.csv`` sibling where applicable) or stdout.
+Experiment commands accept ``--config FILE`` (INI; the keys of the
+``[experiment]`` section are those of ``experiments.SETTINGS``, which
+also names the flags) with command-line flags taking precedence.  CSV
+goes to ``--out`` (plus a ``.summary.csv`` sibling where applicable) or
+stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adaptivity, experiments, filters, kernels, smoothness, theory
+from . import adaptivity, experiments, smoothness, theory
 from .experiments import ExperimentConfig, _fmt
 
 
@@ -63,36 +64,16 @@ def _parse_lattice(text: str) -> np.ndarray:
 # experiment config assembly
 
 
-_CONFIG_FLAGS = [
-    ("--target", str, "target function name"),
-    ("--filter", str, "filter name (tikhonov|landweber|nu-method|cutoff)"),
-    ("--nu", float, "order of the nu-method"),
-    ("--n", int, "sample size"),
-    ("--alpha", float, "partition-growth exponent (m = round(n**alpha))"),
-    ("--m", int, "explicit number of blocks (overrides --alpha)"),
-    ("--sigma", float, "noise standard deviation"),
-    ("--lambda", str, "'oracle', 'theory', or an explicit value"),
-    ("--runs", int, "Monte-Carlo repetitions"),
-    ("--seed", int, "master seed"),
-    ("--workers", int, "parallel workers (default: cpu count)"),
-    ("--grid-min", float, "smallest lambda of the oracle grid"),
-    ("--grid-size", int, "points in the oracle lambda grid"),
-    ("--k-max", int, "largest step count swept for iterative filters"),
-    ("--quad-nodes", int, "Gauss-Legendre nodes for the L2 error"),
-    ("--r", float, "source exponent for the theory rule"),
-    ("--b", float, "eigenvalue decay exponent for the theory rule"),
-    ("--R", float, "source radius for the theory rule"),
-]
-
-
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI file with an [experiment] section")
-    for flag, typ, help_ in _CONFIG_FLAGS:
-        sub.add_argument(flag, type=typ, help=help_, default=None)
-    sub.add_argument("--shuffle", action="store_true", default=None,
-                     help="shuffle before partitioning")
-    sub.add_argument("--timing", action="store_true", default=None,
-                     help="record wall_ms (not byte-reproducible)")
+    # one flag per setting; the value reaches from_mapping as a string
+    for key, (cast, help_) in experiments.SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if cast is experiments._parse_bool:
+            sub.add_argument(flag, dest=key, action="store_const",
+                             const="true", help=help_)
+        else:
+            sub.add_argument(flag, dest=key, help=help_)
     sub.add_argument("--out", help="CSV output path (default: stdout)")
 
 
@@ -108,16 +89,9 @@ def _config_from_args(args) -> ExperimentConfig:
             mapping.update(dict(parser.items("experiment")))
         else:
             mapping.update(dict(parser.defaults()))
-    for flag, _typ, _help in _CONFIG_FLAGS:
-        name = flag.lstrip("-").replace("-", "_")
-        key = "lambda" if name == "lambda" else name
-        value = getattr(args, name, None)
-        if value is not None:
-            mapping[key] = value
-    if args.shuffle is not None:
-        mapping["shuffle"] = args.shuffle
-    if args.timing is not None:
-        mapping["timing"] = args.timing
+    for key in experiments.SETTINGS:
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     return ExperimentConfig.from_mapping(mapping)
 
 
@@ -187,15 +161,16 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _print_summary(summary) -> None:
+def _report(rows, summary, slopes, args) -> int:
+    """Print a study's summary table and slopes; write its CSVs."""
     print(f"{'n':>7} {'m':>6} {'alpha':>6} {'hk_mean':>12} {'hk_se':>10} "
           f"{'l2_mean':>12}")
     for g in summary:
         print(f"{g.n:>7} {g.m:>6} {g.alpha:>6.2f} {g.hk_mean:>12.6g} "
               f"{g.hk_se:>10.3g} {g.l2_mean:>12.6g}")
-
-
-def _emit_rows(rows, summary, slopes, args) -> None:
+    for a, s in sorted(slopes.items()):
+        print(f"log-log slope of mean reconstruction error vs n "
+              f"at alpha={a:g}: {s:+.4f}")
     csv = experiments.results_csv(rows)
     if args.out:
         _emit(csv, args.out, "results")
@@ -203,48 +178,34 @@ def _emit_rows(rows, summary, slopes, args) -> None:
               _summary_path(args.out), "summary")
     else:
         sys.stdout.write(csv)
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    rows = experiments.simulate(cfg)
-    summary = experiments._group_stats(rows)
-    _print_summary(summary)
-    _emit_rows(rows, summary, None, args)
     return 0
 
 
+def _cmd_simulate(args) -> int:
+    rows = experiments.simulate(_config_from_args(args))
+    return _report(rows, experiments._group_stats(rows), {}, args)
+
+
 def _cmd_sweep_alpha(args) -> int:
-    cfg = _config_from_args(args)
-    alphas = _parse_floats(args.alphas)
-    result = experiments.sweep_alpha(cfg, alphas)
+    result = experiments.sweep_alpha(_config_from_args(args),
+                                     _parse_floats(args.alphas))
     if result.k is not None:
         print(f"shared parameter: k = {result.k} (lambda = {result.lam:.6g})")
     else:
         print(f"shared parameter: lambda = {result.lam:.6g}")
-    _print_summary(result.summary)
-    _emit_rows(result.rows, result.summary, result.slopes, args)
-    return 0
+    return _report(result.rows, result.summary, result.slopes, args)
 
 
 def _cmd_sweep_n(args) -> int:
-    cfg = _config_from_args(args)
-    ns = _parse_ints(args.ns)
-    alphas = _parse_floats(args.alphas)
-    result = experiments.sweep_n(cfg, ns, alphas)
-    _print_summary(result.summary)
-    for a, s in sorted(result.slopes.items()):
-        print(f"log-log slope of mean reconstruction error vs n "
-              f"at alpha={a:g}: {s:+.4f}")
-    _emit_rows(result.rows, result.summary, result.slopes, args)
-    return 0
+    result = experiments.sweep_n(_config_from_args(args),
+                                 _parse_ints(args.ns),
+                                 _parse_floats(args.alphas))
+    return _report(result.rows, result.summary, result.slopes, args)
 
 
 def _cmd_adapt(args) -> int:
     cfg = _config_from_args(args)
-    target = smoothness.target_by_name(cfg.target)
-    filt = filters.by_name(cfg.filter, cfg.nu)
-    kernel = kernels.sobolev_min()
+    kernel, filt, target = experiments._resolve_pieces(cfg)
     x, y = experiments.gen_data(target, cfg.n, cfg.sigma,
                                 experiments.run_rng(cfg.seed, 0))
     lattice = _parse_lattice(args.lattice)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimator import (KernelExpansion, coefficient_solver, fit_iterative,
-                        fit_spectral)
+from .estimator import KernelExpansion, fit_iterative, fit_spectral
 from .filters import FilterSpec
 from .kernels import Kernel, kernel_operator
 
@@ -134,21 +133,11 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     if f_true_norm_sq is None:
         raise ValueError("squared RKHS norm of f_true is required")
     x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    blocks = part.blocks()
-
-    def split_one(ix):
-        # the surrogate is the same fit to the noise-free values f_true(x)
-        xb = x[ix]
-        solve = coefficient_solver(kernel, filt, xb)
-        return tuple(
-            KernelExpansion(coefficients=solve([lam], v)[0], points=xb,
-                            kernel=kernel)
-            for v in (y[ix], np.asarray(f_true(xb), dtype=float)))
-
-    pairs = parallel_map(split_one, blocks, workers)
-    fitted = AveragedEstimator(block_fits=tuple(p[0] for p in pairs))
-    surrogate = AveragedEstimator(block_fits=tuple(p[1] for p in pairs))
+    fitted = fit_distributed(kernel, filt, lam, x, y, part, workers)
+    # the surrogate is the same fit to the noise-free values f_true(x)
+    surrogate = fit_distributed(kernel, filt, lam, x,
+                                np.asarray(f_true(x), dtype=float), part,
+                                workers)
 
     f_tilde = surrogate.as_expansion()
     f_bar = fitted.as_expansion()

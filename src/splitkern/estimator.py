@@ -25,7 +25,8 @@ import numpy as np
 
 from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
                       iterate)
-from .kernels import Kernel, KernelOperator, is_sobolev_min, kernel_operator
+from .kernels import (Kernel, KernelOperator, gram, is_sobolev_min,
+                      kernel_operator)
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -77,8 +78,15 @@ def _as_data(x, y):
 
 
 def spectral_model(kernel: Kernel, x) -> SpectralModel:
-    """Eigendecompose the normalized Gram operator of the anchors `x`."""
-    evals, vecs = kernel_operator(kernel, x).spectrum()
+    """Eigendecompose the normalized Gram operator of the anchors `x`.
+
+    Always a dense ``eigh``, for the built-in kernel too.  The Gram
+    matrix is a temporary freed before ``eigh`` runs; keeping a dense
+    operator's cached one alive instead made glibc trim and refault the
+    heap on every hold-out fit with a user kernel.
+    """
+    evals, vecs = np.linalg.eigh(gram(kernel, x)
+                                 / (kernel.kappa ** 2 * np.size(x)))
     evals = np.clip(evals[::-1], 0.0, 1.0)
     evals[evals < EIGENVALUE_FLOOR] = 0.0
     return SpectralModel(eigenvalues=evals, eigenvectors=vecs[:, ::-1])

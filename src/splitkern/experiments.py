@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -36,7 +36,8 @@ SUMMARY_HEADER = "n,m,alpha,lambda,k,runs,hk_mean,hk_se,l2_mean,l2_se"
 
 @dataclass
 class ExperimentConfig:
-    """One Monte-Carlo study; field names double as config-file keys."""
+    """One Monte-Carlo study; its fields are the `SETTINGS` keys, with
+    `lam` as "lambda"."""
 
     target: str = "quadratic-bump"
     filter: str = "nu-method"
@@ -60,41 +61,30 @@ class ExperimentConfig:
     b: float = 2.0
     R: float = 1.0
 
-    def resolved_m(self, n=None) -> int:
-        n = self.n if n is None else n
+    def resolved_m(self) -> int:
         if self.m is not None:
             return int(self.m)
-        return max(1, int(round(n ** self.alpha)))
+        return max(1, int(round(self.n ** self.alpha)))
 
     @staticmethod
     def from_mapping(mapping) -> "ExperimentConfig":
         cfg = ExperimentConfig()
-        casts = {
-            "target": str, "filter": str, "nu": float, "n": int,
-            "alpha": float, "m": int, "sigma": float, "runs": int,
-            "seed": int, "workers": int, "shuffle": _parse_bool,
-            "grid_min": float, "grid_size": int, "k_max": int,
-            "quad_nodes": int, "timing": _parse_bool,
-            "r": float, "b": float,
-        }
         for key, raw in mapping.items():
             k = key.strip()
-            if k == "R":  # case matters: r is the source exponent
-                cfg.R = float(raw)
-                continue
-            k = k.lower()
-            if k in ("lambda", "lam"):
-                cfg.lam = _parse_lambda(raw)
-            elif k in casts:
-                setattr(cfg, k, casts[k](raw))
-            else:
+            if k != "R":  # case matters: r is the source exponent
+                k = k.lower()
+            k = "lambda" if k == "lam" else k
+            if k not in SETTINGS:
                 raise ValueError(f"unknown config key {key!r}")
+            try:
+                value = SETTINGS[k][0](raw)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {k}: {exc}") from None
+            setattr(cfg, "lam" if k == "lambda" else k, value)
         return cfg
 
 
 def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
     s = str(raw).strip().lower()
     if s in ("1", "true", "yes", "on"):
         return True
@@ -110,6 +100,32 @@ def _parse_lambda(raw):
     if s in ("oracle", "theory"):
         return s
     return float(s)
+
+
+# The one list of experiment settings: config-file keys and, with "_" as
+# "-", the flags of every experiment subcommand.  key -> (cast, help)
+SETTINGS = {
+    "target": (str, "target function name"),
+    "filter": (str, "filter name (tikhonov|landweber|nu-method|cutoff)"),
+    "nu": (float, "order of the nu-method"),
+    "n": (int, "sample size"),
+    "alpha": (float, "partition-growth exponent (m = round(n**alpha))"),
+    "m": (int, "explicit number of blocks (overrides --alpha)"),
+    "sigma": (float, "noise standard deviation"),
+    "lambda": (_parse_lambda, "'oracle', 'theory', or an explicit value"),
+    "runs": (int, "Monte-Carlo repetitions"),
+    "seed": (int, "master seed"),
+    "workers": (int, "parallel workers (default: cpu count)"),
+    "shuffle": (_parse_bool, "shuffle before partitioning"),
+    "grid_min": (float, "smallest lambda of the oracle grid"),
+    "grid_size": (int, "points in the oracle lambda grid"),
+    "k_max": (int, "largest step count swept for iterative filters"),
+    "quad_nodes": (int, "Gauss-Legendre nodes for the L2 error"),
+    "timing": (_parse_bool, "record wall_ms (not byte-reproducible)"),
+    "r": (float, "source exponent for the theory rule"),
+    "b": (float, "eigenvalue decay exponent for the theory rule"),
+    "R": (float, "source radius for the theory rule"),
+}
 
 
 def run_rng(seed: int, run: int) -> np.random.Generator:
@@ -203,12 +219,13 @@ class ErrorCurves:
 
 def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
     """Errors of one run's fits to ``(x, y)`` at every grid point: the
-    ascending step counts `grid` of an iterative filter, or the lambdas
-    `grid` of any other.
+    ascending distinct step counts `grid` of an iterative filter, or the
+    lambdas `grid` of any other.
 
     An iterative filter is stepped once to the largest count; each
     product ``G alpha`` of a step also gives that iterate's ``alpha' G
-    alpha``, and one more product scores the last step.
+    alpha``, and one more product scores the last step.  Only the
+    requested steps are scored.
     """
     fvec = np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
@@ -225,15 +242,18 @@ def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
     if filt.iterative:
         ks = np.asarray(grid)
         scale = 1.0 / (kernel.kappa ** 2 * x.size)
+        wanted = np.zeros(int(ks[-1]) + 1, dtype=bool)
+        wanted[ks] = True
+        step = count(1)
 
         def apply(alpha):
             Galpha = op.matvec(alpha)
-            record(alpha, float(alpha @ Galpha))
+            if wanted[next(step)]:
+                record(alpha, float(alpha @ Galpha))
             return scale * Galpha
 
         steps = iterate(filt, scale * y, apply)
         apply(next(islice(steps, int(ks[-1]) - 1, None)))
-        hk_sq, l2 = np.array(hk_sq)[ks - 1], np.array(l2)[ks - 1]
         kf = ks.astype(float)
         lambdas = 1.0 / kf if filt.kind == "landweber" else kf ** -2.0
     else:
@@ -355,50 +375,44 @@ def _levels_for(n: int, alphas) -> list[tuple[float, int]]:
     return [(float(a), max(1, int(round(n ** a)))) for a in alphas]
 
 
-def _assess_run(cfg, kernel, filt, target, lam, run, levels, n=None):
+def _assess_run(cfg, kernel, filt, target, lam, run, levels):
     """Fit (and score) one seeded run at every requested partition level.
 
     `levels` is a list of (alpha label, m) pairs; the same generated data
     underlies each, so comparisons across levels are paired.
     """
-    n = cfg.n if n is None else n
     rng = run_rng(cfg.seed, run)
-    x, y = gen_data(target, n, cfg.sigma, rng)
+    x, y = gen_data(target, cfg.n, cfg.sigma, rng)
     k = filt.steps(lam) if filt.iterative else None
     results = []
     for a, m in levels:
         t0 = time.perf_counter()
         shuffle_seed = rng.spawn(1)[0] if cfg.shuffle else None
-        part = partition(n, m, shuffle_seed)
+        part = partition(cfg.n, m, shuffle_seed)
         est = fit_distributed(kernel, filt, lam, x, y, part, workers=1)
         hk = hk_error(est, target)
         l2 = l2_error(est, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
         results.append(RunResult(
-            n=n, m=m, alpha=a, lam=lam, k=k, run=run,
+            n=cfg.n, m=m, alpha=a, lam=lam, k=k, run=run,
             hk_error=hk, l2_error=l2, wall_ms=wall))
     return results
 
 
 def simulate(cfg: ExperimentConfig) -> list[RunResult]:
     """Monte-Carlo repetitions of one configuration."""
-    kernel, filt, target = _resolve_pieces(cfg)
-    lam, _ = resolve_lambda(cfg)
     m = cfg.resolved_m()
-    levels = [(cfg.alpha if cfg.m is None else _alpha_of(cfg.n, m), m)]
-    per_run = parallel_map(
-        lambda r: _assess_run(cfg, kernel, filt, target, lam, r, levels),
-        range(cfg.runs), cfg.workers)
-    return [row for rows in per_run for row in rows]
+    alpha = cfg.alpha if cfg.m is None else _alpha_of(cfg.n, m)
+    return _study(cfg, [cfg.n], lambda n: [(alpha, m)]).rows
 
 
 @dataclass
 class SweepResult:
     rows: list
     summary: list                  # GroupStat records
-    lam: float
+    lam: float                     # the parameter of the last sample size
     k: int | None
-    slopes: dict = field(default_factory=dict)
+    slopes: dict
 
 
 @dataclass(frozen=True)
@@ -431,6 +445,33 @@ def _group_stats(rows) -> list[GroupStat]:
     return out
 
 
+def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
+    """For each sample size n, `cfg.runs` paired runs at the partition
+    levels ``levels_of(n)`` with one parameter resolved at n; log-log
+    slopes for each alpha seen at two or more sizes."""
+    kernel, filt, target = _resolve_pieces(cfg)
+    rows, lam, k = [], None, None
+    for n in ns:
+        cfg_n = replace(cfg, n=int(n))
+        levels = levels_of(cfg_n.n)
+        lam, k = resolve_lambda(cfg_n)
+        per_run = parallel_map(
+            lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,
+                                  levels),
+            range(cfg.runs), cfg.workers)
+        rows.extend(row for rows_ in per_run for row in rows_)
+    summary = _group_stats(rows)
+    slopes = {}
+    for a in sorted({g.alpha for g in summary}):
+        pts = [(g.n, g.hk_mean) for g in summary if g.alpha == a]
+        if len(pts) >= 2 and all(v > 0 for _, v in pts):
+            ln = np.log([p[0] for p in pts])
+            lv = np.log([p[1] for p in pts])
+            slopes[a] = float(np.polyfit(ln, lv, 1)[0])
+    return SweepResult(rows=rows, summary=summary, lam=lam, k=k,
+                       slopes=slopes)
+
+
 def sweep_alpha(cfg: ExperimentConfig, alphas) -> SweepResult:
     """Errors of the averaged estimator across partition-growth exponents.
 
@@ -439,14 +480,7 @@ def sweep_alpha(cfg: ExperimentConfig, alphas) -> SweepResult:
     prescribes.  Runs are paired: the same seeded data underlies every
     alpha column.
     """
-    levels = _levels_for(cfg.n, alphas)
-    kernel, filt, target = _resolve_pieces(cfg)
-    lam, k = resolve_lambda(cfg)
-    per_run = parallel_map(
-        lambda r: _assess_run(cfg, kernel, filt, target, lam, r, levels),
-        range(cfg.runs), cfg.workers)
-    rows = [row for rows_ in per_run for row in rows_]
-    return SweepResult(rows=rows, summary=_group_stats(rows), lam=lam, k=k)
+    return _study(cfg, [cfg.n], lambda n: _levels_for(n, alphas))
 
 
 def sweep_n(cfg: ExperimentConfig, ns, alphas=(0.0,)) -> SweepResult:
@@ -455,31 +489,7 @@ def sweep_n(cfg: ExperimentConfig, ns, alphas=(0.0,)) -> SweepResult:
     The parameter is re-resolved per sample size (fresh oracle at each
     n).  The slope of mean RKHS error against n is fitted per alpha.
     """
-    ns = [int(n) for n in ns]
-    alphas = [float(a) for a in alphas]
-    kernel, filt, target = _resolve_pieces(cfg)
-    rows = []
-    lam_last, k_last = None, None
-    for n in ns:
-        cfg_n = replace(cfg, n=n)
-        lam, k = resolve_lambda(cfg_n)
-        lam_last, k_last = lam, k
-        levels = _levels_for(n, alphas)
-        per_run = parallel_map(
-            lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,
-                                  levels, n=n),
-            range(cfg.runs), cfg.workers)
-        rows.extend(row for rows_ in per_run for row in rows_)
-    summary = _group_stats(rows)
-    slopes = {}
-    for a in alphas:
-        pts = [(g.n, g.hk_mean) for g in summary if g.alpha == a]
-        if len(pts) >= 2 and all(v > 0 for _, v in pts):
-            ln = np.log([p[0] for p in pts])
-            lv = np.log([p[1] for p in pts])
-            slopes[a] = float(np.polyfit(ln, lv, 1)[0])
-    return SweepResult(rows=rows, summary=_group_stats(rows),
-                       lam=lam_last, k=k_last, slopes=slopes)
+    return _study(cfg, ns, lambda n: _levels_for(n, alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -495,23 +505,16 @@ def _fmt(v) -> str:
 
 
 def results_csv(rows) -> str:
+    # RunResult's fields are in RESULT_HEADER order
     lines = [RESULT_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.n), _fmt(r.m), _fmt(r.alpha), _fmt(r.lam), _fmt(r.k),
-            _fmt(r.run), _fmt(r.hk_error), _fmt(r.l2_error), _fmt(r.wall_ms),
-        ]))
+    lines += [",".join(map(_fmt, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def summary_csv(summary, slopes=None) -> str:
+    # GroupStat's fields are in SUMMARY_HEADER order
     lines = [SUMMARY_HEADER]
-    for g in summary:
-        lines.append(",".join([
-            _fmt(g.n), _fmt(g.m), _fmt(g.alpha), _fmt(g.lam), _fmt(g.k),
-            _fmt(g.runs), _fmt(g.hk_mean), _fmt(g.hk_se),
-            _fmt(g.l2_mean), _fmt(g.l2_se),
-        ]))
+    lines += [",".join(map(_fmt, astuple(g))) for g in summary]
     for a, s in sorted((slopes or {}).items()):
         lines.append(f"# hk_loglog_slope alpha={_fmt(a)}: {_fmt(s)}")
     return "\n".join(lines) + "\n"

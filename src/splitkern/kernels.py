@@ -123,17 +123,6 @@ class KernelOperator:
         """``a' G a``."""
         return float(a @ self.matvec(a))
 
-    def spectrum(self):
-        """Eigenpairs (ascending) of the normalized Gram ``G / (kappa**2 n)``.
-
-        Always a dense ``eigh``, for the built-in kernel too.  The Gram
-        matrix is a temporary freed before ``eigh`` runs; keeping a dense
-        operator's cached one alive instead made glibc trim and refault
-        the heap on every hold-out fit with a user kernel.
-        """
-        return np.linalg.eigh(gram(self.kernel, self.points)
-                              / (self.kernel.kappa ** 2 * self.points.size))
-
 
 class DenseOperator(KernelOperator):
     """Any kernel: the dense Gram matrix, formed on first product and kept."""

@@ -1,9 +1,11 @@
+import argparse
 import time
 
 import numpy as np
 import pytest
 
-from splitkern.cli import main
+from splitkern.cli import _config_from_args, build_parser, main
+from splitkern.experiments import SETTINGS, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -193,3 +195,36 @@ def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
         summary = out_file.with_suffix(".summary.csv")
         texts.append(out_file.read_bytes() + summary.read_bytes())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate", "sweep-alpha",
+                                     "sweep-n", "adapt"])
+def test_one_flag_per_setting(command):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    for key in SETTINGS:
+        (action,) = [a for a in actions if a.dest == key]
+        assert action.option_strings == ["--" + key.replace("_", "-")]
+
+
+def test_config_file_value_overridden_by_flag(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nfilter = tikhonov\nn = 64\nlambda = 0.05\n"
+                   "runs = 2\nr = 0.25\nR = 2.5\nk_max = 7\n")
+    args = build_parser().parse_args([
+        "simulate", "--config", str(ini), "--n", "96", "--lambda", "oracle",
+        "--R", "3", "--k-max", "9", "--shuffle"])
+    assert _config_from_args(args) == ExperimentConfig(
+        filter="tikhonov", n=96, lam="oracle", runs=2, r=0.25, R=3.0,
+        k_max=9, shuffle=True)
+
+
+@pytest.mark.parametrize("flag", ["--n", "--lambda", "--k-max"])
+def test_malformed_value_exits_2(capsys, flag):
+    code, _, err = run_cli(capsys, "simulate", "--filter", "tikhonov",
+                           "--runs", "1", flag, "abc")
+    assert code == 2
+    assert err.startswith("error:")
+    assert flag.lstrip("-").replace("-", "_") in err

@@ -200,3 +200,20 @@ def test_diagnostic_split_requires_norm(kernel):
     with pytest.raises(ValueError):
         diagnostic_split(kernel, tikhonov(), 0.1, x, np.zeros(16),
                          partition(16, 2), lambda z: np.zeros_like(z))
+
+
+@pytest.mark.parametrize("filt", [tikhonov(), spectral_cutoff(), landweber(),
+                                  nu_method()])
+def test_diagnostic_split_fits_are_fit_distributed(kernel, filt):
+    # both halves are fit_distributed fits, bit for bit: to y and to the
+    # noise-free f_true(x)
+    target = quadratic_bump()
+    rng = np.random.default_rng(21)
+    x = rng.random(300)
+    y = target(x) + 0.01 * rng.standard_normal(300)
+    part = partition(300, 4)
+    split = diagnostic_split(kernel, filt, 1e-3, x, y, part, target)
+    for est, values in ((split.fitted, y), (split.surrogate, target(x))):
+        ref = fit_distributed(kernel, filt, 1e-3, x, values, part)
+        for a, b in zip(est.block_fits, ref.block_fits, strict=True):
+            assert np.array_equal(a.coefficients, b.coefficients)

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from splitkern.distributed import fit_distributed, partition
 from splitkern.estimator import KernelExpansion, fit_iterative, fit_spectral
 from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
-                                   _error_curves, _gl_nodes, gen_data,
+                                   SETTINGS, _error_curves, _gl_nodes, gen_data,
                                    hk_error, l2_error, oracle_select,
                                    results_csv, run_rng, simulate,
                                    summary_csv, sweep_alpha, sweep_n)
@@ -365,3 +365,41 @@ def test_tikhonov_oracle_memory_bounded():
         tracemalloc.stop()
     assert len(rows) == 1 and math.isfinite(rows[0].hk_error)
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("filt", [landweber(), nu_method()])
+def test_curves_iterative_scores_requested_steps_only(kernel, bump,
+                                                      monkeypatch, filt):
+    # the L2 error needs one evaluation at the quadrature nodes per
+    # scored step: 3 for the grid [2, 5, 9], not one per step taken
+    crosses = []
+    real = SobolevMinOperator.cross
+    monkeypatch.setattr(
+        SobolevMinOperator, "cross",
+        lambda self, coef, t: crosses.append(1) or real(self, coef, t))
+    x, y = gen_data(bump, 50, 0.005, 6)
+    _error_curves(kernel, filt, x, y, bump, np.array([2, 5, 9]), 64)
+    assert len(crosses) == 3
+
+
+def test_sweep_alpha_equals_sweep_n_at_one_size(bump):
+    cfg = ExperimentConfig(filter="nu-method", n=96, sigma=0.01,
+                           lam="oracle", k_max=12, runs=3, seed=5,
+                           workers=2, shuffle=True)
+    alphas = [0.0, 0.3, 0.5]
+    by_alpha = sweep_alpha(cfg, alphas)
+    by_n = sweep_n(cfg, [cfg.n], alphas)
+    assert results_csv(by_alpha.rows) == results_csv(by_n.rows)
+    assert summary_csv(by_alpha.summary, by_alpha.slopes) \
+        == summary_csv(by_n.summary, by_n.slopes)
+    assert (by_alpha.lam, by_alpha.k) == (by_n.lam, by_n.k)
+
+
+def test_settings_cover_every_config_field():
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(SETTINGS) == (names - {"lam"}) | {"lambda"}
+    cfg = ExperimentConfig.from_mapping({"LAM": "theory", "R": "2",
+                                         "r": "0.3", "Shuffle": "yes"})
+    assert (cfg.lam, cfg.R, cfg.r, cfg.shuffle) == ("theory", 2.0, 0.3, True)
+    with pytest.raises(ValueError, match="k_max"):
+        ExperimentConfig.from_mapping({"k_max": "many"})
