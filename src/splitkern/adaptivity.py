@@ -12,8 +12,9 @@ the validation mean squared error is recorded per level.  Levels stop at
 i.e. once the error stops improving appreciably, and the estimator fitted
 at level k* with its selected lambda is returned.  Validation data only
 ever enters through the error evaluation; the per-lambda fits depend on
-the training part alone.  A level's whole lattice is scored with one
-kernel evaluation per block against the validation points.
+the training part alone.  A level's whole lattice is one estimator with a
+row per lambda, scored with one kernel evaluation per block against the
+validation points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ._parallel import parallel_map
 from .distributed import AveragedEstimator, partition
 from .estimator import KernelExpansion, coefficient_solver
 from .filters import FilterSpec
-from .kernels import Kernel
+from .kernels import Kernel, kernel_operator
 
 
 @dataclass(frozen=True)
@@ -50,35 +51,18 @@ def holdout_split(n: int, val_fraction: float = 0.2, seed=0) -> HoldoutSplit:
                         validation=np.sort(perm[:n_val]))
 
 
-def empirical_error(est, x_val, y_val) -> float:
-    """Mean squared prediction error on held-out data."""
+def empirical_error(est, x_val, y_val) -> float | np.ndarray:
+    """Mean squared prediction error on held-out data; one error per row
+    (an array) for an estimator with one row per lambda."""
     x_val = np.asarray(x_val, dtype=float)
     y_val = np.asarray(y_val, dtype=float)
     if x_val.size == 0:
         raise ValueError("validation set is empty")
     resid = y_val - np.asarray(est(x_val), dtype=float)
+    if resid.ndim == 2:
+        # row by row: np.mean over an axis sums in another order
+        return np.array([float(np.mean(r ** 2)) for r in resid])
     return float(np.mean(resid ** 2))
-
-
-def lattice_errors(ests, x_val, y_val) -> np.ndarray:
-    """`empirical_error` of each estimator of one lattice.
-
-    The estimators share their blocks' anchors (as `fit_lattice` returns
-    them), so each block's kernel is evaluated at the validation points
-    once, against its coefficients for every lattice value stacked as
-    rows.  Block predictions are summed in ascending block order and
-    divided by the block count, as `AveragedEstimator` does.  The errors
-    equal `empirical_error` bit for bit with the built-in kernel; a user
-    kernel's one matrix product for the lattice rounds differently.
-    """
-    total = None
-    for fits in zip(*(e.block_fits for e in ests)):
-        pred = fits[0].operator.cross(
-            np.stack([f.coefficients for f in fits]), x_val)
-        total = pred if total is None else total + pred
-    resid = y_val - total / ests[0].m
-    # row by row: np.mean over an axis sums in another order
-    return np.array([float(np.mean(r ** 2)) for r in resid])
 
 
 def stopping_index(errors, delta: float):
@@ -110,30 +94,35 @@ def default_m_sequence(n_train: int,
 
 
 def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
-                m_k: int, workers=None) -> list[AveragedEstimator]:
-    """Averaged estimators over `m_k` blocks, one per lattice value.
+                m_k: int, workers=None) -> AveragedEstimator:
+    """The averaged estimator over `m_k` blocks with one row per lattice
+    value: ``fit_lattice(...)[i]`` is the fit at ``lattice[i]``.
 
     Pure function of the training data: each block is solved once for
     the whole lattice (one eigendecomposition, or one shifted solve for
-    Tikhonov with the built-in kernel; see ``coefficient_solver``).
+    Tikhonov with the built-in kernel; see ``coefficient_solver``), on the
+    Gram operator its expansion keeps.
     """
     x_t = np.asarray(x_t, dtype=float).ravel()
     y_t = np.asarray(y_t, dtype=float).ravel()
     blocks = partition(len(x_t), m_k).blocks()
-    solvers = parallel_map(
-        lambda ix: coefficient_solver(kernel, filt, x_t[ix]), blocks, workers)
-    coefs = [solve(lattice, y_t[ix]) for solve, ix in zip(solvers, blocks)]
-    # Each fit gets its own copy of its coefficients, made on this thread
-    # after every solve.  Keeping the solves' arrays instead (made between
-    # their temporaries, or on pool threads) leaves the validation
+
+    def prepare(ix):
+        op = kernel_operator(kernel, x_t[ix])
+        return op, coefficient_solver(op, filt)
+
+    prepared = parallel_map(prepare, blocks, workers)
+    coefs = [solve(lattice, y_t[ix])
+             for (_, solve), ix in zip(prepared, blocks)]
+    # Each block gets its own copy of its coefficients, made on this
+    # thread after every solve.  Keeping the solves' arrays instead (made
+    # between their temporaries, or on pool threads) leaves the validation
     # scoring's large temporaries at the top of the heap, where glibc
     # trims and refaults them: with a user kernel, 3.5x the page faults
     # of an adapt call in a fresh process and about +12% time.
-    return [AveragedEstimator(block_fits=tuple(
-                KernelExpansion(coefficients=np.array(c[i]), points=x_t[ix],
-                                kernel=kernel)
-                for ix, c in zip(blocks, coefs)))
-            for i in range(len(lattice))]
+    return AveragedEstimator(block_fits=tuple(
+        KernelExpansion(np.array(c), op.points, kernel, op)
+        for (op, _), c in zip(prepared, coefs)))
 
 
 @dataclass(frozen=True)
@@ -189,25 +178,23 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
 
     errs: list[float] = []
     trace: list[AdaptLevel] = []
-    chosen: list[tuple[float, AveragedEstimator]] = []
     triggered = False
-    k_star = len(m_sequence)
 
+    # The rule can only first hold at the level just scored, so the level
+    # returned (k*, or the last when exhausted) is always the last fitted.
     for k, m_k in enumerate(m_sequence, start=1):
         # argmin over the descending lattice: ties go to the larger lambda
-        ests = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k, workers)
-        errv = lattice_errors(ests, x_v, y_v)
+        fits = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k, workers)
+        errv = empirical_error(fits, x_v, y_v)
         i = int(np.argmin(errv))
         errs.append(float(errv[i]))
-        chosen.append((float(lattice[i]), ests[i]))
         trace.append(AdaptLevel(
             k=k, m_k=m_k, lambda_hat=float(lattice[i]), err=errs[-1],
             delta_k=abs(errs[-1] - errs[-2]) if k >= 2 else None))
-        hit = stopping_index(errs, delta)
-        if hit is not None:
-            k_star, triggered = hit, True
+        if stopping_index(errs, delta) is not None:
+            triggered = True
             break
 
-    lam_hat, est = chosen[k_star - 1]
-    return AdaptResult(k_star=k_star, lambda_hat=lam_hat, estimator=est,
-                       trace=tuple(trace), triggered=triggered, split=split)
+    return AdaptResult(k_star=k, lambda_hat=float(lattice[i]),
+                       estimator=fits[i], trace=tuple(trace),
+                       triggered=triggered, split=split)

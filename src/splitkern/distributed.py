@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .estimator import KernelExpansion, fit_iterative, fit_spectral
 from .filters import FilterSpec
-from .kernels import Kernel, kernel_operator
+from .kernels import Kernel, rkhs_error_sq, rkhs_norm_sq
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,12 @@ def partition(n: int, m: int, shuffle_seed=None) -> Partition:
 
 @dataclass(frozen=True)
 class AveragedEstimator:
-    """Arithmetic mean of per-block kernel expansions."""
+    """Arithmetic mean of per-block kernel expansions.
+
+    Block expansions with 2-D coefficients give one averaged estimator
+    per row (one per lambda of a lattice, as `fit_lattice` returns them);
+    ``est[i]`` is row `i` on its own.
+    """
 
     block_fits: tuple
 
@@ -76,17 +80,26 @@ class AveragedEstimator:
             total = total + fit(x)
         return total / self.m
 
+    def __getitem__(self, i):
+        return AveragedEstimator(
+            block_fits=tuple(f[i] for f in self.block_fits))
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The weights alpha/m of every block, in block order: the average
+        as one expansion over all anchors."""
+        return np.concatenate(
+            [f.coefficients for f in self.block_fits], axis=-1) / self.m
+
     def as_expansion(self) -> KernelExpansion:
         """The average rewritten as one expansion with weights alpha/m."""
-        coeffs = np.concatenate(
-            [f.coefficients for f in self.block_fits]) / self.m
         points = np.concatenate([f.points for f in self.block_fits])
-        return KernelExpansion(coefficients=coeffs, points=points,
-                               kernel=self.block_fits[0].kernel)
+        return KernelExpansion(self.coefficients, points,
+                               self.block_fits[0].kernel)
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                    part: Partition, workers=None) -> AveragedEstimator:
+                    part: Partition) -> AveragedEstimator:
     """Fit every block with the same `lam` and average the results.
 
     Iterative filters (Landweber, nu-method) run as iterations
@@ -98,9 +111,8 @@ def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     if len(part.assignment) != x.size:
         raise ValueError("partition size does not match data size")
     fit = fit_iterative if filt.iterative else fit_spectral
-    fits = parallel_map(lambda ix: fit(kernel, filt, lam, x[ix], y[ix]),
-                        part.blocks(), workers)
-    return AveragedEstimator(block_fits=tuple(fits))
+    return AveragedEstimator(block_fits=tuple(
+        fit(kernel, filt, lam, x[ix], y[ix]) for ix in part.blocks()))
 
 
 @dataclass(frozen=True)
@@ -121,8 +133,8 @@ class DiagnosticSplit:
 
 
 def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                     part: Partition, f_true, f_true_norm_sq=None,
-                     workers=None) -> DiagnosticSplit:
+                     part: Partition, f_true,
+                     f_true_norm_sq=None) -> DiagnosticSplit:
     """Split the total error of a distributed fit into its two parts.
 
     `f_true` must be evaluable at the sample inputs; its squared RKHS
@@ -133,20 +145,19 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     if f_true_norm_sq is None:
         raise ValueError("squared RKHS norm of f_true is required")
     x = np.asarray(x, dtype=float).ravel()
-    fitted = fit_distributed(kernel, filt, lam, x, y, part, workers)
+    fitted = fit_distributed(kernel, filt, lam, x, y, part)
     # the surrogate is the same fit to the noise-free values f_true(x)
     surrogate = fit_distributed(kernel, filt, lam, x,
-                                np.asarray(f_true(x), dtype=float), part,
-                                workers)
+                                np.asarray(f_true(x), dtype=float), part)
 
     f_tilde = surrogate.as_expansion()
-    f_bar = fitted.as_expansion()
-    op = kernel_operator(kernel, f_tilde.points)   # also f_bar's anchors
-    sample_sq = op.quad_form(f_tilde.coefficients - f_bar.coefficients)
-    tilde_sq = op.quad_form(f_tilde.coefficients)
-    cross = float(f_tilde.coefficients @ np.asarray(f_true(f_tilde.points)))
-    approx_sq = f_true_norm_sq - 2.0 * cross + tilde_sq
+    # fitted has the same anchors in the same order
+    sample_sq = f_tilde.operator.quad_form(
+        f_tilde.coefficients - fitted.coefficients)
+    approx_sq = rkhs_error_sq(rkhs_norm_sq(f_tilde), f_tilde.coefficients,
+                              np.asarray(f_true(f_tilde.points), dtype=float),
+                              f_true_norm_sq)
     return DiagnosticSplit(
-        approximation_norm=float(np.sqrt(max(approx_sq, 0.0))),
+        approximation_norm=float(np.sqrt(approx_sq)),
         sample_norm=float(np.sqrt(max(sample_sq, 0.0))),
         surrogate=surrogate, fitted=fitted)

@@ -18,7 +18,6 @@ is part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -34,23 +33,29 @@ EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """An RKHS element ``sum_j coefficients[j] * K(points[j], .)``."""
+    """An RKHS element ``sum_j coefficients[j] * K(points[j], .)``, or one
+    per row of a 2-D `coefficients`, on the Gram operator of the anchors
+    (the fit's; an expansion made without one builds its own)."""
 
     coefficients: np.ndarray
     points: np.ndarray
     kernel: Kernel
+    operator: KernelOperator | None = None
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.points):
+        if np.shape(self.coefficients)[-1:] != (len(self.points),):
             raise ValueError("coefficient and anchor counts differ")
+        if self.operator is None:
+            object.__setattr__(self, "operator",
+                               kernel_operator(self.kernel, self.points))
 
     def __call__(self, x):
         return predict(self, x)
 
-    @cached_property
-    def operator(self) -> KernelOperator:
-        """Gram operator of the anchors, built on first use."""
-        return kernel_operator(self.kernel, self.points)
+    def __getitem__(self, i):
+        """Row `i` of a 2-D expansion, on the same operator."""
+        return KernelExpansion(self.coefficients[i], self.points,
+                               self.kernel, self.operator)
 
 
 @dataclass(frozen=True)
@@ -92,21 +97,19 @@ def spectral_model(kernel: Kernel, x) -> SpectralModel:
     return SpectralModel(eigenvalues=evals, eigenvectors=vecs[:, ::-1])
 
 
-def coefficient_solver(kernel: Kernel, filt: FilterSpec, x):
+def coefficient_solver(op: KernelOperator, filt: FilterSpec):
     """``solve(lams, y)``: expansion coefficients of the single-block fits
-    on the anchors `x`, one array per lambda in `lams`.
+    on the anchors of the Gram operator `op`, one row per lambda in `lams`.
 
     The one place the fitting path is chosen.  Tikhonov on the built-in
     kernel solves ``(G + lam * kappa**2 * n * I) alpha = y`` with
-    :meth:`SobolevMinOperator.solve_shifted`: O(n) per lambda, no
+    :meth:`SobolevMinOperator.solve_shifted` of `op`: O(n) per lambda, no
     eigendecomposition.  Every other pair filters one
     :func:`spectral_model` of the anchors, shared by every ``solve``.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    kernel, x = op.kernel, op.points
     scale = kernel.kappa ** 2 * x.size
     if filt.kind == "tikhonov" and is_sobolev_min(kernel):
-        op = kernel_operator(kernel, x)
-
         def solve(lams, y):
             _, y = _as_data(x, y)
             c = [check_lambda(float(lam)) for lam in lams]
@@ -132,8 +135,9 @@ def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float,
     :func:`coefficient_solver`, which also serves several fits on the
     same anchors)."""
     x, y = _as_data(x, y)
-    alpha = coefficient_solver(kernel, filt, x)([lam], y)[0]
-    return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
+    op = kernel_operator(kernel, x)
+    alpha = coefficient_solver(op, filt)([lam], y)[0]
+    return KernelExpansion(alpha, x, kernel, op)
 
 
 def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
@@ -152,11 +156,14 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
     scale = 1.0 / (kernel.kappa ** 2 * x.size)
     steps = iterate(filt, scale * y, lambda v: scale * op.matvec(v))
     alpha = next(islice(steps, k - 1, None))
-    return KernelExpansion(coefficients=alpha, points=x, kernel=kernel)
+    return KernelExpansion(alpha, x, kernel, op)
 
 
 def predict(expansion: KernelExpansion, x):
-    """Evaluate the expansion at `x` (scalar or array of any shape)."""
+    """Evaluate the expansion at `x` (scalar or array of any shape); a 2-D
+    expansion gives one leading row per row of coefficients."""
     xs = np.asarray(x, dtype=float)
-    out = expansion.operator.cross(expansion.coefficients, xs.ravel())
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    coef = expansion.coefficients
+    out = expansion.operator.cross(coef, xs.ravel())
+    out = out.reshape(np.shape(coef)[:-1] + xs.shape)
+    return float(out) if out.ndim == 0 else out

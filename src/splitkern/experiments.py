@@ -24,11 +24,11 @@ import numpy as np
 from . import theory
 from ._parallel import parallel_map
 from .distributed import AveragedEstimator, fit_distributed, partition
-from .estimator import KernelExpansion, coefficient_solver
+from .estimator import coefficient_solver
 from .filters import FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
-from .kernels import Kernel, kernel_operator, rkhs_norm_sq, sobolev_min
-from .smoothness import TargetFunction, target_by_name
+from .kernels import kernel_operator, rkhs_error_sq, rkhs_norm_sq, sobolev_min
+from .smoothness import target_by_name
 
 RESULT_HEADER = "n,m,alpha,lambda,k,run,hk_error,l2_error,wall_ms"
 SUMMARY_HEADER = "n,m,alpha,lambda,k,runs,hk_mean,hk_se,l2_mean,l2_se"
@@ -155,12 +155,6 @@ def gen_data(target, n: int, sigma: float, seed):
 # error metrics
 
 
-def _as_expansion(est) -> KernelExpansion:
-    if isinstance(est, AveragedEstimator):
-        return est.as_expansion()
-    return est
-
-
 def _target_norm_sq(target) -> float:
     nrm = getattr(target, "rkhs_norm_sq", None)
     if nrm is None:
@@ -169,24 +163,19 @@ def _target_norm_sq(target) -> float:
 
 
 def hk_error(est, target) -> float:
-    """RKHS-norm error ``||est - target||`` via the reproducing property.
-
-    ``||f_hat - f||^2 = a' G a - 2 sum_j a_j f(x_j) + ||f||^2`` where `a`
-    are the (averaged) expansion weights.
-    """
-    exp = _as_expansion(est)
-    nrm = _target_norm_sq(target)
-    alpha, pts = exp.coefficients, exp.points
-    sq = rkhs_norm_sq(exp) \
-        - 2.0 * float(alpha @ np.asarray(target(pts), dtype=float)) + nrm
-    if sq < -1e-10:
-        raise ArithmeticError(f"negative squared error {sq}")
-    return math.sqrt(max(sq, 0.0))
+    """RKHS-norm error ``||est - target||`` of an expansion or an average
+    of them, by :func:`kernels.rkhs_error_sq` on the (averaged) weights."""
+    exp = est.as_expansion() if isinstance(est, AveragedEstimator) else est
+    return math.sqrt(rkhs_error_sq(
+        rkhs_norm_sq(exp), exp.coefficients,
+        np.asarray(target(exp.points), dtype=float), _target_norm_sq(target)))
 
 
 @lru_cache(maxsize=None)
 def _gl_nodes(quad_nodes: int):
     """Gauss-Legendre nodes and weights on [0, 1], cached and read-only."""
+    if quad_nodes < 64:
+        raise ValueError("quad_nodes must be at least 64")
     xg, wg = np.polynomial.legendre.leggauss(int(quad_nodes))
     nodes, weights = 0.5 * (xg + 1.0), 0.5 * wg
     nodes.setflags(write=False)
@@ -196,8 +185,6 @@ def _gl_nodes(quad_nodes: int):
 
 def l2_error(est, target, quad_nodes: int = 512) -> float:
     """Gauss-Legendre L2([0,1]) distance between estimator and target."""
-    if quad_nodes < 64:
-        raise ValueError("quad_nodes must be at least 64")
     xg, wg = _gl_nodes(quad_nodes)
     diff = np.asarray(est(xg), dtype=float) - np.asarray(target(xg), dtype=float)
     return math.sqrt(max(float(np.sum(wg * diff ** 2)), 0.0))
@@ -209,18 +196,17 @@ def l2_error(est, target, quad_nodes: int = 512) -> float:
 
 @dataclass
 class ErrorCurves:
-    """Squared RKHS and L2 errors of one run along the parameter grid."""
+    """Squared RKHS errors of one run along the parameter grid."""
 
     lambdas: np.ndarray           # effective regularization per grid point
     steps: np.ndarray | None      # iteration counts (iterative filters)
     hk_sq: np.ndarray
-    l2: np.ndarray
 
 
-def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
-    """Errors of one run's fits to ``(x, y)`` at every grid point: the
-    ascending distinct step counts `grid` of an iterative filter, or the
-    lambdas `grid` of any other.
+def _error_curves(kernel, filt, x, y, target, grid):
+    """Squared RKHS errors of one run's fits to ``(x, y)`` at every grid
+    point: the ascending distinct step counts `grid` of an iterative
+    filter, or the lambdas `grid` of any other.
 
     An iterative filter is stepped once to the largest count; each
     product ``G alpha`` of a step also gives that iterate's ``alpha' G
@@ -229,16 +215,8 @@ def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
     """
     fvec = np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
-    xg, wg = _gl_nodes(quad_nodes)
-    fg = np.asarray(target(xg), dtype=float)
     op = kernel_operator(kernel, x)
-    hk_sq, l2 = [], []
-
-    def record(alpha, quad):
-        hk_sq.append(quad - 2.0 * float(alpha @ fvec) + nrm)
-        resid = op.cross(alpha, xg) - fg
-        l2.append(math.sqrt(max(float(np.sum(wg * resid ** 2)), 0.0)))
-
+    hk_sq = []
     if filt.iterative:
         ks = np.asarray(grid)
         scale = 1.0 / (kernel.kappa ** 2 * x.size)
@@ -249,7 +227,8 @@ def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
         def apply(alpha):
             Galpha = op.matvec(alpha)
             if wanted[next(step)]:
-                record(alpha, float(alpha @ Galpha))
+                hk_sq.append(rkhs_error_sq(float(alpha @ Galpha), alpha,
+                                           fvec, nrm))
             return scale * Galpha
 
         steps = iterate(filt, scale * y, apply)
@@ -257,11 +236,10 @@ def _error_curves(kernel, filt, x, y, target, grid, quad_nodes):
         kf = ks.astype(float)
         lambdas = 1.0 / kf if filt.kind == "landweber" else kf ** -2.0
     else:
-        for alpha in coefficient_solver(kernel, filt, x)(grid, y):
-            record(alpha, op.quad_form(alpha))
+        hk_sq = [rkhs_error_sq(op.quad_form(a), a, fvec, nrm)
+                 for a in coefficient_solver(op, filt)(grid, y)]
         lambdas, ks = np.asarray(grid, dtype=float), None
-    return ErrorCurves(lambdas=lambdas, steps=ks,
-                       hk_sq=np.maximum(hk_sq, 0.0), l2=np.asarray(l2))
+    return ErrorCurves(lambdas=lambdas, steps=ks, hk_sq=np.asarray(hk_sq))
 
 
 def _resolve_pieces(cfg: ExperimentConfig):
@@ -290,7 +268,6 @@ class OracleSelection:
     steps: np.ndarray | None
     rms_curve: np.ndarray        # root-mean squared RKHS error per grid point
     hk_sq_runs: np.ndarray       # runs x grid
-    l2_runs: np.ndarray
     runs: int
 
 
@@ -315,11 +292,10 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
 
     def one_run(r: int) -> ErrorCurves:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
-        return _error_curves(kernel, filt, x, y, target, grid, cfg.quad_nodes)
+        return _error_curves(kernel, filt, x, y, target, grid)
 
     curves = parallel_map(one_run, range(cfg.runs), cfg.workers)
     hk_sq = np.stack([c.hk_sq for c in curves])
-    l2 = np.stack([c.l2 for c in curves])
     lam_eff = curves[0].lambdas
     steps = curves[0].steps
     rms = np.sqrt(hk_sq.mean(axis=0))
@@ -328,7 +304,7 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
         lam=float(lam_eff[best]),
         k=int(steps[best]) if steps is not None else None,
         index=best, lambdas=lam_eff, steps=steps, rms_curve=rms,
-        hk_sq_runs=hk_sq, l2_runs=l2, runs=cfg.runs)
+        hk_sq_runs=hk_sq, runs=cfg.runs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +365,7 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
         t0 = time.perf_counter()
         shuffle_seed = rng.spawn(1)[0] if cfg.shuffle else None
         part = partition(cfg.n, m, shuffle_seed)
-        est = fit_distributed(kernel, filt, lam, x, y, part, workers=1)
+        est = fit_distributed(kernel, filt, lam, x, y, part)
         hk = hk_error(est, target)
         l2 = l2_error(est, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
@@ -450,6 +426,7 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
     levels ``levels_of(n)`` with one parameter resolved at n; log-log
     slopes for each alpha seen at two or more sizes."""
     kernel, filt, target = _resolve_pieces(cfg)
+    _gl_nodes(cfg.quad_nodes)     # once here, not once per pool thread
     rows, lam, k = [], None, None
     for n in ns:
         cfg_n = replace(cfg, n=int(n))

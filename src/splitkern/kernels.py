@@ -318,15 +318,24 @@ def kernel_operator(kernel: Kernel, points) -> KernelOperator:
 def rkhs_norm_sq(expansion) -> float:
     """Squared RKHS norm ``alpha' G alpha`` of a kernel expansion.
 
-    Accepts any object with ``coefficients``, ``points`` and ``kernel``
-    attributes.  Tiny negative values from rounding are clamped to zero.
+    Accepts any object with ``coefficients`` and an ``operator`` on its
+    anchors.  Tiny negative values from rounding are clamped to zero.
     """
-    alpha = np.asarray(expansion.coefficients, dtype=float)
-    if alpha.size == 0:
-        return 0.0
-    val = kernel_operator(expansion.kernel, expansion.points).quad_form(alpha)
+    val = expansion.operator.quad_form(
+        np.asarray(expansion.coefficients, dtype=float))
     if val < 0:
         if val < -PSD_TOLERANCE:
             raise ArithmeticError(f"Gram quadratic form is negative: {val}")
         val = 0.0
     return val
+
+
+def rkhs_error_sq(quad: float, alpha, f_values, f_norm_sq: float) -> float:
+    """``||f_hat - f||^2 = a' G a - 2 a . f(x) + ||f||^2`` by the reproducing
+    property, for the expansion with weights `alpha` at anchors x, from
+    ``quad = a' G a`` and ``f_values = f(x)``.  Rounding below zero is
+    clamped; below -1e-10 (a kernel that is not PSD) raises."""
+    sq = quad - 2.0 * float(alpha @ f_values) + f_norm_sq
+    if sq < -1e-10:
+        raise ArithmeticError(f"negative squared error {sq}")
+    return max(sq, 0.0)

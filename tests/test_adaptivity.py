@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from splitkern.adaptivity import (adapt, default_m_sequence, empirical_error,
-                                  fit_lattice, holdout_split, lattice_errors,
-                                  stopping_index)
-from splitkern.estimator import KernelExpansion
+                                  fit_lattice, holdout_split, stopping_index)
+from splitkern.distributed import partition
+from splitkern.estimator import (KernelExpansion, coefficient_solver,
+                                 fit_spectral)
 from splitkern.experiments import gen_data
 from splitkern.filters import nu_method, spectral_cutoff, tikhonov
-from splitkern.kernels import sobolev_min, user_kernel
+from splitkern.kernels import (SobolevMinOperator, is_sobolev_min,
+                               kernel_operator, sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump
 
 
@@ -212,16 +214,17 @@ def gaussian(calls=None, x_val=None):
 
 @pytest.mark.parametrize("filt", [tikhonov(), nu_method(), spectral_cutoff()])
 def test_lattice_errors_match_empirical_error(filt):
-    # built-in kernel: the same additions in the same order, bit for bit
+    # built-in kernel: scoring the lattice's rows together makes the same
+    # additions in the same order as scoring each row alone, bit for bit
     x, y = gen_data(quadratic_bump(), 300, 0.01, 12)
     split = holdout_split(len(x), 0.2, seed=3)
     lattice = np.logspace(-5, 0, 9)[::-1]
     for m in (7, 3, 1):
-        ests = fit_lattice(sobolev_min(), filt, lattice, x[split.train],
+        fits = fit_lattice(sobolev_min(), filt, lattice, x[split.train],
                            y[split.train], m)
         x_v, y_v = x[split.validation], y[split.validation]
-        ref = [empirical_error(e, x_v, y_v) for e in ests]
-        assert list(lattice_errors(ests, x_v, y_v)) == ref
+        ref = [empirical_error(e, x_v, y_v) for e in fits]
+        assert list(empirical_error(fits, x_v, y_v)) == ref
 
 
 def test_lattice_errors_match_empirical_error_user_kernel():
@@ -236,10 +239,10 @@ def test_lattice_errors_match_empirical_error_user_kernel():
     x_v, y_v = x[split.validation], y[split.validation]
     lattice = np.logspace(-6, 0, 13)[::-1]
     for m in (9, 4):
-        ests = fit_lattice(kernel, tikhonov(), lattice, x[split.train],
+        fits = fit_lattice(kernel, tikhonov(), lattice, x[split.train],
                            y[split.train], m)
-        got = lattice_errors(ests, x_v, y_v)
-        for est, err in zip(ests, got):
+        got = empirical_error(fits, x_v, y_v)
+        for est, err in zip(fits, got):
             d = sum(2 * f.points.size * eps * np.abs(f.coefficients)
                     @ np.abs(kernel.fn(f.points[:, None], x_v[None, :]))
                     for f in est.block_fits) / m
@@ -268,3 +271,47 @@ def test_adapt_identical_across_workers(kernel):
     assert (one.k_star, one.lambda_hat) == (two.k_star, two.lambda_hat)
     for a, b in zip(one.estimator.block_fits, two.estimator.block_fits):
         assert np.array_equal(a.coefficients, b.coefficients)
+
+
+@pytest.mark.parametrize("kernel, filt", [
+    (sobolev_min(), tikhonov()),          # the shifted solve
+    (sobolev_min(), spectral_cutoff()),   # eigendecomposition
+    (sobolev_min(), nu_method()),
+    (gaussian(), tikhonov()),
+], ids=["solve", "cutoff", "nu-method", "gaussian"])
+def test_lattice_rows_are_single_lambda_fits(kernel, filt):
+    # Row i of a level is the block fits at lattice[i], bit for bit.  The
+    # one exception is the shifted solve, whose product h @ z over all the
+    # shifts at once rounds differently from a one-shift solve: there a
+    # row equals the block's lattice solve exactly and the one-lambda fit
+    # to rounding.
+    x, y = gen_data(quadratic_bump(), 200, 0.01, 16)
+    lattice = np.logspace(-6, 0, 13)[::-1]
+    fits = fit_lattice(kernel, filt, lattice, x, y, 3)
+    blocks = partition(len(x), 3).blocks()
+    solves = [coefficient_solver(kernel_operator(kernel, x[ix]), filt)(
+        lattice, y[ix]) for ix in blocks]
+    shifted = is_sobolev_min(kernel) and filt.kind == "tikhonov"
+    for i, lam in enumerate(lattice):
+        for ix, fit, c in zip(blocks, fits[i].block_fits, solves):
+            ref = fit_spectral(kernel, filt, lam, x[ix], y[ix])
+            assert np.array_equal(fit.points, ref.points)
+            assert np.array_equal(fit.coefficients, c[i])
+            if shifted:
+                assert np.abs(fit.coefficients - ref.coefficients).max() \
+                    <= 1e-12 * np.abs(ref.coefficients).max()
+            else:
+                assert np.array_equal(fit.coefficients, ref.coefficients)
+
+
+def test_adapt_builds_one_operator_per_block_and_level(monkeypatch):
+    # the operator a block's solve builds is the one its expansion scores
+    # with
+    builds = []
+    real = SobolevMinOperator.__init__
+    monkeypatch.setattr(SobolevMinOperator, "__init__",
+                        lambda self, *a: builds.append(1) or real(self, *a))
+    x, y = gen_data(quadratic_bump(), 400, 0.01, 17)
+    result = adapt(x, y, sobolev_min(), tikhonov(), np.logspace(-6, 0, 13),
+                   m_sequence=[16, 7, 3, 1], delta=0.5, seed=5, workers=2)
+    assert len(builds) == sum(lev.m_k for lev in result.trace)

@@ -13,7 +13,8 @@ from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
                                    results_csv, run_rng, simulate,
                                    summary_csv, sweep_alpha, sweep_n)
 from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
-from splitkern.kernels import SobolevMinOperator, gram, sobolev_min
+from splitkern.kernels import (SobolevMinOperator, gram, sobolev_min,
+                               user_kernel)
 from splitkern.smoothness import quadratic_bump, scaled_sine
 
 
@@ -126,6 +127,35 @@ def test_hk_error_averaged_equals_concatenated_expansion(kernel, bump):
         hk_error(avg.as_expansion(), bump), rel=1e-12)
 
 
+def test_block_fits_keep_their_operator(kernel, bump, monkeypatch):
+    # one Gram operator per block: the fit builds it and the expansion's
+    # predictions use it
+    builds = []
+    real = SobolevMinOperator.__init__
+    monkeypatch.setattr(SobolevMinOperator, "__init__",
+                        lambda self, *a: builds.append(1) or real(self, *a))
+    x, y = gen_data(bump, 96, 0.01, 9)
+    for filt, lam in [(tikhonov(), 1e-3), (nu_method(), 1.0 / 8 ** 2)]:
+        builds.clear()
+        l2_error(fit_distributed(kernel, filt, lam, x, y, partition(96, 4)),
+                 bump)
+        assert len(builds) == 4
+
+
+def test_study_computes_quadrature_nodes_once(monkeypatch):
+    # the nodes are computed before the runs fan out, not by each pool
+    # thread that finds the cache empty
+    calls = []
+    real = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or real(deg))
+    _gl_nodes.cache_clear()
+    cfg = ExperimentConfig(filter="nu-method", n=64, sigma=0.01,
+                           lam="oracle", k_max=8, runs=4, seed=3, workers=2)
+    sweep_alpha(cfg, [0.0, 0.3])
+    assert calls == [512]
+
+
 def test_gl_nodes_cached_and_read_only():
     xg, wg = _gl_nodes(128)
     assert _gl_nodes(128)[0] is xg
@@ -140,10 +170,9 @@ def test_curves_iterative_structured_matches_dense(kernel, dense_sobolev,
                                                    bump, filt):
     x, y = gen_data(bump, 400, 0.005, 4)
     ks = np.arange(1, 41)
-    fast = _error_curves(kernel, filt, x, y, bump, ks, 512)
-    ref = _error_curves(dense_sobolev, filt, x, y, bump, ks, 512)
+    fast = _error_curves(kernel, filt, x, y, bump, ks)
+    ref = _error_curves(dense_sobolev, filt, x, y, bump, ks)
     assert np.allclose(fast.hk_sq, ref.hk_sq, rtol=1e-10, atol=0)
-    assert np.allclose(fast.l2, ref.l2, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("filt", [landweber(), nu_method()])
@@ -155,12 +184,23 @@ def test_curves_iterative_products(kernel, bump, monkeypatch, filt):
     monkeypatch.setattr(SobolevMinOperator, "matvec",
                         lambda self, v: products.append(1) or real(self, v))
     x, y = gen_data(bump, 50, 0.005, 6)
-    curves = _error_curves(kernel, filt, x, y, bump, np.array([2, 5, 9]), 64)
+    curves = _error_curves(kernel, filt, x, y, bump, np.array([2, 5, 9]))
     assert len(products) == 9
     assert list(curves.steps) == [2, 5, 9] and curves.hk_sq.shape == (3,)
-    full = _error_curves(kernel, filt, x, y, bump, np.arange(1, 10), 64)
+    full = _error_curves(kernel, filt, x, y, bump, np.arange(1, 10))
     assert np.array_equal(curves.hk_sq, full.hk_sq[[1, 4, 8]])
-    assert np.array_equal(curves.l2, full.l2[[1, 4, 8]])
+
+
+@pytest.mark.parametrize("filt, grid", [(tikhonov(), [0.1, 0.01]),
+                                        (landweber(), [1, 2, 3])],
+                         ids=["tikhonov", "landweber"])
+def test_curves_reject_a_kernel_that_is_not_psd(bump, filt, grid):
+    # the negated built-in kernel makes a' G a < 0, so the squared error
+    # formula goes far below zero: an error, not a curve clamped to 0
+    negated = user_kernel(lambda x, t: x * t - np.minimum(x, t), kappa=0.5)
+    x, y = gen_data(bump, 50, 0.005, 6)
+    with pytest.raises(ArithmeticError, match="negative squared error"):
+        _error_curves(negated, filt, x, y, bump, np.array(grid))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -172,11 +212,9 @@ def test_curves_spectral_solve_matches_eigh(kernel, dense_sobolev, bump,
     fast, ref = [], []
     for r in range(3):
         x, y = gen_data(bump, 512, 0.005, run_rng(seed, r))
-        fast.append(_error_curves(kernel, tikhonov(), x, y, bump, grid, 512))
-        ref.append(_error_curves(dense_sobolev, tikhonov(), x, y, bump, grid,
-                                 512))
+        fast.append(_error_curves(kernel, tikhonov(), x, y, bump, grid))
+        ref.append(_error_curves(dense_sobolev, tikhonov(), x, y, bump, grid))
         assert np.allclose(fast[-1].hk_sq, ref[-1].hk_sq, rtol=1e-9, atol=0)
-        assert np.allclose(fast[-1].l2, ref[-1].l2, rtol=1e-9, atol=0)
     rms = [np.sqrt(np.mean([c.hk_sq for c in cs], axis=0))
            for cs in (fast, ref)]
     assert np.argmin(rms[0]) == np.argmin(rms[1])
@@ -365,21 +403,6 @@ def test_tikhonov_oracle_memory_bounded():
         tracemalloc.stop()
     assert len(rows) == 1 and math.isfinite(rows[0].hk_error)
     assert peak < 64 * 2 ** 20
-
-
-@pytest.mark.parametrize("filt", [landweber(), nu_method()])
-def test_curves_iterative_scores_requested_steps_only(kernel, bump,
-                                                      monkeypatch, filt):
-    # the L2 error needs one evaluation at the quadrature nodes per
-    # scored step: 3 for the grid [2, 5, 9], not one per step taken
-    crosses = []
-    real = SobolevMinOperator.cross
-    monkeypatch.setattr(
-        SobolevMinOperator, "cross",
-        lambda self, coef, t: crosses.append(1) or real(self, coef, t))
-    x, y = gen_data(bump, 50, 0.005, 6)
-    _error_curves(kernel, filt, x, y, bump, np.array([2, 5, 9]), 64)
-    assert len(crosses) == 3
 
 
 def test_sweep_alpha_equals_sweep_n_at_one_size(bump):
