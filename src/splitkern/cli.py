@@ -22,12 +22,13 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import adaptivity, experiments, smoothness, theory
-from .experiments import ExperimentConfig, _fmt
+from .experiments import ExperimentConfig, csv_table
 
 
 def _emit(text: str, out: str | None, label: str = "") -> None:
@@ -103,7 +104,7 @@ def _cmd_theory(args) -> int:
     ns = _parse_ints(args.ns)
     ms = _parse_ints(args.ms)
     spectrum = theory.SpectrumModel.power_decay(args.beta, args.b)
-    lines = ["n,m,b,r,s,sigma,R,lambda_n,a_n,alpha_max,N_lambda,B_block"]
+    rows = []
     for n in ns:
         p = theory.TheoryParams(r=args.r, b=args.b, beta=args.beta, s=args.s,
                                 sigma=args.sigma, R=args.R, n=n)
@@ -113,11 +114,11 @@ def _cmd_theory(args) -> int:
         n_lam = theory.effective_dimension(spectrum, lam)
         for m in ms:
             bb = theory.b_quantity(n / m, lam, n_lam)
-            lines.append(",".join([
-                str(n), str(m), _fmt(args.b), _fmt(args.r), _fmt(args.s),
-                _fmt(args.sigma), _fmt(args.R), _fmt(lam), _fmt(a_n),
-                _fmt(a_max), _fmt(n_lam), _fmt(bb)]))
-    _emit("\n".join(lines) + "\n", args.out, "theory table")
+            rows.append((n, m, args.b, args.r, args.s, args.sigma, args.R,
+                         lam, a_n, a_max, n_lam, bb))
+    _emit(csv_table(
+        "n,m,b,r,s,sigma,R,lambda_n,a_n,alpha_max,N_lambda,B_block", rows),
+        args.out, "theory table")
     return 0
 
 
@@ -137,9 +138,8 @@ def _cmd_smoothness(args) -> int:
     print(f"verdict: {report.verdict}")
     for note in report.notes:
         print(f"note: {note}")
-    lines = ["j,c_j"] + [
-        f"{j},{_fmt(c)}" for j, c in enumerate(coeffs, start=1)]
-    _emit("\n".join(lines) + "\n", args.out, "coefficients")
+    _emit(csv_table("j,c_j", enumerate(coeffs, start=1)), args.out,
+          "coefficients")
     return 0
 
 
@@ -152,29 +152,27 @@ def _cmd_oracle(args) -> int:
         print(f"oracle lambda = {sel.lam:.6g}")
     print(f"rms reconstruction error at the oracle: "
           f"{sel.rms_curve[sel.index]:.6g} over {sel.runs} runs")
-    lines = ["lambda,k,rms_hk"]
-    for i in range(len(sel.lambdas)):
-        kval = sel.steps[i] if sel.steps is not None else None
-        lines.append(f"{_fmt(sel.lambdas[i])},{_fmt(kval)},"
-                     f"{_fmt(sel.rms_curve[i])}")
-    _emit("\n".join(lines) + "\n", args.out, "oracle curve")
+    steps = sel.steps if sel.steps is not None else [None] * len(sel.lambdas)
+    _emit(csv_table("lambda,k,rms_hk",
+                    zip(sel.lambdas, steps, sel.rms_curve)),
+          args.out, "oracle curve")
     return 0
 
 
-def _report(rows, summary, slopes, args) -> int:
+def _report(result: experiments.SweepResult, args) -> int:
     """Print a study's summary table and slopes; write its CSVs."""
     print(f"{'n':>7} {'m':>6} {'alpha':>6} {'hk_mean':>12} {'hk_se':>10} "
           f"{'l2_mean':>12}")
-    for g in summary:
+    for g in result.summary:
         print(f"{g.n:>7} {g.m:>6} {g.alpha:>6.2f} {g.hk_mean:>12.6g} "
               f"{g.hk_se:>10.3g} {g.l2_mean:>12.6g}")
-    for a, s in sorted(slopes.items()):
+    for a, s in sorted(result.slopes.items()):
         print(f"log-log slope of mean reconstruction error vs n "
               f"at alpha={a:g}: {s:+.4f}")
-    csv = experiments.results_csv(rows)
+    csv = experiments.results_csv(result.rows)
     if args.out:
         _emit(csv, args.out, "results")
-        _emit(experiments.summary_csv(summary, slopes),
+        _emit(experiments.summary_csv(result.summary, result.slopes),
               _summary_path(args.out), "summary")
     else:
         sys.stdout.write(csv)
@@ -182,8 +180,7 @@ def _report(rows, summary, slopes, args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rows = experiments.simulate(_config_from_args(args))
-    return _report(rows, experiments._group_stats(rows), {}, args)
+    return _report(experiments.simulate(_config_from_args(args)), args)
 
 
 def _cmd_sweep_alpha(args) -> int:
@@ -193,14 +190,14 @@ def _cmd_sweep_alpha(args) -> int:
         print(f"shared parameter: k = {result.k} (lambda = {result.lam:.6g})")
     else:
         print(f"shared parameter: lambda = {result.lam:.6g}")
-    return _report(result.rows, result.summary, result.slopes, args)
+    return _report(result, args)
 
 
 def _cmd_sweep_n(args) -> int:
     result = experiments.sweep_n(_config_from_args(args),
                                  _parse_ints(args.ns),
                                  _parse_floats(args.alphas))
-    return _report(result.rows, result.summary, result.slopes, args)
+    return _report(result, args)
 
 
 def _cmd_adapt(args) -> int:
@@ -216,11 +213,8 @@ def _cmd_adapt(args) -> int:
     trig = "triggered" if result.triggered else "exhausted (no trigger)"
     print(f"stopping level k* = {result.k_star} ({trig}); "
           f"lambda_hat = {result.lambda_hat:.6g}")
-    lines = ["k,m_k,lambda_hat,err,delta_k"]
-    for lev in result.trace:
-        lines.append(f"{lev.k},{lev.m_k},{_fmt(lev.lambda_hat)},"
-                     f"{_fmt(lev.err)},{_fmt(lev.delta_k)}")
-    _emit("\n".join(lines) + "\n", args.out, "adapt trace")
+    _emit(csv_table("k,m_k,lambda_hat,err,delta_k",
+                    map(astuple, result.trace)), args.out, "adapt trace")
     return 0
 
 

@@ -194,19 +194,10 @@ def l2_error(est, target, quad_nodes: int = 512) -> float:
 # per-run error curves over a parameter grid
 
 
-@dataclass
-class ErrorCurves:
-    """Squared RKHS errors of one run along the parameter grid."""
-
-    lambdas: np.ndarray           # effective regularization per grid point
-    steps: np.ndarray | None      # iteration counts (iterative filters)
-    hk_sq: np.ndarray
-
-
 def _error_curves(kernel, filt, x, y, target, grid):
     """Squared RKHS errors of one run's fits to ``(x, y)`` at every grid
-    point: the ascending distinct step counts `grid` of an iterative
-    filter, or the lambdas `grid` of any other.
+    point, as a 1-D array: the ascending distinct step counts `grid` of an
+    iterative filter, or the lambdas `grid` of any other.
 
     An iterative filter is stepped once to the largest count; each
     product ``G alpha`` of a step also gives that iterate's ``alpha' G
@@ -233,13 +224,10 @@ def _error_curves(kernel, filt, x, y, target, grid):
 
         steps = iterate(filt, scale * y, apply)
         apply(next(islice(steps, int(ks[-1]) - 1, None)))
-        kf = ks.astype(float)
-        lambdas = 1.0 / kf if filt.kind == "landweber" else kf ** -2.0
     else:
         hk_sq = [rkhs_error_sq(op.quad_form(a), a, fvec, nrm)
                  for a in coefficient_solver(op, filt)(grid, y)]
-        lambdas, ks = np.asarray(grid, dtype=float), None
-    return ErrorCurves(lambdas=lambdas, steps=ks, hk_sq=np.asarray(hk_sq))
+    return np.asarray(hk_sq)
 
 
 def _resolve_pieces(cfg: ExperimentConfig):
@@ -287,23 +275,22 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
         grid = np.unique(grid.astype(int))         # ascending: fewest steps first
         check_steps(int(grid[0]))
         check_steps(int(grid[-1]))
+        steps, lambdas = grid, filt.step_lambda(grid)
     else:
         grid = np.sort(grid.astype(float))[::-1]   # descending: largest lambda first
+        steps, lambdas = None, grid
 
-    def one_run(r: int) -> ErrorCurves:
+    def one_run(r: int) -> np.ndarray:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
         return _error_curves(kernel, filt, x, y, target, grid)
 
-    curves = parallel_map(one_run, range(cfg.runs), cfg.workers)
-    hk_sq = np.stack([c.hk_sq for c in curves])
-    lam_eff = curves[0].lambdas
-    steps = curves[0].steps
+    hk_sq = np.stack(parallel_map(one_run, range(cfg.runs), cfg.workers))
     rms = np.sqrt(hk_sq.mean(axis=0))
     best = int(np.argmin(rms))
     return OracleSelection(
-        lam=float(lam_eff[best]),
+        lam=float(lambdas[best]),
         k=int(steps[best]) if steps is not None else None,
-        index=best, lambdas=lam_eff, steps=steps, rms_curve=rms,
+        index=best, lambdas=lambdas, steps=steps, rms_curve=rms,
         hk_sq_runs=hk_sq, runs=cfg.runs)
 
 
@@ -375,11 +362,11 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
     return results
 
 
-def simulate(cfg: ExperimentConfig) -> list[RunResult]:
+def simulate(cfg: ExperimentConfig) -> SweepResult:
     """Monte-Carlo repetitions of one configuration."""
     m = cfg.resolved_m()
     alpha = cfg.alpha if cfg.m is None else _alpha_of(cfg.n, m)
-    return _study(cfg, [cfg.n], lambda n: [(alpha, m)]).rows
+    return _study(cfg, [cfg.n], lambda n: [(alpha, m)])
 
 
 @dataclass
@@ -481,17 +468,23 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def csv_table(header: str, rows, footer=()) -> str:
+    """CSV text: the `header` line, a line of `_fmt` values per row (a
+    tuple in header order), then the `footer` lines as given.  This is
+    the one writer of every table."""
+    lines = [header]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += footer
+    return "\n".join(lines) + "\n"
+
+
 def results_csv(rows) -> str:
     # RunResult's fields are in RESULT_HEADER order
-    lines = [RESULT_HEADER]
-    lines += [",".join(map(_fmt, astuple(r))) for r in rows]
-    return "\n".join(lines) + "\n"
+    return csv_table(RESULT_HEADER, map(astuple, rows))
 
 
 def summary_csv(summary, slopes=None) -> str:
     # GroupStat's fields are in SUMMARY_HEADER order
-    lines = [SUMMARY_HEADER]
-    lines += [",".join(map(_fmt, astuple(g))) for g in summary]
-    for a, s in sorted((slopes or {}).items()):
-        lines.append(f"# hk_loglog_slope alpha={_fmt(a)}: {_fmt(s)}")
-    return "\n".join(lines) + "\n"
+    return csv_table(SUMMARY_HEADER, map(astuple, summary), [
+        f"# hk_loglog_slope alpha={_fmt(a)}: {_fmt(s)}"
+        for a, s in sorted((slopes or {}).items())])

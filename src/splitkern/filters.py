@@ -59,12 +59,20 @@ class FilterSpec:
             return _steps_from(lam ** -0.5)
         raise ValueError(f"{self.kind} has no iteration count")
 
+    def step_lambda(self, k):
+        """Effective parameter of `k` steps (an integer or an array of
+        them): ``1/k`` for Landweber, ``k**-2`` for the nu-method."""
+        kf = np.asarray(k, dtype=float)
+        if self.kind == "landweber":
+            return 1.0 / kf
+        if self.kind == "nu-method":
+            return kf ** -2.0
+        raise ValueError(f"{self.kind} has no iteration count")
+
     def effective_lambda(self, lam: float) -> float:
         """Parameter actually realized (equals `lam` for non-iterative)."""
-        if self.kind == "landweber":
-            return 1.0 / self.steps(lam)
-        if self.kind == "nu-method":
-            return float(self.steps(lam)) ** -2
+        if self.iterative:
+            return float(self.step_lambda(self.steps(lam)))
         check_lambda(lam)
         return lam
 

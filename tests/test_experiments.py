@@ -172,7 +172,7 @@ def test_curves_iterative_structured_matches_dense(kernel, dense_sobolev,
     ks = np.arange(1, 41)
     fast = _error_curves(kernel, filt, x, y, bump, ks)
     ref = _error_curves(dense_sobolev, filt, x, y, bump, ks)
-    assert np.allclose(fast.hk_sq, ref.hk_sq, rtol=1e-10, atol=0)
+    assert np.allclose(fast, ref, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("filt", [landweber(), nu_method()])
@@ -186,9 +186,9 @@ def test_curves_iterative_products(kernel, bump, monkeypatch, filt):
     x, y = gen_data(bump, 50, 0.005, 6)
     curves = _error_curves(kernel, filt, x, y, bump, np.array([2, 5, 9]))
     assert len(products) == 9
-    assert list(curves.steps) == [2, 5, 9] and curves.hk_sq.shape == (3,)
+    assert curves.shape == (3,)
     full = _error_curves(kernel, filt, x, y, bump, np.arange(1, 10))
-    assert np.array_equal(curves.hk_sq, full.hk_sq[[1, 4, 8]])
+    assert np.array_equal(curves, full[[1, 4, 8]])
 
 
 @pytest.mark.parametrize("filt, grid", [(tikhonov(), [0.1, 0.01]),
@@ -214,9 +214,8 @@ def test_curves_spectral_solve_matches_eigh(kernel, dense_sobolev, bump,
         x, y = gen_data(bump, 512, 0.005, run_rng(seed, r))
         fast.append(_error_curves(kernel, tikhonov(), x, y, bump, grid))
         ref.append(_error_curves(dense_sobolev, tikhonov(), x, y, bump, grid))
-        assert np.allclose(fast[-1].hk_sq, ref[-1].hk_sq, rtol=1e-9, atol=0)
-    rms = [np.sqrt(np.mean([c.hk_sq for c in cs], axis=0))
-           for cs in (fast, ref)]
+        assert np.allclose(fast[-1], ref[-1], rtol=1e-9, atol=0)
+    rms = [np.sqrt(np.mean(cs, axis=0)) for cs in (fast, ref)]
     assert np.argmin(rms[0]) == np.argmin(rms[1])
 
 
@@ -300,7 +299,7 @@ def test_oracle_sigma0_curve_matches_refit(kernel, bump, filt):
 def test_simulate_rows_and_csv(bump):
     cfg = ExperimentConfig(filter="tikhonov", n=64, sigma=0.01, lam=0.05,
                            runs=3, seed=6, workers=1)
-    rows = simulate(cfg)
+    rows = simulate(cfg).rows
     assert len(rows) == 3 and all(r.m == 1 for r in rows)
     csv = results_csv(rows)
     assert csv.splitlines()[0] == RESULT_HEADER
@@ -311,7 +310,7 @@ def test_sweep_alpha_alpha0_matches_single_machine(bump):
     cfg = ExperimentConfig(filter="tikhonov", n=96, sigma=0.01, lam=0.02,
                            runs=3, seed=7, workers=1)
     sweep = sweep_alpha(cfg, [0.0, 0.5])
-    single = simulate(replace(cfg, alpha=0.0))
+    single = simulate(replace(cfg, alpha=0.0)).rows
     sw0 = [r for r in sweep.rows if r.alpha == 0.0]
     assert len(sw0) == len(single) == 3
     for a, b in zip(sw0, single):
@@ -370,9 +369,9 @@ def test_theory_lambda_resolution(bump):
 def test_wall_ms_off_by_default_on_when_asked(bump):
     cfg = ExperimentConfig(filter="tikhonov", n=32, sigma=0.01, lam=0.1,
                            runs=1, seed=2, workers=1)
-    rows = simulate(cfg)
+    rows = simulate(cfg).rows
     assert rows[0].wall_ms is None
-    rows_t = simulate(replace(cfg, timing=True))
+    rows_t = simulate(replace(cfg, timing=True)).rows
     assert rows_t[0].wall_ms is not None and rows_t[0].wall_ms > 0
 
 
@@ -397,7 +396,7 @@ def test_tikhonov_oracle_memory_bounded():
                            workers=1)
     tracemalloc.start()
     try:
-        rows = simulate(cfg)
+        rows = simulate(cfg).rows
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
