@@ -255,7 +255,10 @@ class SobolevMinOperator(KernelOperator):
                                    rhs[:, None, :])
             zb, zh = z[..., 0], z[..., 1]      # A^{-1} D ybar, A^{-1} h
             denom = gaps[-1] + w[-1] * zh[-1]
-            v = zb + zh * ((h @ zb) / denom)
+            # h' zb one shift at a time, as a one-shift solve forms it: a
+            # product over all shifts at once rounds differently
+            hz = np.concatenate([h @ zb[:, i:i + 1] for i in range(c.size)])
+            v = zb + zh * (hz / denom)
             beta = v.copy()
             beta[:-1] -= v[1:]                 # D' v
             out[:, inner] = (beta / d[:, None])[group].T \

@@ -8,8 +8,8 @@ from splitkern.estimator import (KernelExpansion, coefficient_solver,
                                  fit_spectral)
 from splitkern.experiments import gen_data
 from splitkern.filters import nu_method, spectral_cutoff, tikhonov
-from splitkern.kernels import (SobolevMinOperator, is_sobolev_min,
-                               kernel_operator, sobolev_min, user_kernel)
+from splitkern.kernels import (SobolevMinOperator, kernel_operator,
+                               sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump
 
 
@@ -280,28 +280,21 @@ def test_adapt_identical_across_workers(kernel):
     (gaussian(), tikhonov()),
 ], ids=["solve", "cutoff", "nu-method", "gaussian"])
 def test_lattice_rows_are_single_lambda_fits(kernel, filt):
-    # Row i of a level is the block fits at lattice[i], bit for bit.  The
-    # one exception is the shifted solve, whose product h @ z over all the
-    # shifts at once rounds differently from a one-shift solve: there a
-    # row equals the block's lattice solve exactly and the one-lambda fit
-    # to rounding.
+    # row i of a level is the block fits at lattice[i], bit for bit, on
+    # every path: the shifted solve forms each shift's products as a
+    # one-shift solve does
     x, y = gen_data(quadratic_bump(), 200, 0.01, 16)
     lattice = np.logspace(-6, 0, 13)[::-1]
     fits = fit_lattice(kernel, filt, lattice, x, y, 3)
     blocks = partition(len(x), 3).blocks()
     solves = [coefficient_solver(kernel_operator(kernel, x[ix]), filt)(
         lattice, y[ix]) for ix in blocks]
-    shifted = is_sobolev_min(kernel) and filt.kind == "tikhonov"
     for i, lam in enumerate(lattice):
         for ix, fit, c in zip(blocks, fits[i].block_fits, solves):
             ref = fit_spectral(kernel, filt, lam, x[ix], y[ix])
             assert np.array_equal(fit.points, ref.points)
             assert np.array_equal(fit.coefficients, c[i])
-            if shifted:
-                assert np.abs(fit.coefficients - ref.coefficients).max() \
-                    <= 1e-12 * np.abs(ref.coefficients).max()
-            else:
-                assert np.array_equal(fit.coefficients, ref.coefficients)
+            assert np.array_equal(fit.coefficients, ref.coefficients)
 
 
 def test_adapt_builds_one_operator_per_block_and_level(monkeypatch):

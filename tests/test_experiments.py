@@ -292,6 +292,18 @@ def test_oracle_sigma0_curve_matches_refit(kernel, bump, filt):
             hk_error(est, bump), rel=1e-9, abs=1e-12)
 
 
+def test_oracle_tikhonov_curve_matches_refit(kernel, bump):
+    # every point of the shifted-solve curve is the error of the one-lambda
+    # fit at that point, bit for bit
+    cfg = ExperimentConfig(filter="tikhonov", n=200, sigma=0.01, runs=1,
+                           seed=5, workers=1)
+    sel = oracle_select(cfg)
+    x, y = gen_data(bump, 200, 0.01, run_rng(5, 0))
+    for lam, hk_sq in zip(sel.lambdas, sel.hk_sq_runs[0]):
+        est = fit_spectral(kernel, tikhonov(), lam, x, y)
+        assert math.sqrt(hk_sq) == hk_error(est, bump)
+
+
 # ---------------------------------------------------------------------------
 # sweeps and reproducibility
 
