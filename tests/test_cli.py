@@ -183,6 +183,15 @@ def test_oracle_step_grid_out_of_range_exits_2(capsys, k_max):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep-n", "--ns", "16,32"], ["oracle"]])
+def test_zero_runs_exits_2(capsys, command):
+    # no empty table, and no numpy error from stacking zero curves
+    code, out, err = run_cli(capsys, *command, "--n", "16", "--runs", "0")
+    assert code == 2 and out == ""
+    assert "runs must be at least 1" in err
+
+
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
     texts = []
     for i, workers in enumerate(("1", "2")):
