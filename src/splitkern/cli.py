@@ -151,7 +151,7 @@ def _cmd_oracle(args) -> int:
     else:
         print(f"oracle lambda = {sel.lam:.6g}")
     print(f"rms reconstruction error at the oracle: "
-          f"{sel.rms_curve[sel.index]:.6g} over {sel.runs} runs")
+          f"{sel.rms_curve[sel.index]:.6g} over {cfg.runs} runs")
     steps = sel.steps if sel.steps is not None else [None] * len(sel.lambdas)
     _emit(csv_table("lambda,k,rms_hk",
                     zip(sel.lambdas, steps, sel.rms_curve)),
@@ -169,13 +169,10 @@ def _report(result: experiments.SweepResult, args) -> int:
     for a, s in sorted(result.slopes.items()):
         print(f"log-log slope of mean reconstruction error vs n "
               f"at alpha={a:g}: {s:+.4f}")
-    csv = experiments.results_csv(result.rows)
+    _emit(experiments.results_csv(result.rows), args.out, "results")
     if args.out:
-        _emit(csv, args.out, "results")
         _emit(experiments.summary_csv(result.summary, result.slopes),
               _summary_path(args.out), "summary")
-    else:
-        sys.stdout.write(csv)
     return 0
 
 

@@ -230,14 +230,11 @@ def _error_curves(kernel, filt, x, y, target, grid):
     return np.asarray(hk_sq)
 
 
-def _run_ids(cfg: ExperimentConfig) -> range:
-    """The Monte-Carlo runs of a study or an oracle: at least one."""
+def _resolve_pieces(cfg: ExperimentConfig):
+    """Kernel, filter and target of `cfg`, whose run count is checked
+    here: every study, oracle and lambda rule starts with this call."""
     if cfg.runs < 1:
         raise ValueError(f"runs must be at least 1, got {cfg.runs}")
-    return range(cfg.runs)
-
-
-def _resolve_pieces(cfg: ExperimentConfig):
     return (sobolev_min(), filter_by_name(cfg.filter, cfg.nu),
             target_by_name(cfg.target))
 
@@ -263,7 +260,6 @@ class OracleSelection:
     steps: np.ndarray | None
     rms_curve: np.ndarray        # root-mean squared RKHS error per grid point
     hk_sq_runs: np.ndarray       # runs x grid
-    runs: int
 
 
 def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
@@ -273,7 +269,6 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
     steps).  The full per-run error curves are returned for reuse.
     """
     kernel, filt, target = _resolve_pieces(cfg)
-    runs = _run_ids(cfg)
     if grid is None:
         grid = _default_grid(cfg, filt)
     grid = np.asarray(grid)
@@ -292,14 +287,14 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
         return _error_curves(kernel, filt, x, y, target, grid)
 
-    hk_sq = np.stack(parallel_map(one_run, runs, cfg.workers))
+    hk_sq = np.stack(parallel_map(one_run, range(cfg.runs), cfg.workers))
     rms = np.sqrt(hk_sq.mean(axis=0))
     best = int(np.argmin(rms))
     return OracleSelection(
         lam=float(lambdas[best]),
         k=int(steps[best]) if steps is not None else None,
         index=best, lambdas=lambdas, steps=steps, rms_curve=rms,
-        hk_sq_runs=hk_sq, runs=cfg.runs)
+        hk_sq_runs=hk_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +416,6 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
     levels ``levels_of(n)`` with one parameter resolved at n; log-log
     slopes for each alpha seen at two or more sizes."""
     kernel, filt, target = _resolve_pieces(cfg)
-    runs = _run_ids(cfg)
     _gl_nodes(cfg.quad_nodes)     # once here, not once per pool thread
     rows, lam, k = [], None, None
     for n in ns:
@@ -431,7 +425,7 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
         per_run = parallel_map(
             lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,
                                   levels),
-            runs, cfg.workers)
+            range(cfg.runs), cfg.workers)
         rows.extend(row for rows_ in per_run for row in rows_)
     summary = _group_stats(rows)
     slopes = {}

@@ -60,21 +60,17 @@ class FilterSpec:
         raise ValueError(f"{self.kind} has no iteration count")
 
     def step_lambda(self, k):
-        """Effective parameter of `k` steps (an integer or an array of
-        them): ``1/k`` for Landweber, ``k**-2`` for the nu-method."""
+        """Effective parameter of `k` steps, or of an array of counts."""
+        if not self.iterative:
+            raise ValueError(f"{self.kind} has no iteration count")
         kf = np.asarray(k, dtype=float)
-        if self.kind == "landweber":
-            return 1.0 / kf
-        if self.kind == "nu-method":
-            return kf ** -2.0
-        raise ValueError(f"{self.kind} has no iteration count")
+        return 1.0 / kf if self.kind == "landweber" else kf ** -2.0
 
     def effective_lambda(self, lam: float) -> float:
         """Parameter actually realized (equals `lam` for non-iterative)."""
         if self.iterative:
             return float(self.step_lambda(self.steps(lam)))
-        check_lambda(lam)
-        return lam
+        return check_lambda(lam)
 
     def gamma_q(self, q: float) -> float:
         """Constant in the qualification bound for exponent `q`."""

@@ -255,8 +255,7 @@ class SobolevMinOperator(KernelOperator):
                                    rhs[:, None, :])
             zb, zh = z[..., 0], z[..., 1]      # A^{-1} D ybar, A^{-1} h
             denom = gaps[-1] + w[-1] * zh[-1]
-            # h' zb one shift at a time, as a one-shift solve forms it: a
-            # product over all shifts at once rounds differently
+            # h' zb shift by shift, the same call as in a one-shift solve
             hz = np.concatenate([h @ zb[:, i:i + 1] for i in range(c.size)])
             v = zb + zh * (hz / denom)
             beta = v.copy()
