@@ -2,7 +2,9 @@
 
 Anchor sets are drawn with the cases the hand-picked tests in
 ``test_kernels.py`` single out: forced ties, anchors exactly at 0 and 1,
-and pairs 1e-13 apart.  The bounds are the ones those tests state.
+and pairs 1e-13 apart.  The solve is held to the bound those tests
+state; products to the same 1e-12, of the scale they round at
+(``_term_scale``).
 """
 
 import numpy as np
@@ -23,8 +25,8 @@ PROPERTY = hypothesis.settings(max_examples=60, deadline=None,
 
 @st.composite
 def anchor_sets(draw, max_base=32):
-    """Up to `max_base` uniform draws, plus up to 3 ties, 3 points 1e-13
-    above a drawn one and 2 anchors at 0 or 1, in a drawn order."""
+    """Up to `max_base` floats in [0, 1], plus up to 3 ties, 3 points
+    1e-13 above a drawn one and 2 anchors at 0 or 1, in a drawn order."""
     base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_base))
     ties = draw(st.lists(st.sampled_from(base), max_size=3))
     near = [min(v + 1e-13, 1.0)
