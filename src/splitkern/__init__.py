@@ -6,8 +6,8 @@ from .adaptivity import (AdaptResult, adapt, empirical_error, holdout_split,
                          stopping_index)
 from .distributed import (AveragedEstimator, Partition, diagnostic_split,
                           fit_distributed, partition)
-from .estimator import (KernelExpansion, SpectralModel, fit_iterative,
-                        fit_spectral, predict, spectral_model)
+from .estimator import (KernelExpansion, fit_iterative, fit_spectral,
+                        predict, spectral_model)
 from .experiments import (ExperimentConfig, OracleSelection, RunResult,
                           gen_data, hk_error, l2_error, oracle_select,
                           simulate, sweep_alpha, sweep_n)
@@ -18,9 +18,10 @@ from .kernels import (Kernel, KernelOperator, gram, kernel_operator,
                       rkhs_norm_sq, sobolev_min, user_kernel)
 from .smoothness import (SmoothnessReport, TargetFunction,
                          fourier_coefficients, max_smoothness, quadratic_bump,
-                         scaled_sine, target_by_name, user_target)
-from .theory import (SpectrumModel, TheoryParams, alpha_bound, b_quantity,
+                         scaled_sine, target_by_name)
+from .theory import (TheoryParams, alpha_bound, b_quantity,
                      block_bound_report, effective_dimension,
-                     effective_dimension_bracket, lambda_choice, rate)
+                     effective_dimension_bracket, lambda_choice,
+                     power_effective_dimension, rate)
 
 __version__ = "0.1.0"

@@ -82,11 +82,11 @@ def stopping_index(errors, delta: float):
     return None
 
 
-def default_m_sequence(n_train: int,
-                       exponents=(0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0)):
-    """Strictly decreasing partition counts ``ceil(n_train**a)``."""
+def default_m_sequence(n_train: int):
+    """Strictly decreasing partition counts ``ceil(n_train**a)`` for
+    a = 0.6, 0.5, ..., 0."""
     seq = []
-    for a in exponents:
+    for a in (0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0):
         v = min(n_train, math.ceil(n_train ** a))
         if not seq or v < seq[-1]:
             seq.append(v)
@@ -105,7 +105,7 @@ def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
     """
     x_t = np.asarray(x_t, dtype=float).ravel()
     y_t = np.asarray(y_t, dtype=float).ravel()
-    blocks = partition(len(x_t), m_k).blocks()
+    blocks = partition(len(x_t), m_k).blocks
 
     def prepare(ix):
         op = kernel_operator(kernel, x_t[ix])
@@ -121,7 +121,7 @@ def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
     # trims and refaults them: with a user kernel, 3.5x the page faults
     # of an adapt call in a fresh process and about +12% time.
     return AveragedEstimator(block_fits=tuple(
-        KernelExpansion(np.array(c), op.points, kernel, op)
+        KernelExpansion(np.array(c), op)
         for (op, _), c in zip(prepared, coefs)))
 
 

@@ -31,10 +31,10 @@ from . import adaptivity, experiments, smoothness, theory
 from .experiments import ExperimentConfig, csv_table
 
 
-def _emit(text: str, out: str | None, label: str = "") -> None:
+def _emit(text: str, out: str | None, label: str) -> None:
     if out:
         Path(out).write_text(text)
-        print(f"wrote {label or 'csv'} to {out}")
+        print(f"wrote {label} to {out}")
     else:
         sys.stdout.write(text)
 
@@ -101,17 +101,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_theory(args) -> int:
-    ns = _parse_ints(args.ns)
-    ms = _parse_ints(args.ms)
-    spectrum = theory.SpectrumModel.power_decay(args.beta, args.b)
+    ns = experiments._distinct("ns", _parse_ints(args.ns))
+    ms = experiments._distinct("ms", _parse_ints(args.ms))
     rows = []
     for n in ns:
-        p = theory.TheoryParams(r=args.r, b=args.b, beta=args.beta, s=args.s,
+        p = theory.TheoryParams(r=args.r, b=args.b, s=args.s,
                                 sigma=args.sigma, R=args.R, n=n)
         lam = theory.lambda_choice(p)
         a_n = theory.rate(p)
         a_max = theory.alpha_bound(p)
-        n_lam = theory.effective_dimension(spectrum, lam)
+        n_lam = theory.power_effective_dimension(args.beta, args.b, lam)
         for m in ms:
             bb = theory.b_quantity(n / m, lam, n_lam)
             rows.append((n, m, args.b, args.r, args.s, args.sigma, args.R,
@@ -132,9 +131,8 @@ def _cmd_smoothness(args) -> int:
     if report.decay_exponent is not None:
         print(f"decay exponent p: {report.decay_exponent:.6g} "
               f"(fit rms {report.fit_rms:.3g})")
-    print(f"parseval sum: {report.parseval_sum:.12g}"
-          + (f" (target norm^2 {target.rkhs_norm_sq:.12g})"
-             if target.rkhs_norm_sq is not None else ""))
+    print(f"parseval sum: {report.parseval_sum:.12g} "
+          f"(target norm^2 {target.rkhs_norm_sq:.12g})")
     print(f"verdict: {report.verdict}")
     for note in report.notes:
         print(f"note: {note}")
@@ -183,10 +181,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     result = experiments.sweep_alpha(_config_from_args(args),
                                      _parse_floats(args.alphas))
-    if result.k is not None:
-        print(f"shared parameter: k = {result.k} (lambda = {result.lam:.6g})")
+    shared = result.summary[0]
+    if shared.k is not None:
+        print(f"shared parameter: k = {shared.k} (lambda = {shared.lam:.6g})")
     else:
-        print(f"shared parameter: lambda = {result.lam:.6g}")
+        print(f"shared parameter: lambda = {shared.lam:.6g}")
     return _report(result, args)
 
 

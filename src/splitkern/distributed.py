@@ -13,29 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import KernelExpansion, fit_iterative, fit_spectral
-from .filters import FilterSpec
-from .kernels import Kernel, rkhs_error_sq, rkhs_norm_sq
+from .estimator import (KernelExpansion, coefficient_solver, fit_iterative,
+                        fit_spectral, iterate_coefficients)
+from .filters import FilterSpec, check_steps
+from .kernels import Kernel, kernel_operator, rkhs_error_sq, rkhs_norm_sq
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of n sample indices to m disjoint blocks.
+    """n sample indices split into disjoint blocks: `blocks` holds each
+    block's ascending index array, in ascending block order.
 
     Blocks are balanced: sizes differ by at most one, with the larger
     blocks first.  Dropping data is never necessary.
     """
 
-    m: int
-    assignment: np.ndarray
-
-    def blocks(self) -> list[np.ndarray]:
-        """Index arrays per block, ascending block order."""
-        return [np.flatnonzero(self.assignment == b) for b in range(self.m)]
+    blocks: tuple
 
     @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.m)
+    def m(self) -> int:
+        return len(self.blocks)
 
 
 def partition(n: int, m: int, shuffle_seed=None) -> Partition:
@@ -53,10 +50,7 @@ def partition(n: int, m: int, shuffle_seed=None) -> Partition:
         rng = (shuffle_seed if isinstance(shuffle_seed, np.random.Generator)
                else np.random.default_rng(shuffle_seed))
         rng.shuffle(idx)
-    assignment = np.empty(n, dtype=np.int64)
-    for b, chunk in enumerate(np.array_split(idx, m)):
-        assignment[chunk] = b
-    return Partition(m=m, assignment=assignment)
+    return Partition(tuple(np.sort(b) for b in np.array_split(idx, m)))
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,8 @@ class AveragedEstimator:
     def as_expansion(self) -> KernelExpansion:
         """The average rewritten as one expansion with weights alpha/m."""
         points = np.concatenate([f.points for f in self.block_fits])
-        return KernelExpansion(self.coefficients, points,
-                               self.block_fits[0].kernel)
+        return KernelExpansion(self.coefficients, kernel_operator(
+            self.block_fits[0].operator.kernel, points))
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
@@ -106,13 +100,18 @@ def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     (:func:`fit_iterative`), every other filter by :func:`fit_spectral`.
     With ``m == 1`` this reduces exactly to the single-machine fit.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(part.assignment) != x.size:
-        raise ValueError("partition size does not match data size")
+    x, y = _partitioned(x, y, part)
     fit = fit_iterative if filt.iterative else fit_spectral
     return AveragedEstimator(block_fits=tuple(
-        fit(kernel, filt, lam, x[ix], y[ix]) for ix in part.blocks()))
+        fit(kernel, filt, lam, x[ix], y[ix]) for ix in part.blocks))
+
+
+def _partitioned(x, y, part: Partition):
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if sum(map(len, part.blocks)) != x.size:
+        raise ValueError("partition size does not match data size")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -139,16 +138,27 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
 
     `f_true` must be evaluable at the sample inputs; its squared RKHS
     norm is taken from `f_true_norm_sq` or an `rkhs_norm_sq` attribute.
+    The fit to `y` and the surrogate, the same fit to the noise-free
+    values ``f_true(x)``, are each `fit_distributed`'s, bit for bit; each
+    block's operator (and eigendecomposition) serves both.
     """
     if f_true_norm_sq is None:
         f_true_norm_sq = getattr(f_true, "rkhs_norm_sq", None)
     if f_true_norm_sq is None:
         raise ValueError("squared RKHS norm of f_true is required")
-    x = np.asarray(x, dtype=float).ravel()
-    fitted = fit_distributed(kernel, filt, lam, x, y, part)
-    # the surrogate is the same fit to the noise-free values f_true(x)
-    surrogate = fit_distributed(kernel, filt, lam, x,
-                                np.asarray(f_true(x), dtype=float), part)
+    x, y = _partitioned(x, y, part)
+    f_x = np.asarray(f_true(x), dtype=float).ravel()
+    k = check_steps(filt.steps(lam)) if filt.iterative else None
+    blocks = []
+    for ix in part.blocks:
+        op = kernel_operator(kernel, x[ix])
+        if k is None:
+            solve = coefficient_solver(op, filt)
+            fits = [solve([lam], v[ix])[0] for v in (y, f_x)]
+        else:
+            fits = [iterate_coefficients(op, filt, k, v[ix]) for v in (y, f_x)]
+        blocks.append([KernelExpansion(a, op) for a in fits])
+    fitted, surrogate = (AveragedEstimator(f) for f in zip(*blocks))
 
     f_tilde = surrogate.as_expansion()
     # fitted has the same anchors in the same order

@@ -34,40 +34,26 @@ EIGENVALUE_FLOOR = 1e-14
 @dataclass(frozen=True)
 class KernelExpansion:
     """An RKHS element ``sum_j coefficients[j] * K(points[j], .)``, or one
-    per row of a 2-D `coefficients`, on the Gram operator of the anchors
-    (the fit's; an expansion made without one builds its own)."""
+    per row of a 2-D `coefficients`, on the Gram operator of its anchors
+    (the one its fit built)."""
 
     coefficients: np.ndarray
-    points: np.ndarray
-    kernel: Kernel
-    operator: KernelOperator | None = None
+    operator: KernelOperator
 
     def __post_init__(self):
         if np.shape(self.coefficients)[-1:] != (len(self.points),):
             raise ValueError("coefficient and anchor counts differ")
-        if self.operator is None:
-            object.__setattr__(self, "operator",
-                               kernel_operator(self.kernel, self.points))
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.operator.points
 
     def __call__(self, x):
         return predict(self, x)
 
     def __getitem__(self, i):
         """Row `i` of a 2-D expansion, on the same operator."""
-        return KernelExpansion(self.coefficients[i], self.points,
-                               self.kernel, self.operator)
-
-
-@dataclass(frozen=True)
-class SpectralModel:
-    """Eigendecomposition of the normalized Gram operator of one block.
-
-    Eigenvalues are sorted descending and clamped to [0, 1]; eigenvectors
-    are the matching orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+        return KernelExpansion(self.coefficients[i], self.operator)
 
 
 def _as_data(x, y):
@@ -82,8 +68,10 @@ def _as_data(x, y):
     return x, y
 
 
-def spectral_model(kernel: Kernel, x) -> SpectralModel:
-    """Eigendecompose the normalized Gram operator of the anchors `x`.
+def spectral_model(kernel: Kernel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose the normalized Gram operator of the anchors `x`:
+    ``(eigenvalues, eigenvectors)``, the eigenvalues sorted descending and
+    clamped to [0, 1], the eigenvectors their orthonormal columns.
 
     Always a dense ``eigh``, for the built-in kernel too.  The Gram
     matrix is a temporary freed before ``eigh`` runs; keeping a dense
@@ -94,7 +82,7 @@ def spectral_model(kernel: Kernel, x) -> SpectralModel:
                                  / (kernel.kappa ** 2 * np.size(x)))
     evals = np.clip(evals[::-1], 0.0, 1.0)
     evals[evals < EIGENVALUE_FLOOR] = 0.0
-    return SpectralModel(eigenvalues=evals, eigenvectors=vecs[:, ::-1])
+    return evals, vecs[:, ::-1]
 
 
 def coefficient_solver(op: KernelOperator, filt: FilterSpec):
@@ -115,8 +103,7 @@ def coefficient_solver(op: KernelOperator, filt: FilterSpec):
             c = [check_lambda(float(lam)) for lam in lams]
             return op.solve_shifted(np.array(c) * scale, y)
     else:
-        model = spectral_model(kernel, x)
-        V = model.eigenvectors
+        evals, V = spectral_model(kernel, x)
 
         def solve(lams, y):
             _, y = _as_data(x, y)
@@ -124,7 +111,7 @@ def coefficient_solver(op: KernelOperator, filt: FilterSpec):
             # row by row: one matrix product for every lambda rounds
             # differently
             return [(V @ (g * Vty)) / scale
-                    for g in filter_values(filt, lams, model.eigenvalues)]
+                    for g in filter_values(filt, lams, evals)]
     return solve
 
 
@@ -137,7 +124,7 @@ def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float,
     x, y = _as_data(x, y)
     op = kernel_operator(kernel, x)
     alpha = coefficient_solver(op, filt)([lam], y)[0]
-    return KernelExpansion(alpha, x, kernel, op)
+    return KernelExpansion(alpha, op)
 
 
 def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
@@ -153,10 +140,17 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
     k = check_steps(filt.steps(lam))    # rejects non-iterative filters
     x, y = _as_data(x, y)
     op = kernel_operator(kernel, x)
-    scale = 1.0 / (kernel.kappa ** 2 * x.size)
+    return KernelExpansion(iterate_coefficients(op, filt, k, y), op)
+
+
+def iterate_coefficients(op: KernelOperator, filt: FilterSpec, k: int,
+                         y) -> np.ndarray:
+    """Coefficients after `k` steps of the iterative filter `filt` on the
+    anchors of the Gram operator `op` (see :func:`fit_iterative`)."""
+    _, y = _as_data(op.points, y)
+    scale = 1.0 / (op.kernel.kappa ** 2 * op.points.size)
     steps = iterate(filt, scale * y, lambda v: scale * op.matvec(v))
-    alpha = next(islice(steps, k - 1, None))
-    return KernelExpansion(alpha, x, kernel, op)
+    return next(islice(steps, k - 1, None))
 
 
 def predict(expansion: KernelExpansion, x):

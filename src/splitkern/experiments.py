@@ -376,8 +376,6 @@ def simulate(cfg: ExperimentConfig) -> SweepResult:
 class SweepResult:
     rows: list
     summary: list                  # GroupStat records
-    lam: float                     # the parameter of the last sample size
-    k: int | None
     slopes: dict
 
 
@@ -417,7 +415,7 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
     slopes for each alpha seen at two or more sizes."""
     kernel, filt, target = _resolve_pieces(cfg)
     _gl_nodes(cfg.quad_nodes)     # once here, not once per pool thread
-    rows, lam, k = [], None, None
+    rows = []
     for n in ns:
         cfg_n = replace(cfg, n=int(n))
         levels = levels_of(cfg_n.n)
@@ -435,8 +433,17 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
             ln = np.log([p[0] for p in pts])
             lv = np.log([p[1] for p in pts])
             slopes[a] = float(np.polyfit(ln, lv, 1)[0])
-    return SweepResult(rows=rows, summary=summary, lam=lam, k=k,
-                       slopes=slopes)
+    return SweepResult(rows=rows, summary=summary, slopes=slopes)
+
+
+def _distinct(name: str, values) -> list:
+    """`values` as a list.  Empty, it would make an empty table; with a
+    repeated value, a summary would count each run of a group twice."""
+    values = list(values)
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"{name} must be a nonempty list of distinct "
+                         f"values, got {values}")
+    return values
 
 
 def sweep_alpha(cfg: ExperimentConfig, alphas) -> SweepResult:
@@ -447,6 +454,7 @@ def sweep_alpha(cfg: ExperimentConfig, alphas) -> SweepResult:
     prescribes.  Runs are paired: the same seeded data underlies every
     alpha column.
     """
+    alphas = _distinct("alphas", alphas)
     return _study(cfg, [cfg.n], lambda n: _levels_for(n, alphas))
 
 
@@ -456,6 +464,7 @@ def sweep_n(cfg: ExperimentConfig, ns, alphas=(0.0,)) -> SweepResult:
     The parameter is re-resolved per sample size (fresh oracle at each
     n).  The slope of mean RKHS error against n is fitted per alpha.
     """
+    ns, alphas = _distinct("ns", ns), _distinct("alphas", alphas)
     return _study(cfg, ns, lambda n: _levels_for(n, alphas))
 
 
@@ -486,8 +495,8 @@ def results_csv(rows) -> str:
     return csv_table(RESULT_HEADER, map(astuple, rows))
 
 
-def summary_csv(summary, slopes=None) -> str:
+def summary_csv(summary, slopes) -> str:
     # GroupStat's fields are in SUMMARY_HEADER order
     return csv_table(SUMMARY_HEADER, map(astuple, summary), [
         f"# hk_loglog_slope alpha={_fmt(a)}: {_fmt(s)}"
-        for a, s in sorted((slopes or {}).items())])
+        for a, s in sorted(slopes.items())])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,19 +271,14 @@ def residual(filt: FilterSpec, lam: float, t):
 
 @dataclass
 class AxiomReport:
-    """Grid maxima of the four filter axioms against documented bounds."""
+    """Grid maxima of the four filter axioms; `violations` names each one
+    above the filter's documented bound."""
 
-    kind: str
-    q: float
     max_tg: float
     max_g_scaled: float       # sup |g| * lam_eff
     max_residual: float
     max_qualification: float  # sup |r| t^q / lam_eff^q
-    bound_tg: float
-    bound_g_scaled: float
-    bound_residual: float
-    bound_qualification: float
-    violations: list = field(default_factory=list)
+    violations: list
 
     @property
     def ok(self) -> bool:
@@ -291,12 +286,12 @@ class AxiomReport:
 
 
 def verify_axioms(filt: FilterSpec, lambda_grid, t_grid,
-                  q: float | None = None, slack: float = 1e-12) -> AxiomReport:
+                  q: float | None = None) -> AxiomReport:
     """Check the four defining bounds of `filt` over a parameter grid.
 
     For iterative filters the bounds are checked against the effective
     parameter of the induced step count.  Returns a report; violations
-    (beyond `slack`) are listed, not raised.
+    (beyond 1e-12) are listed, not raised.
     """
     lams = np.asarray(lambda_grid, dtype=float)
     ts = np.asarray(t_grid, dtype=float)
@@ -318,20 +313,12 @@ def verify_axioms(filt: FilterSpec, lambda_grid, t_grid,
         max_quali = max(max_quali,
                         float(np.max(np.abs(rv) * ts ** q)) / lam_eff ** q)
 
-    report = AxiomReport(
-        kind=filt.kind, q=q,
-        max_tg=max_tg, max_g_scaled=max_gs, max_residual=max_r,
-        max_qualification=max_quali,
-        bound_tg=filt.Dprime, bound_g_scaled=filt.E,
-        bound_residual=filt.gamma0, bound_qualification=gq)
     checks = [
         ("t*g", max_tg, filt.Dprime),
         ("g*lambda", max_gs, filt.E),
         ("residual", max_r, filt.gamma0),
         (f"qualification(q={q:g})", max_quali, gq),
     ]
-    for label, value, bound in checks:
-        if value > bound + slack:
-            report.violations.append(
-                f"{label}: {value:.15g} exceeds bound {bound:g}")
-    return report
+    return AxiomReport(max_tg, max_gs, max_r, max_quali, [
+        f"{label}: {value:.15g} exceeds bound {bound:g}"
+        for label, value, bound in checks if value > bound + 1e-12])

@@ -30,26 +30,20 @@ PSD_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class Kernel:
-    """A symmetric positive semidefinite kernel on a real interval.
+    """A symmetric positive semidefinite kernel on [0, 1]; inputs outside
+    it are rejected.
 
     Parameters
     ----------
-    name : str
-        Identifier used in configs and reports.
     fn : callable
         Vectorized evaluation ``fn(x, t)``; must broadcast and satisfy
         ``fn(x, t) == fn(t, x)``.
     kappa : float
         Supremum bound ``sup_x sqrt(K(x, x))``.
-    low, high : float
-        Domain endpoints; inputs outside ``[low, high]`` are rejected.
     """
 
-    name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kappa: float
-    low: float = 0.0
-    high: float = 1.0
 
 
 def _sobolev_min_fn(x, t):
@@ -61,23 +55,22 @@ def sobolev_min() -> Kernel:
 
     ``K(x, x) = x - x**2`` peaks at 1/4, hence the bound.
     """
-    return Kernel(name="sobolev-min", fn=_sobolev_min_fn, kappa=0.5)
+    return Kernel(_sobolev_min_fn, 0.5)
 
 
-def user_kernel(fn, kappa, name="user", low=0.0, high=1.0) -> Kernel:
+def user_kernel(fn, kappa) -> Kernel:
     """Wrap a custom positive semidefinite kernel with its sup bound."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    return Kernel(name=name, fn=fn, kappa=float(kappa), low=low, high=high)
+    return Kernel(fn, float(kappa))
 
 
-def _check_domain(kernel: Kernel, a) -> np.ndarray:
+def _check_domain(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("kernel inputs must be finite")
-    if a.size and (a.min() < kernel.low or a.max() > kernel.high):
-        raise ValueError(
-            f"input outside kernel domain [{kernel.low}, {kernel.high}]")
+    if a.size and (a.min() < 0.0 or a.max() > 1.0):
+        raise ValueError("input outside kernel domain [0.0, 1.0]")
     return a
 
 
@@ -88,9 +81,7 @@ def gram(kernel: Kernel, points) -> np.ndarray:
     evaluation rule is averaged out, and a rule that is symmetric in
     floating point (the built-in) comes out bit for bit unchanged.
     """
-    pts = _check_domain(kernel, points)
-    if pts.ndim != 1:
-        pts = pts.ravel()
+    pts = _check_domain(points).ravel()
     if pts.size == 0:
         raise ValueError("gram requires at least one point")
     G = kernel.fn(pts[:, None], pts[None, :])
@@ -309,7 +300,7 @@ def kernel_operator(kernel: Kernel, points) -> KernelOperator:
     """Gram operator of `kernel` at `points`: structured for the built-in
     kernel, dense otherwise.  Rejects empty, non-finite or out-of-domain
     anchors."""
-    pts = _check_domain(kernel, points).ravel()
+    pts = _check_domain(points).ravel()
     if pts.size == 0:
         raise ValueError("a kernel operator needs at least one anchor")
     if is_sobolev_min(kernel):

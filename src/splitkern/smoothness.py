@@ -77,13 +77,6 @@ def zero_target() -> TargetFunction:
                           derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
-def user_target(fn, name="user", rkhs_norm_sq=None, derivative=None,
-                coefficient_rule=None) -> TargetFunction:
-    return TargetFunction(name=name, fn=fn, rkhs_norm_sq=rkhs_norm_sq,
-                          coefficient_rule=coefficient_rule,
-                          derivative=derivative)
-
-
 _TARGETS = {
     "quadratic-bump": quadratic_bump,
     "bump": quadratic_bump,
@@ -103,26 +96,24 @@ def target_by_name(name: str) -> TargetFunction:
     return _TARGETS[key]()
 
 
-def fourier_coefficients(target: TargetFunction, J: int, nodes=None,
-                         force_quadrature=False) -> np.ndarray:
+def fourier_coefficients(target: TargetFunction, J: int) -> np.ndarray:
     """Basis coefficients ``c_1 .. c_J`` of the target.
 
     Uses the analytic rule when the target carries one, otherwise
-    Gauss-Legendre quadrature of ``sqrt(2) pi j int f(x) sin(pi j x) dx``
-    (the integrated-by-parts form, so no derivative is needed).
+    Gauss-Legendre quadrature, on ``max(128, 4 J)`` nodes, of ``sqrt(2) pi
+    j int f(x) sin(pi j x) dx`` (the integrated-by-parts form, so no
+    derivative is needed).
     """
     if J < 1:
         raise ValueError("J must be positive")
     js = np.arange(1, J + 1)
-    if target.coefficient_rule is not None and not force_quadrature:
+    if target.coefficient_rule is not None:
         return np.asarray(target.coefficient_rule(js), dtype=float)
     f0, f1 = float(target(0.0)), float(target(1.0))
     if abs(f0) > ENDPOINT_TOL or abs(f1) > ENDPOINT_TOL:
         raise ValueError(
             f"target must vanish at both endpoints (f(0)={f0:g}, f(1)={f1:g})")
-    if nodes is None:
-        nodes = max(128, 4 * J)
-    xg, wg = np.polynomial.legendre.leggauss(int(nodes))
+    xg, wg = np.polynomial.legendre.leggauss(int(max(128, 4 * J)))
     xg = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
     fw = wg * np.asarray(target(xg), dtype=float)
@@ -134,7 +125,6 @@ def fourier_coefficients(target: TargetFunction, J: int, nodes=None,
 class SmoothnessReport:
     """Outcome of the coefficient-decay analysis."""
 
-    coefficients: np.ndarray
     r_max: float                     # math.inf when the support is finite
     decay_exponent: float | None     # fitted p in |c_j| ~ j**-p
     indices_used: np.ndarray
@@ -144,7 +134,7 @@ class SmoothnessReport:
     notes: list = field(default_factory=list)
 
 
-def max_smoothness(coefficients, zero_tol: float = ZERO_COEFF_TOL) -> SmoothnessReport:
+def max_smoothness(coefficients) -> SmoothnessReport:
     """Largest admissible source exponent from a coefficient sequence.
 
     Fits ``log |c_j| = const - p log j`` over the nonzero coefficients
@@ -161,23 +151,19 @@ def max_smoothness(coefficients, zero_tol: float = ZERO_COEFF_TOL) -> Smoothness
     c = np.asarray(coefficients, dtype=float)
     J = c.size
     js = np.arange(1, J + 1)
-    nz = np.abs(c) > zero_tol
+    nz = np.abs(c) > ZERO_COEFF_TOL
     parseval = float(np.sum(c ** 2))
 
-    if not nz.any():
-        return SmoothnessReport(
-            coefficients=c, r_max=math.inf, decay_exponent=None,
-            indices_used=js[nz], fit_rms=None, parseval_sum=parseval,
-            verdict="r = inf", notes=["degenerate input: all coefficients zero"])
-    last = int(js[nz][-1])
     count = int(nz.sum())
+    last = int(js[nz][-1]) if count else 0
     if last <= J // 2:
         return SmoothnessReport(
-            coefficients=c, r_max=math.inf, decay_exponent=None,
+            r_max=math.inf, decay_exponent=None,
             indices_used=js[nz], fit_rms=None, parseval_sum=parseval,
             verdict="r = inf",
             notes=[f"finite support: {count} nonzero coefficients, "
-                   f"none beyond j={last}"])
+                   f"none beyond j={last}" if count
+                   else "degenerate input: all coefficients zero"])
     if count < 8:
         raise ValueError("need at least 8 nonzero coefficients "
                          "(or a finitely supported sequence) for a decay fit")
@@ -189,7 +175,7 @@ def max_smoothness(coefficients, zero_tol: float = ZERO_COEFF_TOL) -> Smoothness
     resid = lc - (slope * lj + intercept)
     r_max = (2.0 * p - 1.0) / 4.0
     return SmoothnessReport(
-        coefficients=c, r_max=r_max, decay_exponent=p,
+        r_max=r_max, decay_exponent=p,
         indices_used=js[nz], fit_rms=float(np.sqrt(np.mean(resid ** 2))),
         parseval_sum=parseval,
         verdict=f"source condition holds for r < {r_max:.4g}")

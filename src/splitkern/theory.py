@@ -22,7 +22,6 @@ SOBOLEV_DECAY_SCALE = 4.0 / math.pi ** 2  # eigenvalues 4/(pi j)^2 of the
 class TheoryParams:
     r: float
     b: float
-    beta: float = SOBOLEV_DECAY_SCALE
     s: float = 0.0
     sigma: float = 1.0
     R: float = 1.0
@@ -33,7 +32,7 @@ class TheoryParams:
             raise ValueError("r must be positive")
         if self.b <= 1:
             raise ValueError("b must exceed 1")
-        if self.beta <= 0 or self.sigma <= 0 or self.R <= 0:
+        if self.sigma <= 0 or self.R <= 0:
             raise ValueError("scales must be positive")
         if not 0.0 <= self.s <= 0.5:
             raise ValueError("s must lie in [0, 1/2]")
@@ -69,35 +68,6 @@ def alpha_bound(p: TheoryParams, which: str = "combined") -> float:
     raise ValueError(f"unknown bound variant {which!r}")
 
 
-@dataclass(frozen=True)
-class SpectrumModel:
-    """Eigenvalue sequence of the normalized operator.
-
-    Either an explicit (empirical) list or an analytic power-decay rule
-    ``mu_j = scale * j**-b``.
-    """
-
-    eigenvalues: np.ndarray | None = None
-    decay_scale: float | None = None
-    decay_b: float | None = None
-
-    @staticmethod
-    def from_eigenvalues(values) -> "SpectrumModel":
-        mu = np.asarray(values, dtype=float)
-        mu = mu[mu > 0.0]
-        return SpectrumModel(eigenvalues=np.sort(mu)[::-1])
-
-    @staticmethod
-    def power_decay(scale: float, b: float) -> "SpectrumModel":
-        if scale <= 0 or b <= 1:
-            raise ValueError("need scale > 0 and b > 1")
-        return SpectrumModel(decay_scale=scale, decay_b=b)
-
-    @staticmethod
-    def sobolev() -> "SpectrumModel":
-        return SpectrumModel.power_decay(SOBOLEV_DECAY_SCALE, 2.0)
-
-
 def _power_tail(a: float, b: float, lam: float, X: float) -> float:
     # integral over [X, inf) of (a x^-b) / (a x^-b + lam), via the
     # alternating series in a*X^-b/lam (valid well below 1)
@@ -116,29 +86,37 @@ def _power_tail(a: float, b: float, lam: float, X: float) -> float:
     return total
 
 
-def effective_dimension(spec: SpectrumModel, lam: float,
-                        tol: float = 1e-8) -> float:
-    """``sum_j mu_j / (mu_j + lam)`` for the spectrum model.
-
-    Analytic power-decay spectra are summed up to a truncation chosen so
-    the midpoint tail-integral correction is accurate to `tol`; the
-    correction is added to the partial sum.
-    """
+def effective_dimension(eigenvalues, lam: float) -> float:
+    """``N(lam) = sum_j mu_j / (mu_j + lam)`` over the positive values of
+    an (empirical) eigenvalue sequence, summed in descending order."""
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
-    if spec.eigenvalues is not None:
-        mu = spec.eigenvalues
-        return float(np.sum(mu / (mu + lam)))
-    a, b = spec.decay_scale, spec.decay_b
+    mu = np.asarray(eigenvalues, dtype=float)
+    mu = np.sort(mu[mu > 0.0])[::-1]
+    return float(np.sum(mu / (mu + lam)))
+
+
+def power_effective_dimension(scale: float, b: float, lam: float) -> float:
+    """``N(lam)`` of the power-decay spectrum ``mu_j = scale * j**-b``.
+
+    Summed up to a truncation chosen so the midpoint tail-integral
+    correction is accurate to 1e-8; the correction is added to the
+    partial sum.
+    """
+    if scale <= 0 or b <= 1:
+        raise ValueError("need scale > 0 and b > 1")
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
     J = max(
         2048,
-        int(math.ceil((b * a / (24.0 * lam * tol)) ** (1.0 / (b + 1.0)))),
-        4 * int(math.ceil((a / lam) ** (1.0 / b))),
+        int(math.ceil((b * scale / (24.0 * lam * 1e-8))
+                      ** (1.0 / (b + 1.0)))),
+        4 * int(math.ceil((scale / lam) ** (1.0 / b))),
     )
     j = np.arange(1, J + 1, dtype=float)
-    mu = a * j ** -b
+    mu = scale * j ** -b
     head = float(np.sum(mu / (mu + lam)))
-    return head + _power_tail(a, b, lam, J + 0.5)
+    return head + _power_tail(scale, b, lam, J + 0.5)
 
 
 def effective_dimension_bracket(b: float, beta: float, kappa: float,

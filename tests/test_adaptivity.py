@@ -64,8 +64,8 @@ def test_empirical_error_values():
     exact = quadratic_bump()
     xs = np.linspace(0.1, 0.9, 9)
     assert empirical_error(exact, xs, exact(xs)) == 0.0
-    zero = KernelExpansion(coefficients=np.zeros(1), points=np.array([0.5]),
-                           kernel=kernel)
+    zero = KernelExpansion(np.zeros(1), kernel_operator(
+        kernel, np.array([0.5])))
     assert empirical_error(zero, np.array([0.2, 0.8]),
                            np.array([1.0, 1.0])) == 1.0
 
@@ -74,8 +74,8 @@ def test_empirical_error_matches_loop_oracle():
     rng = np.random.default_rng(3)
     target = quadratic_bump()
     x, y = gen_data(target, 256, 0.05, rng)
-    est = KernelExpansion(coefficients=rng.standard_normal(30),
-                          points=rng.random(30), kernel=sobolev_min())
+    est = KernelExpansion(rng.standard_normal(30), kernel_operator(
+        sobolev_min(), rng.random(30)))
     manual = sum((y[i] - est(float(x[i]))) ** 2 for i in range(256)) / 256
     assert empirical_error(est, x, y) == pytest.approx(manual, abs=1e-12)
 
@@ -209,7 +209,7 @@ def gaussian(calls=None, x_val=None):
         if calls is not None and np.array_equal(np.ravel(t), x_val):
             calls.append(np.shape(x))
         return np.exp(-(x - t) ** 2 / (2 * 0.1 ** 2))
-    return user_kernel(fn, kappa=1.0, name="gaussian")
+    return user_kernel(fn, kappa=1.0)
 
 
 @pytest.mark.parametrize("filt", [tikhonov(), nu_method(), spectral_cutoff()])
@@ -286,7 +286,7 @@ def test_lattice_rows_are_single_lambda_fits(kernel, filt):
     x, y = gen_data(quadratic_bump(), 200, 0.01, 16)
     lattice = np.logspace(-6, 0, 13)[::-1]
     fits = fit_lattice(kernel, filt, lattice, x, y, 3)
-    blocks = partition(len(x), 3).blocks()
+    blocks = partition(len(x), 3).blocks
     solves = [coefficient_solver(kernel_operator(kernel, x[ix]), filt)(
         lattice, y[ix]) for ix in blocks]
     for i, lam in enumerate(lattice):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from splitkern import experiments
 from splitkern.cli import _config_from_args, build_parser, main
 from splitkern.experiments import SETTINGS, ExperimentConfig
 
@@ -190,6 +191,25 @@ def test_zero_runs_exits_2(capsys, command):
     code, out, err = run_cli(capsys, *command, "--n", "16", "--runs", "0")
     assert code == 2 and out == ""
     assert "runs must be at least 1" in err
+
+
+@pytest.mark.parametrize("command, name", [
+    (["sweep-n", "--ns", ","], "ns"),
+    (["sweep-n", "--ns", "16,16"], "ns"),
+    (["sweep-n", "--ns", "16,32", "--alphas", "0,0"], "alphas"),
+    (["sweep-alpha", "--alphas", ","], "alphas"),
+    (["sweep-alpha", "--alphas", "0,0.0"], "alphas"),
+    (["theory", "--ns", ","], "ns"),
+    (["theory", "--ms", "1,4,1"], "ms")])
+def test_empty_or_repeated_list_exits_2(capsys, monkeypatch, command, name):
+    # no empty table, and no summary that counts each run twice; the
+    # oracle never runs
+    def no_oracle(cfg):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(experiments, "oracle_select", no_oracle)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be a nonempty list")
 
 
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitkern import estimator
 from splitkern.distributed import (AveragedEstimator, diagnostic_split,
                                    fit_distributed, partition)
 from splitkern.estimator import fit_iterative, fit_spectral
@@ -16,14 +17,14 @@ def kernel():
 
 def test_partition_contiguous():
     part = partition(6, 3)
-    assert [list(b) for b in part.blocks()] == [[0, 1], [2, 3], [4, 5]]
-    assert partition(6, 1).blocks()[0].tolist() == list(range(6))
+    assert [list(b) for b in part.blocks] == [[0, 1], [2, 3], [4, 5]]
+    assert partition(6, 1).blocks[0].tolist() == list(range(6))
 
 
 def test_partition_balanced_remainder():
     part = partition(7, 3)
-    assert part.sizes.tolist() == [3, 2, 2]
-    all_idx = np.sort(np.concatenate(part.blocks()))
+    assert [len(b) for b in part.blocks] == [3, 2, 2]
+    all_idx = np.sort(np.concatenate(part.blocks))
     assert np.array_equal(all_idx, np.arange(7))
 
 
@@ -40,11 +41,12 @@ def test_partition_shuffle_deterministic():
     a = partition(40, 4, shuffle_seed=7)
     b = partition(40, 4, shuffle_seed=7)
     c = partition(40, 4, shuffle_seed=8)
-    assert np.array_equal(a.assignment, b.assignment)
-    assert not np.array_equal(a.assignment, c.assignment)
+    assert np.array_equal(np.concatenate(a.blocks), np.concatenate(b.blocks))
+    assert not np.array_equal(np.concatenate(a.blocks),
+                              np.concatenate(c.blocks))
     for part in (a, c):
         assert np.array_equal(
-            np.sort(np.concatenate(part.blocks())), np.arange(40))
+            np.sort(np.concatenate(part.blocks)), np.arange(40))
 
 
 def _data(n, seed=0, sigma=0.1):
@@ -73,7 +75,7 @@ def test_block_fit_path_follows_filter(kernel, filt, lam, fit):
     x, y = _data(90, seed=4)
     part = partition(90, 3)
     avg = fit_distributed(kernel, filt, lam, x, y, part)
-    for ix, block in zip(part.blocks(), avg.block_fits):
+    for ix, block in zip(part.blocks, avg.block_fits):
         ref = fit(kernel, filt, lam, x[ix], y[ix])
         assert np.array_equal(block.coefficients, ref.coefficients)
 
@@ -217,3 +219,19 @@ def test_diagnostic_split_fits_are_fit_distributed(kernel, filt):
         ref = fit_distributed(kernel, filt, 1e-3, x, values, part)
         for a, b in zip(est.block_fits, ref.block_fits, strict=True):
             assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def test_diagnostic_split_eigendecomposes_each_block_once(kernel,
+                                                          monkeypatch):
+    # the fit and the surrogate filter the same spectral model per block
+    calls = []
+    spectral_model = estimator.spectral_model
+    monkeypatch.setattr(estimator, "spectral_model",
+                        lambda *a: calls.append(a) or spectral_model(*a))
+    target = quadratic_bump()
+    rng = np.random.default_rng(22)
+    x = rng.random(200)
+    y = target(x) + 0.01 * rng.standard_normal(200)
+    diagnostic_split(kernel, spectral_cutoff(), 1e-3, x, y, partition(200, 4),
+                     target)
+    assert len(calls) == 4

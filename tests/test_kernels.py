@@ -113,21 +113,21 @@ def test_reproducing_property(kernel):
     rng = np.random.default_rng(4)
     pts = rng.random(32)
     alpha = rng.standard_normal(32)
-    fhat = KernelExpansion(coefficients=alpha, points=pts, kernel=kernel)
+    fhat = KernelExpansion(alpha, kernel_operator(kernel, pts))
     for x in rng.random(50):
         inner = float(alpha @ kernel.fn(pts, np.full_like(pts, x)))
         assert abs(inner - fhat(x)) < 1e-12
 
 
 def test_rkhs_norm_sq_values(kernel):
-    zero = KernelExpansion(coefficients=np.zeros(3),
-                           points=np.array([0.1, 0.5, 0.9]), kernel=kernel)
+    zero = KernelExpansion(np.zeros(3), kernel_operator(
+        kernel, np.array([0.1, 0.5, 0.9])))
     assert rkhs_norm_sq(zero) == 0.0
-    single = KernelExpansion(coefficients=np.array([2.0]),
-                             points=np.array([0.5]), kernel=kernel)
+    single = KernelExpansion(np.array([2.0]), kernel_operator(
+        kernel, np.array([0.5])))
     assert rkhs_norm_sq(single) == pytest.approx(1.0, abs=0)
-    cancel = KernelExpansion(coefficients=np.array([1.0, -1.0]),
-                             points=np.array([0.3, 0.3]), kernel=kernel)
+    cancel = KernelExpansion(np.array([1.0, -1.0]), kernel_operator(
+        kernel, np.array([0.3, 0.3])))
     assert rkhs_norm_sq(cancel) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -137,7 +137,7 @@ def test_rkhs_norm_matches_derivative_integral(kernel):
     rng = np.random.default_rng(5)
     pts = rng.random(12)
     alpha = rng.standard_normal(12)
-    exp = KernelExpansion(coefficients=alpha, points=pts, kernel=kernel)
+    exp = KernelExpansion(alpha, kernel_operator(kernel, pts))
 
     edges = np.unique(np.concatenate([[0.0], np.sort(pts), [1.0]]))
     total = 0.0

@@ -1,31 +1,36 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from splitkern.smoothness import (fourier_coefficients, max_smoothness,
-                                  quadratic_bump, scaled_sine, tail_sum,
-                                  target_by_name, user_target, zero_target)
+from splitkern.smoothness import (TargetFunction, fourier_coefficients,
+                                  max_smoothness, quadratic_bump, scaled_sine,
+                                  tail_sum, target_by_name, zero_target)
+
+
+def _by_quadrature(target):
+    """`target` without its analytic coefficient rule."""
+    return dataclasses.replace(target, coefficient_rule=None)
 
 
 def test_scaled_sine_single_coefficient():
-    target = scaled_sine()
-    for force in (False, True):
-        c = fourier_coefficients(target, 50, force_quadrature=force)
+    for target in (scaled_sine(), _by_quadrature(scaled_sine())):
+        c = fourier_coefficients(target, 50)
         assert c[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         others = np.delete(c, 1)
         assert np.max(np.abs(others)) < 1e-10
 
 
 def test_zero_function_coefficients():
-    c = fourier_coefficients(zero_target(), 32, force_quadrature=True)
+    c = fourier_coefficients(_by_quadrature(zero_target()), 32)
     assert np.max(np.abs(c)) < 1e-14
 
 
 def test_bump_quadrature_matches_analytic():
     target = quadratic_bump()
     analytic = fourier_coefficients(target, 200)
-    quad = fourier_coefficients(target, 200, force_quadrature=True)
+    quad = fourier_coefficients(_by_quadrature(target), 200)
     assert np.max(np.abs(analytic - quad)) < 1e-10
 
 
@@ -100,7 +105,7 @@ def test_tail_probe_brackets_bump_threshold():
 
 
 def test_quadrature_requires_vanishing_endpoints():
-    bad = user_target(lambda x: np.asarray(x, dtype=float) + 0.0)
+    bad = TargetFunction("user", lambda x: np.asarray(x, dtype=float) + 0.0)
     with pytest.raises(ValueError):
         fourier_coefficients(bad, 16)
 

@@ -5,10 +5,16 @@ import pytest
 
 from splitkern.estimator import spectral_model
 from splitkern.kernels import sobolev_min
-from splitkern.theory import (SOBOLEV_DECAY_SCALE, SpectrumModel, TheoryParams,
-                              alpha_bound, b_quantity, block_bound_report,
+from splitkern.theory import (SOBOLEV_DECAY_SCALE, TheoryParams, alpha_bound,
+                              b_quantity, block_bound_report,
                               effective_dimension, effective_dimension_bracket,
-                              lambda_choice, rate)
+                              lambda_choice, power_effective_dimension, rate)
+
+
+def sobolev_n(lam):
+    """N(lambda) of the analytic spectrum 4/(pi j)^2 of the normalized
+    Sobolev-kernel operator."""
+    return power_effective_dimension(SOBOLEV_DECAY_SCALE, 2.0, lam)
 
 
 def test_lambda_choice_hand_value():
@@ -73,8 +79,7 @@ def test_alpha_bound_variants():
 
 
 def test_effective_dimension_single_eigenvalue():
-    spec = SpectrumModel.from_eigenvalues([0.1])
-    assert effective_dimension(spec, 0.1) == pytest.approx(0.5, abs=1e-15)
+    assert effective_dimension([0.1], 0.1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_effective_dimension_matches_dense_trace():
@@ -82,15 +87,14 @@ def test_effective_dimension_matches_dense_trace():
     rng = np.random.default_rng(21)
     for n in [16, 64, 128]:
         x = rng.random(n)
-        model = spectral_model(kernel, x)
-        M = np.diag(model.eigenvalues)  # same spectrum as the dense operator
+        evals, _ = spectral_model(kernel, x)
+        M = np.diag(evals)  # same spectrum as the dense operator
         from splitkern.kernels import gram
         Mfull = gram(kernel, x) / (kernel.kappa ** 2 * n)
         for lam in [0.1, 0.01]:
             oracle = float(np.trace(
                 np.linalg.solve(Mfull + lam * np.eye(n), Mfull)))
-            spec = SpectrumModel.from_eigenvalues(model.eigenvalues)
-            assert effective_dimension(spec, lam) == pytest.approx(
+            assert effective_dimension(evals, lam) == pytest.approx(
                 oracle, abs=1e-10)
         del M
 
@@ -98,37 +102,33 @@ def test_effective_dimension_matches_dense_trace():
 def test_effective_dimension_analytic_closed_form():
     # for mu_j = c/j^2 the sum has the closed form (w coth(w) - 1)/2
     # with w = pi sqrt(c/lam); here c = 4/pi^2 gives w = 2/sqrt(lam)
-    spec = SpectrumModel.sobolev()
     for lam in [1.0, 0.3, 0.01, 1e-4]:
         w = 2.0 / math.sqrt(lam)
         closed = (w / math.tanh(w) - 1.0) / 2.0
-        assert effective_dimension(spec, lam) == pytest.approx(
+        assert sobolev_n(lam) == pytest.approx(
             closed, rel=1e-8, abs=1e-8)
 
 
 def test_effective_dimension_within_bracket():
-    spec = SpectrumModel.sobolev()
     kappa = 0.5
     for lam in np.logspace(-4, -1, 13):
         lo, hi = effective_dimension_bracket(2.0, SOBOLEV_DECAY_SCALE,
                                              kappa, lam)
-        val = effective_dimension(spec, lam)
+        val = sobolev_n(lam)
         assert lo <= val <= hi
 
 
 def test_effective_dimension_monotonicity():
-    spec = SpectrumModel.sobolev()
     lams = np.logspace(-4, 0, 17)
-    vals = np.array([effective_dimension(spec, lam) for lam in lams])
+    vals = np.array([sobolev_n(lam) for lam in lams])
     assert np.all(np.diff(vals) <= 0)           # N decreasing in lambda
     assert np.all(np.diff(vals / lams) <= 0)    # N/lambda decreasing too
 
 
 def test_effective_dimension_lower_bound_below_top_eigenvalue():
-    spec = SpectrumModel.sobolev()
     mu1 = SOBOLEV_DECAY_SCALE
     for lam in np.linspace(1e-4, mu1, 7):
-        assert effective_dimension(spec, lam) >= 0.5
+        assert sobolev_n(lam) >= 0.5
 
 
 def test_rate_lambda_consistency_identity():
@@ -177,4 +177,4 @@ def test_param_validation():
     with pytest.raises(ValueError):
         TheoryParams(r=0.5, b=2.0, s=0.7)
     with pytest.raises(ValueError):
-        effective_dimension(SpectrumModel.sobolev(), 0.0)
+        sobolev_n(0.0)
