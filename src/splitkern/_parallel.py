@@ -1,8 +1,11 @@
-"""Bounded, order-preserving task mapping for block fits and Monte-Carlo runs.
+"""Bounded, order-preserving task mapping for Monte-Carlo runs and the
+per-block set-up of a lambda-lattice fit.
 
-Threads are enough here: the heavy work happens inside BLAS/LAPACK calls,
-which release the GIL.  Results come back in submission order, so the
-worker count never changes any output.
+Threads share the GIL.  Dense LAPACK and BLAS calls (``eigh``, Gram
+products) release it for their whole run.  The O(n) paths of the built-in
+kernel are many short numpy calls, which hold it for their per-call
+overhead, so threads overlap less there.  Results come back in submission
+order, so the worker count never changes any output.
 """
 
 from __future__ import annotations

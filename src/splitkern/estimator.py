@@ -24,8 +24,8 @@ import numpy as np
 
 from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
                       iterate)
-from .kernels import (Kernel, KernelOperator, gram, is_sobolev_min,
-                      kernel_operator)
+from .kernels import (BlockLayoutOperator, Kernel, KernelOperator, gram,
+                      is_sobolev_min, kernel_operator)
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -35,13 +35,15 @@ EIGENVALUE_FLOOR = 1e-14
 class KernelExpansion:
     """An RKHS element ``sum_j coefficients[j] * K(points[j], .)``, or one
     per row of a 2-D `coefficients`, on the Gram operator of its anchors
-    (the one its fit built)."""
+    (the one its fit built).  On a :class:`kernels.BlockLayoutOperator`
+    it is one expansion per block, its coefficients a level vector."""
 
     coefficients: np.ndarray
-    operator: KernelOperator
+    operator: KernelOperator | BlockLayoutOperator
 
     def __post_init__(self):
-        if np.shape(self.coefficients)[-1:] != (len(self.points),):
+        shape = np.shape(self.points)
+        if np.shape(self.coefficients)[-len(shape):] != shape:
             raise ValueError("coefficient and anchor counts differ")
 
     @property
@@ -155,9 +157,9 @@ def iterate_coefficients(op: KernelOperator, filt: FilterSpec, k: int,
 
 def predict(expansion: KernelExpansion, x):
     """Evaluate the expansion at `x` (scalar or array of any shape); a 2-D
-    expansion gives one leading row per row of coefficients."""
+    expansion gives one leading row per row of coefficients, and one on a
+    block-layout operator one per block."""
     xs = np.asarray(x, dtype=float)
-    coef = expansion.coefficients
-    out = expansion.operator.cross(coef, xs.ravel())
-    out = out.reshape(np.shape(coef)[:-1] + xs.shape)
+    out = expansion.operator.cross(expansion.coefficients, xs.ravel())
+    out = out.reshape(out.shape[:-1] + xs.shape)
     return float(out) if out.ndim == 0 else out

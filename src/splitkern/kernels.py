@@ -12,7 +12,10 @@ gets an O(n) structured operator: ``min(x, t) - x*t`` is the
 Brownian-bridge covariance, so an expansion in it is piecewise linear
 with kinks at the anchors, and prefix sums over the sorted anchors give
 its values and its derivative; its shifted systems ``(G + c I) a = y``
-are solved in O(n) as well.  Other kernels get a dense operator.
+are solved in O(n) as well.  Other kernels get a dense operator.  The
+blocks of one partition level of the built-in kernel can share one
+:class:`BlockLayoutOperator` from :func:`level_operator`, whose products
+act on every block at once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ import numpy as np
 # Eigenvalues this far below zero (relative to the largest) are treated as
 # floating-point noise and clamped before any spectral filter is applied.
 PSD_TOLERANCE = 1e-10
+
+# Values a block-layout operator evaluates at once (blocks x points): its
+# temporaries stay far below glibc's mmap threshold, so they reuse heap
+# memory instead of faulting in fresh pages on every chunk.
+CROSS_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -306,6 +314,145 @@ def kernel_operator(kernel: Kernel, points) -> KernelOperator:
     if is_sobolev_min(kernel):
         return SobolevMinOperator(kernel, pts)
     return DenseOperator(kernel, pts)
+
+
+class BlockLayoutOperator:
+    """The :class:`SobolevMinOperator` products of every block of one
+    partition level at once, as one ``(m, s)`` array, ``s`` the largest
+    block size.  Built by :func:`level_operator`.
+
+    Row i holds block i's anchors sorted (stably, as the block operator
+    sorts them), then anchors at 1 up to length ``s``.  Those pads have
+    ``K(1, .) = 0``; products hold their coefficients at ``-0.0``, the
+    additive identity, so every prefix sum of a row is the block
+    operator's, bit for bit.  A vector of the level is an ``(..., m, s)``
+    array in this layout: :meth:`layout` and :meth:`blocks` map between it
+    and the blocks' values one after another, each block in its index
+    order.
+    """
+
+    def __init__(self, kernel: Kernel, values: np.ndarray, sizes: np.ndarray):
+        self.kernel = kernel
+        m, s = sizes.size, int(sizes.max())
+        row = np.repeat(np.arange(m), sizes)
+        col = np.arange(values.size) - np.repeat(np.cumsum(sizes) - sizes,
+                                                 sizes)
+        unsorted = np.ones((m, s))
+        unsorted[row, col] = values
+        order = np.argsort(unsorted, axis=1, kind="stable")
+        self.points = np.take_along_axis(unsorted, order, axis=1)
+        self.sizes = sizes[:, None]
+        inverse = np.empty_like(order)
+        np.put_along_axis(inverse, order, np.arange(s)[None, :], axis=1)
+        # position in the layout of each block value
+        self._slot = row * s + inverse[row, col]
+        # the stable sort keeps the pads last, after any anchor at 1
+        self._pad = np.arange(s) >= self.sizes
+        # segment of each anchor: the anchors <= it in its row, pads too
+        end = np.ones((m, s), dtype=bool)
+        end[:, :-1] = self.points[:, 1:] != self.points[:, :-1]
+        ends = np.where(end, np.arange(1, s + 1), s)
+        rank = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        # segment r of row i is entry i (s + 1) + r of the flat row sums
+        self._first = np.arange(m)[:, None] * (s + 1)
+        self._at = self._first + rank
+
+    @property
+    def m(self) -> int:
+        return len(self.points)
+
+    def layout(self, values) -> np.ndarray:
+        """``(..., n)`` block values, blocks one after another, as an
+        ``(..., m, s)`` level vector with ``-0.0`` at the pads."""
+        values = np.asarray(values, dtype=float)
+        out = np.full(values.shape[:-1] + self.points.shape, -0.0)
+        out.reshape(values.shape[:-1] + (-1,))[..., self._slot] = values
+        return out
+
+    def blocks(self, a) -> np.ndarray:
+        """The block values of a level vector, blocks one after another:
+        the inverse of :meth:`layout`."""
+        a = np.asarray(a)
+        return a.reshape(a.shape[:-2] + (-1,))[..., self._slot]
+
+    def _sums(self, coef):
+        """Prefix ``P`` and slope ``D`` of each row, as
+        :meth:`SobolevMinOperator._sums` forms them, along the last axis."""
+        a = np.where(self._pad, -0.0, coef)
+        shape = a.shape[:-1] + (a.shape[-1] + 1,)
+        prefix = np.zeros(shape)
+        np.add.accumulate(self.points * a, axis=-1, out=prefix[..., 1:])
+        slope = np.zeros(shape)
+        np.add.accumulate(a[..., ::-1], axis=-1, out=slope[..., -2::-1])
+        slope -= prefix[..., -1:]
+        return prefix, slope
+
+    def _values(self, sums, t, at):
+        """``P + t D`` at the flat segment indices `at` of the row sums."""
+        prefix, slope = sums
+        flat = prefix.shape[:-2] + (-1,)
+        return prefix.reshape(flat)[..., at] + t * slope.reshape(flat)[..., at]
+
+    def matvec(self, v) -> np.ndarray:
+        """Every block's ``G @ v``, for a level vector `v`."""
+        return self._values(self._sums(v), self.points, self._at)
+
+    def _row_chunks(self, coef, ts):
+        """Every block's expansion at the ascending points `ts`, a chunk of
+        blocks at a time: ``(..., rows, len(ts))`` arrays, blocks in
+        order, each of about `CROSS_CHUNK` values at most."""
+        m, s = self.points.shape
+        # row i's segment at ts[j] is its anchors with at most j points
+        # below them: segment k over the ts[j] with g[k - 1] <= j < g[k]
+        g = np.searchsorted(ts, self.points, side="left")
+        runs = np.diff(g, axis=1, prepend=0, append=ts.size)
+        at = self._first + np.arange(s + 1)
+        sums = self._sums(coef)
+        step = max(1, CROSS_CHUNK // max(ts.size, 1))
+        for lo in range(0, m, step):
+            rows = slice(lo, lo + step)
+            seg = np.repeat(at[rows], runs[rows].ravel())
+            yield self._values(sums, ts, seg.reshape(len(at[rows]), ts.size))
+
+    def cross(self, coef, t) -> np.ndarray:
+        """Every block's expansion at the 1-D array of points `t`: one row
+        of values per block, ``(..., m, len(t))``."""
+        t = np.asarray(t, dtype=float)
+        order = np.argsort(t, kind="stable")
+        rows = np.concatenate(list(self._row_chunks(coef, t[order])),
+                              axis=-2)
+        out = np.empty_like(rows)
+        out[..., order] = rows
+        return out
+
+    def mean_cross(self, coef, t) -> np.ndarray:
+        """The mean of the blocks' expansions at the 1-D array of points
+        `t`, ``(..., len(t))``: the rows of :meth:`cross` added one after
+        another, in ascending block order, a chunk of rows at a time."""
+        t = np.asarray(t, dtype=float)
+        order = np.argsort(t, kind="stable")
+        total = None
+        for rows in self._row_chunks(coef, t[order]):
+            if total is not None:
+                rows[..., 0, :] += total
+            # accumulate adds row after row, as a loop over the rows does
+            total = np.add.accumulate(rows, axis=-2)[..., -1, :]
+        out = np.empty_like(total)
+        out[..., order] = total
+        return out / self.m
+
+
+def level_operator(kernel: Kernel, x, blocks) -> BlockLayoutOperator:
+    """The built-in kernel's Gram operators of the blocks ``x[ix]``, `ix`
+    in `blocks`, as one :class:`BlockLayoutOperator`.  Rejects what
+    :func:`kernel_operator` rejects in any block."""
+    if not is_sobolev_min(kernel):
+        raise ValueError("a block-layout operator needs the built-in kernel")
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    if not sizes.all():
+        raise ValueError("a kernel operator needs at least one anchor")
+    values = np.asarray(x, dtype=float).ravel()[np.concatenate(blocks)]
+    return BlockLayoutOperator(kernel, _check_domain(values), sizes)
 
 
 def rkhs_norm_sq(expansion) -> float:

@@ -128,14 +128,20 @@ def test_cli_determinism_across_workers(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_shuffled_sweep_alpha_identical_across_workers(tmp_path, capsys):
+@pytest.mark.parametrize("shuffle", [("--shuffle",), ()],
+                         ids=["shuffled", "contiguous"])
+@pytest.mark.parametrize("filt,k_max", [("nu-method", "16"),
+                                        ("landweber", "60")],
+                         ids=["nu-method", "landweber"])
+def test_sweep_alpha_identical_across_workers(tmp_path, capsys, filt, k_max,
+                                              shuffle):
     texts = []
     for i, workers in enumerate(("1", "2")):
-        out_file = tmp_path / f"shuf{i}.csv"
-        code, _, _ = run_cli(capsys, "sweep-alpha", "--filter", "nu-method",
+        out_file = tmp_path / f"sweep{i}.csv"
+        code, _, _ = run_cli(capsys, "sweep-alpha", "--filter", filt,
                              "--n", "256", "--sigma", "0.005",
-                             "--lambda", "oracle", "--k-max", "16",
-                             "--alphas", "0,0.3,0.6", "--shuffle",
+                             "--lambda", "oracle", "--k-max", k_max,
+                             "--alphas", "0,0.3,0.6,1", *shuffle,
                              "--runs", "3", "--seed", "7",
                              "--workers", workers, "--out", str(out_file))
         assert code == 0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from splitkern import estimator
+from splitkern import distributed, estimator
 from splitkern.distributed import (AveragedEstimator, diagnostic_split,
                                    fit_distributed, partition)
 from splitkern.estimator import fit_iterative, fit_spectral
-from splitkern.filters import landweber, nu_method, spectral_cutoff, tikhonov
-from splitkern.kernels import sobolev_min
+from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, iterate, landweber,
+                               nu_method, spectral_cutoff, tikhonov)
+from splitkern.kernels import BlockLayoutOperator, sobolev_min
 from splitkern.smoothness import quadratic_bump, zero_target
 
 
@@ -235,3 +236,41 @@ def test_diagnostic_split_eigendecomposes_each_block_once(kernel,
     diagnostic_split(kernel, spectral_cutoff(), 1e-3, x, y, partition(200, 4),
                      target)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("filt", [landweber(), nu_method()],
+                         ids=["landweber", "nu-method"])
+@pytest.mark.parametrize("bad", ["nan-y", "inf-y", "x-below-0", "x-above-1"])
+def test_level_fit_rejects_bad_input_as_block_fits_do(kernel, dense_sobolev,
+                                                      monkeypatch, filt, bad):
+    # the level fit of the built-in kernel raises the block-by-block fit's
+    # ValueError (CLI exit 2), and before it takes any step
+    steps = []
+    monkeypatch.setattr(distributed, "iterate",
+                        lambda *a: steps.append(1) or iterate(*a))
+    x, y = _data(40, seed=14)
+    if bad.endswith("-y"):
+        y[7] = np.nan if bad == "nan-y" else -np.inf
+    else:
+        x[21] = -1e-9 if bad == "x-below-0" else 1.5
+    part = partition(40, 4)
+    lam = filt.step_lambda(6)
+    with pytest.raises(ValueError) as block_by_block:
+        fit_distributed(dense_sobolev, filt, lam, x, y, part)
+    with pytest.raises(ValueError) as level:
+        fit_distributed(kernel, filt, lam, x, y, part)
+    assert str(level.value) == str(block_by_block.value)
+    assert steps == []
+
+
+def test_level_fit_rejects_too_many_steps_first(kernel, monkeypatch):
+    # the step count is checked before the level operator is built
+    def refuse(*a):
+        raise AssertionError("level operator built")
+    monkeypatch.setattr(BlockLayoutOperator, "__init__", refuse)
+    x, y = _data(40, seed=15)
+    for filt, lam in ((landweber(), 1.0 / (MAX_STEPS + 1)),
+                      (nu_method(), LAMBDA_MIN)):
+        assert filt.steps(lam) > MAX_STEPS
+        with pytest.raises(ValueError, match="steps"):
+            fit_distributed(kernel, filt, lam, x, y, partition(40, 4))

@@ -13,8 +13,8 @@ from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
                                    results_csv, run_rng, simulate,
                                    summary_csv, sweep_alpha, sweep_n)
 from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
-from splitkern.kernels import (SobolevMinOperator, gram, kernel_operator,
-                               sobolev_min, user_kernel)
+from splitkern.kernels import (BlockLayoutOperator, SobolevMinOperator, gram,
+                               kernel_operator, sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump, scaled_sine
 
 
@@ -128,18 +128,23 @@ def test_hk_error_averaged_equals_concatenated_expansion(kernel, bump):
 
 
 def test_block_fits_keep_their_operator(kernel, bump, monkeypatch):
-    # one Gram operator per block: the fit builds it and the expansion's
-    # predictions use it
-    builds = []
-    real = SobolevMinOperator.__init__
-    monkeypatch.setattr(SobolevMinOperator, "__init__",
-                        lambda self, *a: builds.append(1) or real(self, *a))
+    # the fit builds one Gram operator per block (Tikhonov) or one
+    # block-layout operator for the level (iterative), and predictions
+    # build none
+    builds = {SobolevMinOperator: 0, BlockLayoutOperator: 0}
+    for cls in builds:
+        def counted(self, *a, real=cls.__init__, cls=cls):
+            builds[cls] += 1
+            real(self, *a)
+        monkeypatch.setattr(cls, "__init__", counted)
     x, y = gen_data(bump, 96, 0.01, 9)
-    for filt, lam in [(tikhonov(), 1e-3), (nu_method(), 1.0 / 8 ** 2)]:
-        builds.clear()
-        l2_error(fit_distributed(kernel, filt, lam, x, y, partition(96, 4)),
-                 bump)
-        assert len(builds) == 4
+    for filt, lam, built in [(tikhonov(), 1e-3, (4, 0)),
+                             (nu_method(), 1.0 / 8 ** 2, (0, 1))]:
+        builds.update(dict.fromkeys(builds, 0))
+        est = fit_distributed(kernel, filt, lam, x, y, partition(96, 4))
+        assert tuple(builds.values()) == built
+        l2_error(est, bump)
+        assert tuple(builds.values()) == built
 
 
 def test_study_computes_quadrature_nodes_once(monkeypatch):
