@@ -20,8 +20,7 @@ from .smoothness import (SmoothnessReport, TargetFunction,
                          fourier_coefficients, max_smoothness, quadratic_bump,
                          scaled_sine, target_by_name)
 from .theory import (TheoryParams, alpha_bound, b_quantity,
-                     block_bound_report, effective_dimension,
-                     effective_dimension_bracket, lambda_choice,
-                     power_effective_dimension, rate)
+                     effective_dimension, effective_dimension_bracket,
+                     lambda_choice, power_effective_dimension, rate)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .estimator import (KernelExpansion, _as_data, coefficient_solver,
-                        fit_iterative, fit_spectral, iterate_coefficients)
+                        iterate_coefficients)
 from .filters import FilterSpec, check_steps, iterate
 from .kernels import (Kernel, is_sobolev_min, kernel_operator,
                       level_operator, rkhs_error_sq, rkhs_norm_sq)
@@ -44,16 +44,20 @@ def partition(n: int, m: int, shuffle_seed=None) -> Partition:
     Without a seed the blocks are contiguous index ranges.  With a seed
     the indices are permuted first (deterministically).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _check_block_count(n, m)
     idx = np.arange(n)
     if shuffle_seed is not None:
         rng = (shuffle_seed if isinstance(shuffle_seed, np.random.Generator)
                else np.random.default_rng(shuffle_seed))
         rng.shuffle(idx)
     return Partition(tuple(np.sort(b) for b in np.array_split(idx, m)))
+
+
+def _check_block_count(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
 class AveragedEstimator:
@@ -104,96 +108,94 @@ class AveragedEstimator:
 
 
 class LevelEstimator(AveragedEstimator):
-    """The average of a partition level fitted at once: `level` is one
-    expansion on a :class:`kernels.BlockLayoutOperator`, a row of
-    coefficients per block.  It is evaluated for every block at once
-    (``mean_cross``), the blocks added in ascending order as the base
-    class adds them; `block_fits` builds each block's own operator, and
-    only when it is read."""
+    """The average of a partition level fitted at once: `level` holds a
+    row of coefficients per block of the block-layout `operator` (and a
+    leading row per fit, ``est[i]``).  It predicts every block at once
+    (``mean_cross``), adding the blocks in ascending order as the base
+    class does; `block_fits` builds each block's own operator when read."""
 
-    def __init__(self, level: KernelExpansion):
+    def __init__(self, operator, level):
+        self.operator = operator
         self.level = level
 
     @property
     def m(self) -> int:
-        return self.level.operator.m
+        return self.operator.m
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        op = self.level.operator
-        out = op.mean_cross(self.level.coefficients, xs.ravel())
-        out = out.reshape(xs.shape)
+        out = self.operator.mean_cross(self.level, xs.ravel())
+        out = out.reshape(out.shape[:-1] + xs.shape)
         return float(out) if out.ndim == 0 else out
+
+    def __getitem__(self, i):
+        return LevelEstimator(self.operator, self.level[i])
 
     @cached_property
     def block_fits(self) -> tuple:
-        op, kernel = self.level.operator, self.kernel
+        op = self.operator
         split = np.cumsum(op.sizes[:-1, 0])
         return tuple(
-            KernelExpansion(a, kernel_operator(kernel, p)) for a, p in zip(
-                np.split(op.blocks(self.level.coefficients), split, axis=-1),
+            KernelExpansion(a, kernel_operator(op.kernel, p)) for a, p in zip(
+                np.split(op.blocks(self.level), split, axis=-1),
                 np.split(op.blocks(op.points), split)))
 
     @property
     def points(self) -> np.ndarray:
-        return self.level.operator.blocks(self.level.operator.points)
+        return self.operator.blocks(self.operator.points)
 
     @property
     def coefficients(self) -> np.ndarray:
-        op = self.level.operator
-        return op.blocks(self.level.coefficients) / self.m
+        return self.operator.blocks(self.level) / self.m
 
     @property
     def kernel(self) -> Kernel:
-        return self.level.operator.kernel
+        return self.operator.kernel
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
                     part: Partition) -> AveragedEstimator:
     """Fit every block with the same `lam` and average the results.
 
-    Iterative filters (Landweber, nu-method) run as iterations, every
-    other filter by :func:`fit_spectral`.  On the built-in kernel the
-    iterations step every block at once (:func:`_fit_level`), each block
-    bit for bit its :func:`fit_iterative`; on other kernels block by
-    block.  With ``m == 1`` this reduces exactly to the single-machine
-    fit.
+    Each block's coefficients are bit for bit its :func:`fit_iterative`'s
+    for an iterative filter (Landweber, nu-method) and its
+    :func:`fit_spectral`'s for any other; on the built-in kernel the
+    iterations step every block at once (:func:`_fit_blocks`).  With
+    ``m == 1`` this reduces exactly to the single-machine fit.
     """
-    x, y = _partitioned(x, y, part)
-    if filt.iterative and is_sobolev_min(kernel):
-        return LevelEstimator(_fit_level(kernel, filt, lam, x, y, part)[0])
-    fit = fit_iterative if filt.iterative else fit_spectral
-    return AveragedEstimator(
-        fit(kernel, filt, lam, x[ix], y[ix]) for ix in part.blocks)
+    return _fit_blocks(kernel, filt, lam, x, [y], part)[0]
 
 
-def _fit_level(kernel, filt, lam, x, ys, part) -> list[KernelExpansion]:
-    """The iterative fits of every block of `part` to each right-hand side
-    of `ys` (one row each, or one 1-D `ys`), as one expansion each on one
-    :class:`kernels.BlockLayoutOperator`.
-
-    :func:`filters.iterate` steps the ``(..., m, s)`` level vector, with
-    ``1 / (kappa**2 |block|)`` as an ``(m, 1)`` column: every step is
-    elementwise or a row's prefix sums, so each block's coefficients are
-    its :func:`fit_iterative`'s.  Input checks come first, as there.
+def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
+    """The fits of every block of `part` to each right-hand side in `ys`,
+    as one average with a row per right-hand side.  Every input is checked
+    before any block is fitted; each block's operator (and
+    eigendecomposition) serves every row.  On the built-in kernel an
+    iterative filter steps the ``(rows, m, s)`` level vector, with ``1 /
+    (kappa**2 |block|)`` as an ``(m, 1)`` column: every step is elementwise
+    or a row's prefix sums, so each block's coefficients are its own fit's.
     """
-    k = check_steps(filt.steps(lam))
-    ys = np.atleast_2d(ys)
-    for y in ys:
-        _as_data(x, y)
-    op = level_operator(kernel, x, part.blocks)
-    scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
-    b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
-    steps = iterate(filt, b, lambda v: scale * op.matvec(v))
-    return [KernelExpansion(a, op) for a in next(islice(steps, k - 1, None))]
-
-
-def _partitioned(x, y, part: Partition):
     x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
     if sum(map(len, part.blocks)) != x.size:
         raise ValueError("partition size does not match data size")
-    return x, y
+    k = check_steps(filt.steps(lam)) if filt.iterative else None
+    ys = np.stack([_as_data(x, y)[1] for y in ys])
+    if k is not None and is_sobolev_min(kernel):
+        op = level_operator(kernel, x, part.blocks)
+        scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
+        b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
+        steps = iterate(filt, b, lambda v: scale * op.matvec(v))
+        return LevelEstimator(op, next(islice(steps, k - 1, None)))
+    fits = []
+    for ix in part.blocks:
+        op = kernel_operator(kernel, x[ix])
+        if k is None:
+            solve = coefficient_solver(op, filt)
+            rows = [solve([lam], y[ix])[0] for y in ys]
+        else:
+            rows = [iterate_coefficients(op, filt, k, y[ix]) for y in ys]
+        fits.append(KernelExpansion(np.stack(rows), op))
+    return AveragedEstimator(fits)
 
 
 @dataclass(frozen=True)
@@ -221,34 +223,16 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     `f_true` must be evaluable at the sample inputs; its squared RKHS
     norm is taken from `f_true_norm_sq` or an `rkhs_norm_sq` attribute.
     The fit to `y` and the surrogate, the same fit to the noise-free
-    values ``f_true(x)``, are each `fit_distributed`'s, bit for bit; each
-    block's operator (and eigendecomposition) serves both, and on the
-    built-in kernel an iterative filter steps both at once on one
-    block-layout operator.
+    values ``f_true(x)``, are each `fit_distributed`'s, bit for bit, and
+    are fitted together (:func:`_fit_blocks`).
     """
     if f_true_norm_sq is None:
         f_true_norm_sq = getattr(f_true, "rkhs_norm_sq", None)
     if f_true_norm_sq is None:
         raise ValueError("squared RKHS norm of f_true is required")
-    x, y = _partitioned(x, y, part)
-    f_x = np.asarray(f_true(x), dtype=float).ravel()
-    if filt.iterative and is_sobolev_min(kernel):
-        fitted, surrogate = map(LevelEstimator, _fit_level(
-            kernel, filt, lam, x, np.stack([y, f_x]), part))
-    else:
-        k = check_steps(filt.steps(lam)) if filt.iterative else None
-        blocks = []
-        for ix in part.blocks:
-            op = kernel_operator(kernel, x[ix])
-            if k is None:
-                solve = coefficient_solver(op, filt)
-                fits = [solve([lam], v[ix])[0] for v in (y, f_x)]
-            else:
-                fits = [iterate_coefficients(op, filt, k, v[ix])
-                        for v in (y, f_x)]
-            blocks.append([KernelExpansion(a, op) for a in fits])
-        fitted, surrogate = (AveragedEstimator(f) for f in zip(*blocks))
-
+    x = np.asarray(x, dtype=float).ravel()
+    both = _fit_blocks(kernel, filt, lam, x, [y, f_true(x)], part)
+    fitted, surrogate = both[0], both[1]
     f_tilde = surrogate.as_expansion()
     # fitted has the same anchors in the same order
     sample_sq = f_tilde.operator.quad_form(

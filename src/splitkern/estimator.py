@@ -24,8 +24,8 @@ import numpy as np
 
 from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
                       iterate)
-from .kernels import (BlockLayoutOperator, Kernel, KernelOperator, gram,
-                      is_sobolev_min, kernel_operator)
+from .kernels import (Kernel, KernelOperator, gram, is_sobolev_min,
+                      kernel_operator)
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -35,15 +35,13 @@ EIGENVALUE_FLOOR = 1e-14
 class KernelExpansion:
     """An RKHS element ``sum_j coefficients[j] * K(points[j], .)``, or one
     per row of a 2-D `coefficients`, on the Gram operator of its anchors
-    (the one its fit built).  On a :class:`kernels.BlockLayoutOperator`
-    it is one expansion per block, its coefficients a level vector."""
+    (the one its fit built)."""
 
     coefficients: np.ndarray
-    operator: KernelOperator | BlockLayoutOperator
+    operator: KernelOperator
 
     def __post_init__(self):
-        shape = np.shape(self.points)
-        if np.shape(self.coefficients)[-len(shape):] != shape:
+        if np.shape(self.coefficients)[-1:] != self.points.shape:
             raise ValueError("coefficient and anchor counts differ")
 
     @property
@@ -157,8 +155,7 @@ def iterate_coefficients(op: KernelOperator, filt: FilterSpec, k: int,
 
 def predict(expansion: KernelExpansion, x):
     """Evaluate the expansion at `x` (scalar or array of any shape); a 2-D
-    expansion gives one leading row per row of coefficients, and one on a
-    block-layout operator one per block."""
+    expansion gives one leading row per row of coefficients."""
     xs = np.asarray(x, dtype=float)
     out = expansion.operator.cross(expansion.coefficients, xs.ravel())
     out = out.reshape(out.shape[:-1] + xs.shape)

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import theory
 from ._parallel import parallel_map
-from .distributed import AveragedEstimator, fit_distributed, partition
+from .distributed import (AveragedEstimator, _check_block_count,
+                          fit_distributed, partition)
 from .estimator import coefficient_solver
 from .filters import FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
@@ -415,10 +416,13 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
     slopes for each alpha seen at two or more sizes."""
     kernel, filt, target = _resolve_pieces(cfg)
     _gl_nodes(cfg.quad_nodes)     # once here, not once per pool thread
+    levels_at = [(int(n), levels_of(int(n))) for n in ns]
+    for n, levels in levels_at:         # every level before any oracle
+        for _, m in levels:
+            _check_block_count(n, m)
     rows = []
-    for n in ns:
-        cfg_n = replace(cfg, n=int(n))
-        levels = levels_of(cfg_n.n)
+    for n, levels in levels_at:
+        cfg_n = replace(cfg, n=n)
         lam, k = resolve_lambda(cfg_n)
         per_run = parallel_map(
             lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,

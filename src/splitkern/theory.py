@@ -134,9 +134,3 @@ def b_quantity(n_block: float, lam: float, n_lambda: float) -> float:
     nl = n_block * lam
     return 1.0 + (2.0 / nl + math.sqrt(n_lambda / nl)) ** 2
 
-
-def block_bound_report(n: int, m: int, lam: float,
-                       n_lambda: float) -> tuple[float, bool]:
-    """Per-block stability factor at block size n/m, and whether it is <= 2."""
-    value = b_quantity(n / m, lam, n_lambda)
-    return value, value <= 2.0

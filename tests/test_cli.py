@@ -218,6 +218,22 @@ def test_empty_or_repeated_list_exits_2(capsys, monkeypatch, command, name):
     assert err.startswith(f"error: {name} must be a nonempty list")
 
 
+@pytest.mark.parametrize("command, m, n", [
+    (["simulate", "--m", "0"], 0, 1024),
+    (["simulate", "--m", "5000", "--n", "2048"], 5000, 2048),
+    (["sweep-alpha", "--alphas", "0,1.2", "--n", "64"], 147, 64),
+    (["sweep-n", "--ns", "1,16", "--alphas", "0,1.2"], 28, 16)])
+def test_block_count_out_of_range_exits_2(capsys, monkeypatch, command, m,
+                                          n):
+    # every level of every n is checked before the first oracle
+    def no_oracle(cfg):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(experiments, "oracle_select", no_oracle)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err == f"error: need 1 <= m <= n, got m={m}, n={n}\n"
+
+
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
     texts = []
     for i, workers in enumerate(("1", "2")):

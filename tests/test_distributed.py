@@ -207,19 +207,24 @@ def test_diagnostic_split_requires_norm(kernel):
 
 @pytest.mark.parametrize("filt", [tikhonov(), spectral_cutoff(), landweber(),
                                   nu_method()])
-def test_diagnostic_split_fits_are_fit_distributed(kernel, filt):
+def test_diagnostic_split_fits_are_fit_distributed(kernel, dense_sobolev,
+                                                   filt):
     # both halves are fit_distributed fits, bit for bit: to y and to the
-    # noise-free f_true(x)
+    # noise-free f_true(x), on the structured and the dense operators
+    # (the level fit and the block-by-block one for iterative filters),
+    # with contiguous and shuffled blocks
     target = quadratic_bump()
     rng = np.random.default_rng(21)
     x = rng.random(300)
     y = target(x) + 0.01 * rng.standard_normal(300)
-    part = partition(300, 4)
-    split = diagnostic_split(kernel, filt, 1e-3, x, y, part, target)
-    for est, values in ((split.fitted, y), (split.surrogate, target(x))):
-        ref = fit_distributed(kernel, filt, 1e-3, x, values, part)
-        for a, b in zip(est.block_fits, ref.block_fits, strict=True):
-            assert np.array_equal(a.coefficients, b.coefficients)
+    for kern in (kernel, dense_sobolev):
+        for part in (partition(300, 4), partition(300, 7, shuffle_seed=2)):
+            split = diagnostic_split(kern, filt, 1e-3, x, y, part, target)
+            for est, values in ((split.fitted, y),
+                                (split.surrogate, target(x))):
+                ref = fit_distributed(kern, filt, 1e-3, x, values, part)
+                for a, b in zip(est.block_fits, ref.block_fits, strict=True):
+                    assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_diagnostic_split_eigendecomposes_each_block_once(kernel,

@@ -6,9 +6,9 @@ import pytest
 from splitkern.estimator import spectral_model
 from splitkern.kernels import sobolev_min
 from splitkern.theory import (SOBOLEV_DECAY_SCALE, TheoryParams, alpha_bound,
-                              b_quantity, block_bound_report,
-                              effective_dimension, effective_dimension_bracket,
-                              lambda_choice, power_effective_dimension, rate)
+                              b_quantity, effective_dimension,
+                              effective_dimension_bracket, lambda_choice,
+                              power_effective_dimension, rate)
 
 
 def sobolev_n(lam):
@@ -159,14 +159,6 @@ def test_b_quantity_values():
     nl = n * lam
     assert b_quantity(n, lam, nl) == pytest.approx(
         1.0 + (2.0 / nl + 1.0) ** 2, rel=1e-14)
-
-
-def test_block_bound_report():
-    val, ok = block_bound_report(10000, 4, 0.05, 5.0)
-    assert val == pytest.approx(b_quantity(2500, 0.05, 5.0))
-    assert ok == (val <= 2.0)
-    val2, ok2 = block_bound_report(100, 50, 0.01, 5.0)
-    assert not ok2
 
 
 def test_param_validation():
