@@ -19,10 +19,13 @@ def default_workers() -> int:
 
 
 def parallel_map(fn, items, workers=None):
+    """``[fn(item) for item in items]`` on up to `workers` threads (None:
+    the CPU count); fewer than one worker is rejected."""
     items = list(items)
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(int(workers), len(items) or 1))
+    workers = default_workers() if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(items) or 1)
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

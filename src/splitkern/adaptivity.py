@@ -44,9 +44,7 @@ def holdout_split(n: int, val_fraction: float = 0.2, seed=0) -> HoldoutSplit:
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie in (0, 1)")
     n_val = min(n - 1, max(1, int(round(n * val_fraction))))
-    rng = (seed if isinstance(seed, np.random.Generator)
-           else np.random.default_rng(seed))
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     return HoldoutSplit(train=np.sort(perm[n_val:]),
                         validation=np.sort(perm[:n_val]))
 

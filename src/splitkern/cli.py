@@ -103,6 +103,8 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_theory(args) -> int:
     ns = experiments._distinct("ns", _parse_ints(args.ns))
     ms = experiments._distinct("ms", _parse_ints(args.ms))
+    if min(ms) < 1:
+        raise ValueError(f"block counts must be at least 1, got {ms}")
     rows = []
     for n in ns:
         p = theory.TheoryParams(r=args.r, b=args.b, s=args.s,

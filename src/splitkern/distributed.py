@@ -15,11 +15,11 @@ from itertools import islice
 
 import numpy as np
 
-from .estimator import (KernelExpansion, _as_data, coefficient_solver,
-                        iterate_coefficients)
+from .estimator import (KernelExpansion, _as_data, _evaluate,
+                        coefficient_solver, iterate_coefficients)
 from .filters import FilterSpec, check_steps, iterate
-from .kernels import (Kernel, is_sobolev_min, kernel_operator,
-                      level_operator, rkhs_error_sq, rkhs_norm_sq)
+from .kernels import (Kernel, kernel_operator, level_operator, rkhs_error_sq,
+                      rkhs_norm_sq)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ def partition(n: int, m: int, shuffle_seed=None) -> Partition:
     _check_block_count(n, m)
     idx = np.arange(n)
     if shuffle_seed is not None:
-        rng = (shuffle_seed if isinstance(shuffle_seed, np.random.Generator)
-               else np.random.default_rng(shuffle_seed))
-        rng.shuffle(idx)
+        np.random.default_rng(shuffle_seed).shuffle(idx)
     return Partition(tuple(np.sort(b) for b in np.array_split(idx, m)))
 
 
@@ -123,10 +121,7 @@ class LevelEstimator(AveragedEstimator):
         return self.operator.m
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = self.operator.mean_cross(self.level, xs.ravel())
-        out = out.reshape(out.shape[:-1] + xs.shape)
-        return float(out) if out.ndim == 0 else out
+        return _evaluate(self.operator.mean_cross, self.level, x)
 
     def __getitem__(self, i):
         return LevelEstimator(self.operator, self.level[i])
@@ -180,8 +175,8 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
         raise ValueError("partition size does not match data size")
     k = check_steps(filt.steps(lam)) if filt.iterative else None
     ys = np.stack([_as_data(x, y)[1] for y in ys])
-    if k is not None and is_sobolev_min(kernel):
-        op = level_operator(kernel, x, part.blocks)
+    op = None if k is None else level_operator(kernel, x, part.blocks)
+    if op is not None:
         scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
         b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
         steps = iterate(filt, b, lambda v: scale * op.matvec(v))
@@ -196,6 +191,14 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
             rows = [iterate_coefficients(op, filt, k, y[ix]) for y in ys]
         fits.append(KernelExpansion(np.stack(rows), op))
     return AveragedEstimator(fits)
+
+
+def _target_norm_sq(target) -> float:
+    """The squared RKHS norm a target carries as `rkhs_norm_sq`."""
+    nrm = getattr(target, "rkhs_norm_sq", None)
+    if nrm is None:
+        raise ValueError("target must carry its squared RKHS norm")
+    return float(nrm)
 
 
 @dataclass(frozen=True)
@@ -216,20 +219,16 @@ class DiagnosticSplit:
 
 
 def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                     part: Partition, f_true,
-                     f_true_norm_sq=None) -> DiagnosticSplit:
+                     part: Partition, f_true) -> DiagnosticSplit:
     """Split the total error of a distributed fit into its two parts.
 
-    `f_true` must be evaluable at the sample inputs; its squared RKHS
-    norm is taken from `f_true_norm_sq` or an `rkhs_norm_sq` attribute.
-    The fit to `y` and the surrogate, the same fit to the noise-free
-    values ``f_true(x)``, are each `fit_distributed`'s, bit for bit, and
-    are fitted together (:func:`_fit_blocks`).
+    `f_true` must be evaluable at the sample inputs and carry its squared
+    RKHS norm as `rkhs_norm_sq` (:func:`_target_norm_sq`).  The fit to
+    `y` and the surrogate, the same fit to the noise-free values
+    ``f_true(x)``, are each `fit_distributed`'s, bit for bit, and are
+    fitted together (:func:`_fit_blocks`).
     """
-    if f_true_norm_sq is None:
-        f_true_norm_sq = getattr(f_true, "rkhs_norm_sq", None)
-    if f_true_norm_sq is None:
-        raise ValueError("squared RKHS norm of f_true is required")
+    target_sq = _target_norm_sq(f_true)
     x = np.asarray(x, dtype=float).ravel()
     both = _fit_blocks(kernel, filt, lam, x, [y, f_true(x)], part)
     fitted, surrogate = both[0], both[1]
@@ -239,7 +238,7 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
         f_tilde.coefficients - fitted.coefficients)
     approx_sq = rkhs_error_sq(rkhs_norm_sq(f_tilde), f_tilde.coefficients,
                               np.asarray(f_true(f_tilde.points), dtype=float),
-                              f_true_norm_sq)
+                              target_sq)
     return DiagnosticSplit(
         approximation_norm=float(np.sqrt(approx_sq)),
         sample_norm=float(np.sqrt(max(sample_sq, 0.0))),

@@ -24,8 +24,7 @@ import numpy as np
 
 from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
                       iterate)
-from .kernels import (Kernel, KernelOperator, gram, is_sobolev_min,
-                      kernel_operator)
+from .kernels import Kernel, KernelOperator, gram, kernel_operator
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -89,15 +88,15 @@ def coefficient_solver(op: KernelOperator, filt: FilterSpec):
     """``solve(lams, y)``: expansion coefficients of the single-block fits
     on the anchors of the Gram operator `op`, one row per lambda in `lams`.
 
-    The one place the fitting path is chosen.  Tikhonov on the built-in
-    kernel solves ``(G + lam * kappa**2 * n * I) alpha = y`` with
-    :meth:`SobolevMinOperator.solve_shifted` of `op`: O(n) per lambda, no
+    The one place the fitting path is chosen.  Tikhonov on an operator
+    with ``solve_shifted`` (the built-in kernel's) solves ``(G + lam *
+    kappa**2 * n * I) alpha = y`` with it: O(n) per lambda, no
     eigendecomposition.  Every other pair filters one
     :func:`spectral_model` of the anchors, shared by every ``solve``.
     """
     kernel, x = op.kernel, op.points
     scale = kernel.kappa ** 2 * x.size
-    if filt.kind == "tikhonov" and is_sobolev_min(kernel):
+    if filt.kind == "tikhonov" and hasattr(op, "solve_shifted"):
         def solve(lams, y):
             _, y = _as_data(x, y)
             c = [check_lambda(float(lam)) for lam in lams]
@@ -156,7 +155,13 @@ def iterate_coefficients(op: KernelOperator, filt: FilterSpec, k: int,
 def predict(expansion: KernelExpansion, x):
     """Evaluate the expansion at `x` (scalar or array of any shape); a 2-D
     expansion gives one leading row per row of coefficients."""
+    return _evaluate(expansion.operator.cross, expansion.coefficients, x)
+
+
+def _evaluate(cross, coef, x):
+    """``cross(coef, t)`` at the flattened `x`, in the shape of `x` after
+    any leading rows of `coef`; a float for a scalar `x`."""
     xs = np.asarray(x, dtype=float)
-    out = expansion.operator.cross(expansion.coefficients, xs.ravel())
+    out = cross(coef, xs.ravel())
     out = out.reshape(out.shape[:-1] + xs.shape)
     return float(out) if out.ndim == 0 else out

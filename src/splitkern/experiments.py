@@ -24,7 +24,7 @@ import numpy as np
 from . import theory
 from ._parallel import parallel_map
 from .distributed import (AveragedEstimator, _check_block_count,
-                          fit_distributed, partition)
+                          _target_norm_sq, fit_distributed, partition)
 from .estimator import coefficient_solver
 from .filters import FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
@@ -61,11 +61,6 @@ class ExperimentConfig:
     r: float = 0.5
     b: float = 2.0
     R: float = 1.0
-
-    def resolved_m(self) -> int:
-        if self.m is not None:
-            return int(self.m)
-        return max(1, int(round(self.n ** self.alpha)))
 
     @staticmethod
     def from_mapping(mapping) -> "ExperimentConfig":
@@ -145,8 +140,7 @@ def gen_data(target, n: int, sigma: float, seed):
         raise ValueError("n must be positive")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.random(n)
     y = np.asarray(target(x), dtype=float) + sigma * rng.standard_normal(n)
     return x, y
@@ -154,13 +148,6 @@ def gen_data(target, n: int, sigma: float, seed):
 
 # ---------------------------------------------------------------------------
 # error metrics
-
-
-def _target_norm_sq(target) -> float:
-    nrm = getattr(target, "rkhs_norm_sq", None)
-    if nrm is None:
-        raise ValueError("target must carry its squared RKHS norm")
-    return float(nrm)
 
 
 def hk_error(est, target) -> float:
@@ -315,20 +302,15 @@ class RunResult:
     wall_ms: float | None
 
 
-def resolve_lambda(cfg: ExperimentConfig) -> tuple[float, int | None]:
+def resolve_lambda(cfg: ExperimentConfig) -> float:
     """Turn the config's lambda policy into a concrete parameter."""
-    kernel, filt, target = _resolve_pieces(cfg)
+    _resolve_pieces(cfg)
     if cfg.lam == "oracle":
-        sel = oracle_select(cfg)
-        return sel.lam, sel.k
+        return oracle_select(cfg).lam
     if cfg.lam == "theory":
-        p = theory.TheoryParams(r=cfg.r, b=cfg.b, sigma=cfg.sigma,
-                                R=cfg.R, n=cfg.n)
-        lam = theory.lambda_choice(p)
-    else:
-        lam = float(cfg.lam)
-    k = filt.steps(lam) if filt.iterative else None
-    return lam, k
+        return theory.lambda_choice(theory.TheoryParams(
+            r=cfg.r, b=cfg.b, sigma=cfg.sigma, R=cfg.R, n=cfg.n))
+    return float(cfg.lam)
 
 
 def _alpha_of(n: int, m: int) -> float:
@@ -338,8 +320,13 @@ def _alpha_of(n: int, m: int) -> float:
 
 
 def _levels_for(n: int, alphas) -> list[tuple[float, int]]:
-    """(alpha label, block count) pairs for the requested exponents."""
-    return [(float(a), max(1, int(round(n ** a)))) for a in alphas]
+    """(alpha label, block count) pairs for the requested exponents, m =
+    round(n**alpha): the one rule from alpha to m."""
+    _check_block_count(n, 1)            # a negative n has no real power
+    for a in alphas:
+        if not 0 <= a < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {a}")
+    return [(float(a), int(round(n ** a))) for a in alphas]
 
 
 def _assess_run(cfg, kernel, filt, target, lam, run, levels):
@@ -368,9 +355,9 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
 
 def simulate(cfg: ExperimentConfig) -> SweepResult:
     """Monte-Carlo repetitions of one configuration."""
-    m = cfg.resolved_m()
-    alpha = cfg.alpha if cfg.m is None else _alpha_of(cfg.n, m)
-    return _study(cfg, [cfg.n], lambda n: [(alpha, m)])
+    levels = (_levels_for(cfg.n, [cfg.alpha]) if cfg.m is None
+              else [(_alpha_of(cfg.n, cfg.m), cfg.m)])
+    return _study(cfg, [cfg.n], lambda n: levels)
 
 
 @dataclass
@@ -423,7 +410,7 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
     rows = []
     for n, levels in levels_at:
         cfg_n = replace(cfg, n=n)
-        lam, k = resolve_lambda(cfg_n)
+        lam = resolve_lambda(cfg_n)
         per_run = parallel_map(
             lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,
                                   levels),

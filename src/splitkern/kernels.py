@@ -68,8 +68,8 @@ def sobolev_min() -> Kernel:
 
 def user_kernel(fn, kappa) -> Kernel:
     """Wrap a custom positive semidefinite kernel with its sup bound."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     return Kernel(fn, float(kappa))
 
 
@@ -297,19 +297,15 @@ def _tridiagonal_solve(diag, off, rhs):
     return x
 
 
-def is_sobolev_min(kernel: Kernel) -> bool:
-    """Whether `kernel` is the built-in ``min(x, t) - x*t``."""
-    return kernel.fn is _sobolev_min_fn
-
-
 def kernel_operator(kernel: Kernel, points) -> KernelOperator:
     """Gram operator of `kernel` at `points`: structured for the built-in
     kernel, dense otherwise.  Rejects empty, non-finite or out-of-domain
-    anchors."""
+    anchors.  Only this and :func:`level_operator` tell the built-in kernel
+    apart; the fits ask the operator what it can do."""
     pts = _check_domain(points).ravel()
     if pts.size == 0:
         raise ValueError("a kernel operator needs at least one anchor")
-    if is_sobolev_min(kernel):
+    if kernel.fn is _sobolev_min_fn:
         return SobolevMinOperator(kernel, pts)
     return DenseOperator(kernel, pts)
 
@@ -420,12 +416,13 @@ class BlockLayoutOperator:
         return out / self.m
 
 
-def level_operator(kernel: Kernel, x, blocks) -> BlockLayoutOperator:
+def level_operator(kernel: Kernel, x, blocks) -> BlockLayoutOperator | None:
     """The built-in kernel's Gram operators of the blocks ``x[ix]``, `ix`
-    in `blocks`, as one :class:`BlockLayoutOperator`.  Rejects what
+    in `blocks`, as one :class:`BlockLayoutOperator`; ``None`` for a
+    kernel with no block layout (any other).  Rejects what
     :func:`kernel_operator` rejects in any block."""
-    if not is_sobolev_min(kernel):
-        raise ValueError("a block-layout operator needs the built-in kernel")
+    if kernel.fn is not _sobolev_min_fn:
+        return None
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
     if not sizes.all():
         raise ValueError("a kernel operator needs at least one anchor")

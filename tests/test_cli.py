@@ -234,6 +234,57 @@ def test_block_count_out_of_range_exits_2(capsys, monkeypatch, command, m,
     assert err == f"error: need 1 <= m <= n, got m={m}, n={n}\n"
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("a run or the oracle started")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["simulate", "--alpha", "-1"], "alpha must be finite and nonnegative, "
+                                    "got -1.0"),
+    (["simulate", "--alpha", "inf"], "alpha must be finite and nonnegative, "
+                                     "got inf"),
+    (["sweep-alpha", "--alphas", "0,inf", "--n", "64"],
+     "alpha must be finite and nonnegative, got inf"),
+    (["sweep-n", "--ns", "16,32", "--alphas", "nan"],
+     "alpha must be finite and nonnegative, got nan"),
+    (["sweep-n", "--ns", "16,-4", "--alphas", "0.5"], "n must be positive")])
+def test_level_without_block_count_exits_2(capsys, monkeypatch, command,
+                                           message):
+    # a negative or non-finite alpha, or a negative n, has no block count:
+    # rejected with the other levels, before the first oracle
+    monkeypatch.setattr(experiments, "oracle_select", _fail)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("nu", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "oracle", "adapt"])
+def test_non_finite_nu_exits_2(capsys, monkeypatch, command, nu):
+    # every run, the oracle's too, starts by drawing its data
+    monkeypatch.setattr(experiments, "gen_data", _fail)
+    code, out, err = run_cli(capsys, command, "--filter", "nu-method",
+                             "--nu", nu, "--n", "64", "--runs", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: nu must be finite and positive, got {nu}\n"
+
+
+@pytest.mark.parametrize("ms", ["0", "4,0", "1,-2"])
+def test_theory_block_count_below_one_exits_2(capsys, ms):
+    code, out, err = run_cli(capsys, "theory", "--ns", "64", "--ms", ms)
+    assert code == 2 and out == ""
+    assert err.startswith("error: block counts must be at least 1")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(capsys, monkeypatch, workers):
+    monkeypatch.setattr(experiments, "gen_data", _fail)
+    code, out, err = run_cli(capsys, "simulate", "--n", "64", "--runs", "2",
+                             "--workers", workers)
+    assert code == 2 and out == ""
+    assert err == f"error: workers must be at least 1, got {workers}\n"
+
+
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
     texts = []
     for i, workers in enumerate(("1", "2")):

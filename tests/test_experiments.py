@@ -370,7 +370,8 @@ def test_config_from_mapping_round_trip():
     })
     assert cfg.target == "scaled-sine" and cfg.lam == "theory"
     assert cfg.r == 0.6 and cfg.R == 2.0 and cfg.n == 256
-    assert cfg.resolved_m() == round(256 ** 0.2)
+    from splitkern.experiments import _levels_for
+    assert _levels_for(cfg.n, [cfg.alpha]) == [(0.2, 3)]
     with pytest.raises(ValueError):
         ExperimentConfig.from_mapping({"mystery": 1})
 
@@ -379,8 +380,8 @@ def test_theory_lambda_resolution(bump):
     cfg = ExperimentConfig(filter="tikhonov", n=1024, sigma=1.0, lam="theory",
                            runs=1, seed=1, workers=1, r=0.5, b=2.0, R=1.0)
     from splitkern.experiments import resolve_lambda
-    lam, k = resolve_lambda(cfg)
-    assert lam == pytest.approx(1 / 16, rel=1e-12) and k is None
+    lam = resolve_lambda(cfg)
+    assert lam == pytest.approx(1 / 16, rel=1e-12)
 
 
 def test_wall_ms_off_by_default_on_when_asked(bump):

@@ -174,6 +174,21 @@ def test_filter_values_at_zero():
     assert val == pytest.approx(0.4 * k * (k + 2), rel=1e-12)
 
 
+def test_verify_axioms_flags_nan_maxima():
+    # np.max keeps NaN, so a filter whose values are NaN fails every bound
+    spec = filters.FilterSpec("nu-method", nu=math.nan)
+    report = verify_axioms(spec, LOG_GRID, LOG_GRID)
+    assert [v.split(":")[0] for v in report.violations] == [
+        "t*g", "g*lambda", "residual", "qualification(q=1)"]
+    assert math.isnan(report.max_tg) and not report.ok
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+def test_nu_method_rejects_non_finite_or_nonpositive_nu(nu):
+    with pytest.raises(ValueError, match="nu must be finite and positive"):
+        nu_method(nu)
+
+
 def test_verify_axioms_flags_violations():
     bad = tikhonov()
     report = verify_axioms(bad, [0.5], [0.5], q=1.0)

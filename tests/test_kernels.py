@@ -5,8 +5,8 @@ import pytest
 
 from splitkern.estimator import KernelExpansion
 from splitkern.kernels import (DenseOperator, SobolevMinOperator, gram,
-                               kernel_operator, rkhs_norm_sq, sobolev_min,
-                               user_kernel)
+                               kernel_operator, level_operator, rkhs_norm_sq,
+                               sobolev_min, user_kernel)
 
 
 @pytest.fixture
@@ -41,6 +41,21 @@ def test_kappa_values(kernel):
     assert zero.kappa == 0.0
     other = user_kernel(lambda x, t: np.minimum(x, t), kappa=1.0)
     assert other.kappa == 1.0
+
+
+@pytest.mark.parametrize("kappa", [-0.5, np.nan, np.inf])
+def test_user_kernel_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        user_kernel(lambda x, t: np.minimum(x, t), kappa=kappa)
+
+
+def test_level_operator_only_for_the_built_in_kernel(kernel, dense_sobolev):
+    # a kernel with no block layout gets None, and its level is fitted
+    # block by block
+    blocks = [np.arange(3), np.arange(3, 6)]
+    x = np.linspace(0.1, 0.9, 6)
+    assert level_operator(dense_sobolev, x, blocks) is None
+    assert level_operator(kernel, x, blocks).m == 2
 
 
 def test_gram_hand_values(kernel):
