@@ -185,8 +185,8 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
     for ix in part.blocks:
         op = kernel_operator(kernel, x[ix])
         if k is None:
-            solve = coefficient_solver(op, filt)
-            rows = [solve([lam], y[ix])[0] for y in ys]
+            solve = coefficient_solver([op], filt)
+            rows = [solve([lam], [y[ix]])[0, 0] for y in ys]
         else:
             rows = [iterate_coefficients(op, filt, k, y[ix]) for y in ys]
         fits.append(KernelExpansion(np.stack(rows), op))

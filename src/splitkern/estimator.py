@@ -70,47 +70,64 @@ def _as_data(x, y):
 def spectral_model(kernel: Kernel, x) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose the normalized Gram operator of the anchors `x`:
     ``(eigenvalues, eigenvectors)``, the eigenvalues sorted descending and
-    clamped to [0, 1], the eigenvectors their orthonormal columns.
+    clamped to [0, 1], the eigenvectors their orthonormal columns.  For a
+    stack of anchor sets of one size, ``(c, s)``, one ``eigh`` call
+    decomposes every set: ``(c, s)`` eigenvalues and ``(c, s, s)``
+    eigenvectors, each set's equal to its own call's.
 
     Always a dense ``eigh``, for the built-in kernel too.  The Gram
     matrix is a temporary freed before ``eigh`` runs; keeping a dense
     operator's cached one alive instead made glibc trim and refault the
-    heap on every hold-out fit with a user kernel.
+    heap on every hold-out fit with a user kernel.  The eigenvectors are
+    the reversed-column view of ``eigh``'s: products with it take numpy's
+    own loop, whose sums are the same for every stack, where a contiguous
+    copy would go to BLAS and round differently.
     """
+    x = np.asarray(x, dtype=float)
     evals, vecs = np.linalg.eigh(gram(kernel, x)
-                                 / (kernel.kappa ** 2 * np.size(x)))
-    evals = np.clip(evals[::-1], 0.0, 1.0)
+                                 / (kernel.kappa ** 2 * np.shape(x)[-1]))
+    evals = np.clip(evals[..., ::-1], 0.0, 1.0)
     evals[evals < EIGENVALUE_FLOOR] = 0.0
-    return evals, vecs[:, ::-1]
+    return evals, vecs[..., ::-1]
 
 
-def coefficient_solver(op: KernelOperator, filt: FilterSpec):
-    """``solve(lams, y)``: expansion coefficients of the single-block fits
-    on the anchors of the Gram operator `op`, one row per lambda in `lams`.
+def coefficient_solver(ops, filt: FilterSpec):
+    """``solve(lams, ys)``: expansion coefficients of the single-block fits
+    on the anchors of each Gram operator in `ops`, all of one size, to
+    the outputs ``ys[b]`` of block b: a ``(len(ops), len(lams), size)``
+    array, one row per lambda in `lams`.  One block is a stack of one.
 
-    The one place the fitting path is chosen.  Tikhonov on an operator
+    The one place the fitting path is chosen.  Tikhonov on operators
     with ``solve_shifted`` (the built-in kernel's) solves ``(G + lam *
-    kappa**2 * n * I) alpha = y`` with it: O(n) per lambda, no
-    eigendecomposition.  Every other pair filters one
-    :func:`spectral_model` of the anchors, shared by every ``solve``.
+    kappa**2 * n * I) alpha = y`` with it, block by block: O(n) per
+    lambda, no eigendecomposition.  Every other pair filters one
+    :func:`spectral_model` of the stacked anchors, shared by every
+    ``solve``: one ``filter_values`` call for every block and lambda, and
+    one broadcast matrix-vector product per (block, lambda) row.
     """
-    kernel, x = op.kernel, op.points
-    scale = kernel.kappa ** 2 * x.size
-    if filt.kind == "tikhonov" and hasattr(op, "solve_shifted"):
-        def solve(lams, y):
-            _, y = _as_data(x, y)
-            c = [check_lambda(float(lam)) for lam in lams]
-            return op.solve_shifted(np.array(c) * scale, y)
-    else:
-        evals, V = spectral_model(kernel, x)
+    kernel = ops[0].kernel
+    points = np.stack([op.points for op in ops])
+    scale = kernel.kappa ** 2 * points.shape[-1]
 
-        def solve(lams, y):
-            _, y = _as_data(x, y)
-            Vty = V.T @ y
-            # row by row: one matrix product for every lambda rounds
-            # differently
-            return [(V @ (g * Vty)) / scale
-                    for g in filter_values(filt, lams, evals)]
+    def outputs(ys):
+        return np.stack([_as_data(x, y)[1] for x, y in zip(points, ys,
+                                                           strict=True)])
+
+    if filt.kind == "tikhonov" and hasattr(ops[0], "solve_shifted"):
+        def solve(lams, ys):
+            ys = outputs(ys)
+            c = np.array([check_lambda(float(lam)) for lam in lams]) * scale
+            return np.stack([op.solve_shifted(c, y) for op, y in zip(ops, ys)])
+    else:
+        evals, V = spectral_model(kernel, points)
+
+        def solve(lams, ys):
+            Vty = np.swapaxes(V, -1, -2) @ outputs(ys)[..., None]
+            gV = np.swapaxes(filter_values(filt, lams, evals), 0, 1) \
+                * Vty[:, None, :, 0]
+            # a matrix-vector product per row: one matrix product for
+            # every lambda rounds differently
+            return (V[:, None] @ gV[..., None])[..., 0] / scale
     return solve
 
 
@@ -118,11 +135,11 @@ def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float,
                  x, y) -> KernelExpansion:
     """Fit one block: filter the spectrum of the normalized Gram, or, for
     Tikhonov on the built-in kernel, solve the shifted system (see
-    :func:`coefficient_solver`, which also serves several fits on the
-    same anchors)."""
+    :func:`coefficient_solver`, which also serves several lambdas and a
+    stack of blocks)."""
     x, y = _as_data(x, y)
     op = kernel_operator(kernel, x)
-    alpha = coefficient_solver(op, filt)([lam], y)[0]
+    alpha = coefficient_solver([op], filt)([lam], [y])[0, 0]
     return KernelExpansion(alpha, op)
 
 

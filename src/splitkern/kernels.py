@@ -20,6 +20,7 @@ act on every block at once.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -83,17 +84,21 @@ def _check_domain(a) -> np.ndarray:
 
 
 def gram(kernel: Kernel, points) -> np.ndarray:
-    """Dense Gram matrix ``G[i, j] = K(x_i, x_j)`` for the given anchors.
+    """Dense Gram matrix ``G[..., i, j] = K(x_i, x_j)`` of the anchors on
+    the last axis of `points`; leading axes stack anchor sets of one size,
+    each with its own Gram matrix from one broadcast evaluation.
 
     The result is exactly symmetric: floating-point asymmetry of the
     evaluation rule is averaged out, and a rule that is symmetric in
-    floating point (the built-in) comes out bit for bit unchanged.
+    floating point (the built-in) comes out bit for bit unchanged.  For a
+    rule that acts elementwise, a stacked matrix equals the one of its
+    anchors alone, bit for bit.
     """
-    pts = _check_domain(points).ravel()
-    if pts.size == 0:
+    pts = np.atleast_1d(_check_domain(points))
+    if pts.shape[-1] == 0:
         raise ValueError("gram requires at least one point")
-    G = kernel.fn(pts[:, None], pts[None, :])
-    return 0.5 * (G + G.T)
+    G = kernel.fn(pts[..., :, None], pts[..., None, :])
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 class KernelOperator:
@@ -121,6 +126,11 @@ class KernelOperator:
     def quad_form(self, a) -> float:
         """``a' G a``."""
         return float(a @ self.matvec(a))
+
+    def _reordered(self, index) -> "KernelOperator":
+        """The operator of the anchors ``points[index]``, `index` a
+        permutation of them."""
+        return type(self)(self.kernel, self.points[index])
 
 
 class DenseOperator(KernelOperator):
@@ -178,6 +188,20 @@ class SobolevMinOperator(KernelOperator):
                                                   side="right")
         # lengths of the n + 1 segments between 0, sorted anchors and 1
         self._gaps = np.diff(np.concatenate(([0.0], self._sorted, [1.0])))
+
+    def _reordered(self, index):
+        """This operator's sort, reindexed for the anchors ``points[index]``
+        (`index` a permutation): no second sort.  Exactly tied anchors keep
+        this operator's order among themselves, where a sort of the
+        reordered anchors would take theirs, so their sums may then differ
+        in the last bits."""
+        op = copy.copy(self)
+        op.points = self.points[index]
+        inverse = np.empty_like(index)
+        inverse[index] = np.arange(index.size)
+        op._order = inverse[self._order]
+        op._rank = self._rank[index]
+        return op
 
     def _sums(self, coef):
         return _bridge_sums(self._sorted, np.asarray(coef, dtype=float).take(

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from splitkern import adaptivity
 from splitkern.adaptivity import (adapt, default_m_sequence, empirical_error,
                                   fit_lattice, holdout_split, stopping_index)
 from splitkern.distributed import partition
 from splitkern.estimator import (KernelExpansion, coefficient_solver,
                                  fit_spectral)
 from splitkern.experiments import gen_data
-from splitkern.filters import nu_method, spectral_cutoff, tikhonov
-from splitkern.kernels import (SobolevMinOperator, kernel_operator,
+from splitkern.filters import (filter_values, landweber, nu_method,
+                               spectral_cutoff, tikhonov)
+from splitkern.kernels import (SobolevMinOperator, gram, kernel_operator,
                                sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump
 
@@ -261,11 +265,13 @@ def test_adapt_evaluates_each_block_once_per_level():
     assert len(calls) == sum(lev.m_k for lev in result.trace)
 
 
-@pytest.mark.parametrize("kernel", [sobolev_min(), gaussian()],
-                         ids=["sobolev-min", "gaussian"])
-def test_adapt_identical_across_workers(kernel):
+@pytest.mark.parametrize("kernel, filt", [
+    (sobolev_min(), tikhonov()), (gaussian(), tikhonov()),
+    (sobolev_min(), spectral_cutoff())],
+    ids=["sobolev-min", "gaussian", "cutoff"])
+def test_adapt_identical_across_workers(kernel, filt):
     x, y = gen_data(quadratic_bump(), 400, 0.01, 15)
-    one, two = (adapt(x, y, kernel, tikhonov(), np.logspace(-6, 0, 13),
+    one, two = (adapt(x, y, kernel, filt, np.logspace(-6, 0, 13),
                       delta=0.5, seed=6, workers=w) for w in (1, 2))
     assert one.trace == two.trace
     assert (one.k_star, one.lambda_hat) == (two.k_star, two.lambda_hat)
@@ -273,28 +279,74 @@ def test_adapt_identical_across_workers(kernel):
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
+def _one_block_spectral_fit(kernel, filt, lattice, x, y):
+    """The eigendecomposing fit of one block, written out: one ``eigh``,
+    and one product with the eigenvectors per lambda."""
+    scale = kernel.kappa ** 2 * x.size
+    evals, vecs = np.linalg.eigh(gram(kernel, x) / scale)
+    evals = np.clip(evals[::-1], 0.0, 1.0)
+    evals[evals < 1e-14] = 0.0
+    V = vecs[:, ::-1]
+    return np.array([V @ (filter_values(filt, lam, evals) * (V.T @ y))
+                     / scale for lam in lattice])
+
+
 @pytest.mark.parametrize("kernel, filt", [
     (sobolev_min(), tikhonov()),          # the shifted solve
     (sobolev_min(), spectral_cutoff()),   # eigendecomposition
     (sobolev_min(), nu_method()),
+    (sobolev_min(), landweber()),
     (gaussian(), tikhonov()),
-], ids=["solve", "cutoff", "nu-method", "gaussian"])
-def test_lattice_rows_are_single_lambda_fits(kernel, filt):
+], ids=["solve", "cutoff", "nu-method", "landweber", "gaussian"])
+def test_lattice_rows_are_single_lambda_fits(monkeypatch, kernel, filt):
     # row i of a level is the block fits at lattice[i], bit for bit, on
-    # every path: the shifted solve forms each shift's products as a
-    # one-shift solve does
+    # every path: a chunk's stacked eigendecomposition and its broadcast
+    # products give each block what its own fit gives, and the shifted
+    # solve forms each shift's products as a one-shift solve does.  The
+    # 7 blocks have 29 and 28 points: two chunks, or with the cap below
+    # one block's Gram values, one chunk per block; on one and two workers
     x, y = gen_data(quadratic_bump(), 200, 0.01, 16)
     lattice = np.logspace(-6, 0, 13)[::-1]
-    fits = fit_lattice(kernel, filt, lattice, x, y, 3)
-    blocks = partition(len(x), 3).blocks
-    solves = [coefficient_solver(kernel_operator(kernel, x[ix]), filt)(
-        lattice, y[ix]) for ix in blocks]
-    for i, lam in enumerate(lattice):
-        for ix, fit, c in zip(blocks, fits[i].block_fits, solves):
-            ref = fit_spectral(kernel, filt, lam, x[ix], y[ix])
-            assert np.array_equal(fit.points, ref.points)
-            assert np.array_equal(fit.coefficients, c[i])
-            assert np.array_equal(fit.coefficients, ref.coefficients)
+    blocks = partition(len(x), 7).blocks
+    solves = [coefficient_solver([kernel_operator(kernel, x[ix])], filt)(
+        lattice, [y[ix]])[0] for ix in blocks]
+    if not (filt.kind == "tikhonov"
+            and hasattr(kernel_operator(kernel, x), "solve_shifted")):
+        for ix, c in zip(blocks, solves):
+            assert np.array_equal(c, _one_block_spectral_fit(
+                kernel, filt, lattice, x[ix], y[ix]))
+    for cap, chunks in ((adaptivity.CHUNK_VALUES, [4, 3]),
+                        (28 ** 2 - 1, [1] * 7)):
+        monkeypatch.setattr(adaptivity, "CHUNK_VALUES", cap)
+        assert list(map(len, adaptivity._chunks(blocks))) == chunks
+        for workers in (1, 2):
+            fits = fit_lattice(kernel, filt, lattice, x, y, 7, workers)
+            for i, lam in enumerate(lattice):
+                for ix, fit, c in zip(blocks, fits[i].block_fits, solves,
+                                      strict=True):
+                    ref = fit_spectral(kernel, filt, lam, x[ix], y[ix])
+                    assert np.array_equal(fit.points, ref.points)
+                    assert np.array_equal(fit.coefficients, c[i])
+                    assert np.array_equal(fit.coefficients, ref.coefficients)
+
+
+def test_lattice_fit_memory_is_bounded_by_the_chunk_cap():
+    # A user kernel at n = 4096, m = 26: blocks of 158 and 157 points, 13
+    # of each.  The peak holds the level's coefficients (26 x 25 x ~158,
+    # 0.8 MB) and about two chunk-sized arrays at a time (the kernel's
+    # argument and its exponential; numpy reuses the other temporaries),
+    # so three chunks of CHUNK_VALUES Gram values (1 MiB each) bound it.
+    # One chunk per block size, 13 Gram matrices (2.6 MB), peaks at 5.7 MB.
+    x, y = gen_data(quadratic_bump(), 4096, 0.005, 18)
+    lattice = np.logspace(-6, 0, 25)
+    tracemalloc.start()
+    try:
+        fits = fit_lattice(gaussian(), tikhonov(), lattice, x, y, 26, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(f.coefficients.nbytes for f in fits.block_fits)
+    assert peak < out + 3 * 8 * adaptivity.CHUNK_VALUES
 
 
 def test_adapt_builds_one_operator_per_block_and_level(monkeypatch):

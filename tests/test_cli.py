@@ -247,11 +247,14 @@ def _fail(*args, **kwargs):
      "alpha must be finite and nonnegative, got inf"),
     (["sweep-n", "--ns", "16,32", "--alphas", "nan"],
      "alpha must be finite and nonnegative, got nan"),
-    (["sweep-n", "--ns", "16,-4", "--alphas", "0.5"], "n must be positive")])
+    (["sweep-n", "--ns", "16,-4", "--alphas", "0.5"], "n must be positive"),
+    (["simulate", "--quad-nodes", "100000000"],
+     "quad_nodes must lie in [64, 4096], got 100000000")])
 def test_level_without_block_count_exits_2(capsys, monkeypatch, command,
                                            message):
     # a negative or non-finite alpha, or a negative n, has no block count:
-    # rejected with the other levels, before the first oracle
+    # rejected with the other levels, before the first oracle; so is a
+    # quadrature too large to build (10**8 nodes asked numpy for 71 PiB)
     monkeypatch.setattr(experiments, "oracle_select", _fail)
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and out == ""

@@ -227,6 +227,27 @@ def test_dense_operator_is_the_gram(dense_sobolev):
     assert op.quad_form(a) == float(a @ (G @ a))
 
 
+@pytest.mark.parametrize("name", ["unsorted", "endpoints", "single"])
+def test_reordered_operator_is_the_reordered_anchors_operator(kernel,
+                                                              dense_sobolev,
+                                                              name):
+    # the structured operator reindexes its sort instead of sorting again;
+    # with no tied interior anchors every product is a fresh operator's
+    pts = ANCHORS[name]
+    rng = np.random.default_rng(pts.size + 2)
+    index = rng.permutation(pts.size)
+    t = np.concatenate([rng.random(30), pts])
+    a = rng.standard_normal((2, pts.size))
+    for kern in (kernel, dense_sobolev):
+        got = kernel_operator(kern, pts)._reordered(index)
+        ref = kernel_operator(kern, pts[index])
+        assert type(got) is type(ref)
+        assert np.array_equal(got.points, ref.points)
+        assert np.array_equal(got.matvec(a[0]), ref.matvec(a[0]))
+        assert np.array_equal(got.cross(a, t), ref.cross(a, t))
+        assert got.quad_form(a[1]) == ref.quad_form(a[1])
+
+
 _PAIRS = np.random.default_rng(8).random(24)
 SOLVE_ANCHORS = {
     **ANCHORS,
