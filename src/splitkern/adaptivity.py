@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .distributed import AveragedEstimator, partition
-from .estimator import KernelExpansion, coefficient_solver
+from .distributed import (AveragedEstimator, _check_block_count,
+                          _solve_blocks, partition)
+from .estimator import _as_data
 from .filters import FilterSpec
-from .kernels import Kernel, kernel_operator
+from .kernels import Kernel, _check_domain
 
 
 @dataclass(frozen=True)
@@ -92,61 +91,16 @@ def default_m_sequence(n_train: int):
     return seq
 
 
-# Gram values (blocks x size**2) that one chunk of a lattice fit
-# eigendecomposes at once.  A chunk's stacked Gram matrix and its
-# eigenvectors then take 1 MiB each, so a level's temporaries stay a few
-# MiB per worker at any n, while a chunk still holds 145 blocks of 30
-# points: each pool task is one large ``eigh``, which releases the
-# GIL, not numpy's per-call overhead, which holds it.  On an adapt call
-# with a user kernel (n = 4096, 2 workers, fresh process, 2-core x86-64)
-# 2**14 and 2**16 took 0.21 and 0.18 s with about 2x the page faults of
-# 2**17 (0.16 s); 2**18 and 2**20 were no faster and peaked 2 MiB higher.
-CHUNK_VALUES = 2 ** 17
-
-
-def _chunks(blocks):
-    """Runs of consecutive blocks of one size, each of at most
-    `CHUNK_VALUES` Gram values (one block at least)."""
-    out = []
-    for size, run in groupby(blocks, len):
-        run = list(run)
-        step = max(1, CHUNK_VALUES // size ** 2)
-        out += [run[i:i + step] for i in range(0, len(run), step)]
-    return out
-
-
 def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
                 m_k: int, workers=None) -> AveragedEstimator:
     """The averaged estimator over `m_k` blocks with one row per lattice
-    value: ``fit_lattice(...)[i]`` is the fit at ``lattice[i]``.
-
-    Pure function of the training data.  One pool task fits a chunk of
-    consecutive blocks of one size (:func:`_chunks`; a balanced partition
-    has at most two sizes) for the whole lattice: one stacked
-    eigendecomposition, or one shifted solve per block for Tikhonov with
-    the built-in kernel (see ``coefficient_solver``).  Each block keeps
-    the Gram operator its fit built, and its coefficients are its own
-    ``fit_spectral``'s at every lattice value, bit for bit.
-    """
-    x_t = np.asarray(x_t, dtype=float).ravel()
-    y_t = np.asarray(y_t, dtype=float).ravel()
-
-    def fit(chunk):
-        ops = [kernel_operator(kernel, x_t[ix]) for ix in chunk]
-        return ops, coefficient_solver(ops, filt)(
-            lattice, [y_t[ix] for ix in chunk])
-
-    fitted = parallel_map(fit, _chunks(partition(len(x_t), m_k).blocks),
-                          workers)
-    # Each block gets its own copy of its coefficients, made on this
-    # thread after every chunk is fitted, so the chunks' arrays, made on
-    # pool threads, are freed.  Keeping views of them instead raised the
-    # peak RSS of a fresh-process adapt call with a user kernel (n = 4096,
-    # 2 workers) from 45.4 to 46.2 MiB, at the same time and 18% fewer
-    # page faults.
-    return AveragedEstimator(block_fits=tuple(
-        KernelExpansion(np.array(c), op)
-        for ops, coefs in fitted for op, c in zip(ops, coefs)))
+    value: ``fit_lattice(...)[i]`` is the fit at ``lattice[i]``, each block
+    its own ``fit_spectral``'s bit for bit, a chunk of equal-size blocks
+    per pool task (``distributed._solve_blocks``).  Pure function of the
+    training data."""
+    x_t, y_t = _as_data(x_t, y_t)
+    return _solve_blocks(kernel, filt, lattice, x_t, [y_t],
+                         partition(len(x_t), m_k).blocks, workers)
 
 
 @dataclass(frozen=True)
@@ -183,8 +137,8 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
     lattice = np.sort(np.asarray(lattice, dtype=float))[::-1]
     if lattice.size == 0:
         raise ValueError("lambda lattice is empty")
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x, y = _as_data(x, y)
+    _check_domain(x)
 
     split = holdout_split(len(x), val_fraction, seed)
     x_t, y_t = x[split.train], y[split.train]
@@ -197,8 +151,8 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
         raise ValueError("need at least three partition levels")
     if any(b >= a for a, b in zip(m_sequence, m_sequence[1:])):
         raise ValueError("partition counts must be strictly decreasing")
-    if m_sequence[0] > len(x_t):
-        raise ValueError("more blocks than training points")
+    for m in m_sequence:
+        _check_block_count(len(x_t), m)
 
     errs: list[float] = []
     trace: list[AdaptLevel] = []

@@ -18,6 +18,10 @@ import numpy as np
 
 ENDPOINT_TOL = 1e-9
 ZERO_COEFF_TOL = 1e-10
+# Largest J of `fourier_coefficients`: by the analytic rule, arrays of 512
+# KiB; by quadrature, 4 J nodes, as many as ``experiments.QUAD_NODES_MAX``
+# (``leggauss`` eigendecomposes an N x N matrix: about 11 s and 290 MiB).
+_MAX_J, _MAX_QUADRATURE_J = 2 ** 16, 1024
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,12 @@ def fourier_coefficients(target: TargetFunction, J: int) -> np.ndarray:
     Uses the analytic rule when the target carries one, otherwise
     Gauss-Legendre quadrature, on ``max(128, 4 J)`` nodes, of ``sqrt(2) pi
     j int f(x) sin(pi j x) dx`` (the integrated-by-parts form, so no
-    derivative is needed).
+    derivative is needed).  `J` lies in [1, 65536], and in [1, 1024] for
+    quadrature.
     """
-    if J < 1:
-        raise ValueError("J must be positive")
+    cap = _MAX_J if target.coefficient_rule is not None else _MAX_QUADRATURE_J
+    if not 1 <= J <= cap:
+        raise ValueError(f"J must lie in [1, {cap}], got {J}")
     js = np.arange(1, J + 1)
     if target.coefficient_rule is not None:
         return np.asarray(target.coefficient_rule(js), dtype=float)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitkern import adaptivity
+from splitkern import adaptivity, distributed
 from splitkern.adaptivity import (adapt, default_m_sequence, empirical_error,
                                   fit_lattice, holdout_split, stopping_index)
 from splitkern.distributed import partition
@@ -172,6 +172,23 @@ def test_adapt_input_validation():
         adapt(x, y, kernel, tikhonov(), [0.1], delta=1.5, seed=1)
 
 
+@pytest.mark.parametrize("bad", ["nan-y", "x-above-1"])
+def test_adapt_rejects_bad_validation_input_before_fitting(monkeypatch, bad):
+    # a validation point is checked as a training point is, before the
+    # first level is fitted
+    def no_fit(*args):
+        raise AssertionError("a level was fitted")
+    monkeypatch.setattr(adaptivity, "fit_lattice", no_fit)
+    x, y = gen_data(quadratic_bump(), 400, 0.01, 0)
+    i = holdout_split(400, 0.2, seed=0).validation[3]
+    if bad == "nan-y":
+        y[i] = np.nan
+    else:
+        x[i] = 1.5
+    with pytest.raises(ValueError):
+        adapt(x, y, sobolev_min(), tikhonov(), np.logspace(-6, 0, 13), seed=0)
+
+
 def test_adapt_lattice_tie_breaks_toward_larger_lambda():
     kernel = sobolev_min()
     target = quadratic_bump()
@@ -315,10 +332,14 @@ def test_lattice_rows_are_single_lambda_fits(monkeypatch, kernel, filt):
         for ix, c in zip(blocks, solves):
             assert np.array_equal(c, _one_block_spectral_fit(
                 kernel, filt, lattice, x[ix], y[ix]))
-    for cap, chunks in ((adaptivity.CHUNK_VALUES, [4, 3]),
+    # adapt-user-kernel's m = 26 level (one block of 127 points, 25 of
+    # 126) splits into near-equal chunks
+    m26 = partition(3277, 26).blocks
+    assert list(map(len, distributed._chunks(m26))) == [1, 7, 6, 6, 6]
+    for cap, chunks in ((distributed.CHUNK_VALUES, [4, 3]),
                         (28 ** 2 - 1, [1] * 7)):
-        monkeypatch.setattr(adaptivity, "CHUNK_VALUES", cap)
-        assert list(map(len, adaptivity._chunks(blocks))) == chunks
+        monkeypatch.setattr(distributed, "CHUNK_VALUES", cap)
+        assert list(map(len, distributed._chunks(blocks))) == chunks
         for workers in (1, 2):
             fits = fit_lattice(kernel, filt, lattice, x, y, 7, workers)
             for i, lam in enumerate(lattice):
@@ -346,7 +367,7 @@ def test_lattice_fit_memory_is_bounded_by_the_chunk_cap():
     finally:
         tracemalloc.stop()
     out = sum(f.coefficients.nbytes for f in fits.block_fits)
-    assert peak < out + 3 * 8 * adaptivity.CHUNK_VALUES
+    assert peak < out + 3 * 8 * distributed.CHUNK_VALUES
 
 
 def test_adapt_builds_one_operator_per_block_and_level(monkeypatch):

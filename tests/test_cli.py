@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from splitkern import experiments
+from splitkern import adaptivity, experiments
 from splitkern.cli import _config_from_args, build_parser, main
 from splitkern.experiments import SETTINGS, ExperimentConfig
 
@@ -222,13 +222,14 @@ def test_empty_or_repeated_list_exits_2(capsys, monkeypatch, command, name):
     (["simulate", "--m", "0"], 0, 1024),
     (["simulate", "--m", "5000", "--n", "2048"], 5000, 2048),
     (["sweep-alpha", "--alphas", "0,1.2", "--n", "64"], 147, 64),
-    (["sweep-n", "--ns", "1,16", "--alphas", "0,1.2"], 28, 16)])
+    (["sweep-n", "--ns", "1,16", "--alphas", "0,1.2"], 28, 16),
+    (["adapt", "--m-sequence", "20,10,0"], 0, 819)])
 def test_block_count_out_of_range_exits_2(capsys, monkeypatch, command, m,
                                           n):
-    # every level of every n is checked before the first oracle
-    def no_oracle(cfg):
-        raise AssertionError("the oracle ran")
-    monkeypatch.setattr(experiments, "oracle_select", no_oracle)
+    # every level of every n is checked before the first oracle or, for
+    # adapt, before the first level is fitted
+    monkeypatch.setattr(experiments, "oracle_select", _fail)
+    monkeypatch.setattr(adaptivity, "fit_lattice", _fail)
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and out == ""
     assert err == f"error: need 1 <= m <= n, got m={m}, n={n}\n"
@@ -249,12 +250,15 @@ def _fail(*args, **kwargs):
      "alpha must be finite and nonnegative, got nan"),
     (["sweep-n", "--ns", "16,-4", "--alphas", "0.5"], "n must be positive"),
     (["simulate", "--quad-nodes", "100000000"],
-     "quad_nodes must lie in [64, 4096], got 100000000")])
+     "quad_nodes must lie in [64, 4096], got 100000000"),
+    (["smoothness", "--max-j", "1000000000000"],
+     "J must lie in [1, 65536], got 1000000000000")])
 def test_level_without_block_count_exits_2(capsys, monkeypatch, command,
                                            message):
     # a negative or non-finite alpha, or a negative n, has no block count:
     # rejected with the other levels, before the first oracle; so is a
     # quadrature too large to build (10**8 nodes asked numpy for 71 PiB)
+    # and a coefficient count too large to allocate (10**12 did the same)
     monkeypatch.setattr(experiments, "oracle_select", _fail)
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and out == ""

@@ -71,14 +71,18 @@ def test_m1_identity(kernel):
     (tikhonov(), 0.01, fit_spectral),
     (spectral_cutoff(), 0.01, fit_spectral),
 ], ids=["nu-method", "landweber", "tikhonov", "cutoff"])
-def test_block_fit_path_follows_filter(kernel, filt, lam, fit):
-    # iterative filters iterate, the others filter the spectrum
-    x, y = _data(90, seed=4)
-    part = partition(90, 3)
-    avg = fit_distributed(kernel, filt, lam, x, y, part)
-    for ix, block in zip(part.blocks, avg.block_fits):
-        ref = fit(kernel, filt, lam, x[ix], y[ix])
-        assert np.array_equal(block.coefficients, ref.coefficients)
+def test_block_fit_path_follows_filter(kernel, dense_sobolev, filt, lam,
+                                       fit):
+    # iterative filters iterate, the others filter the spectrum; 91 points
+    # make blocks of 31, 30 and 30, two chunks of a stacked fit
+    for kern in (kernel, dense_sobolev):
+        for n in (90, 91):
+            x, y = _data(n, seed=4)
+            part = partition(n, 3)
+            avg = fit_distributed(kern, filt, lam, x, y, part)
+            for ix, block in zip(part.blocks, avg.block_fits, strict=True):
+                ref = fit(kern, filt, lam, x[ix], y[ix])
+                assert np.array_equal(block.coefficients, ref.coefficients)
 
 
 def test_prediction_is_mean_of_local_predictions(kernel):
@@ -229,18 +233,22 @@ def test_diagnostic_split_fits_are_fit_distributed(kernel, dense_sobolev,
 
 def test_diagnostic_split_eigendecomposes_each_block_once(kernel,
                                                           monkeypatch):
-    # the fit and the surrogate filter the same spectral model per block
+    # the fit and the surrogate filter the same spectral model per block,
+    # and the 4 equal blocks share one stacked eigendecomposition
     calls = []
     spectral_model = estimator.spectral_model
     monkeypatch.setattr(estimator, "spectral_model",
-                        lambda *a: calls.append(a) or spectral_model(*a))
+                        lambda k, pts: calls.append(pts)
+                        or spectral_model(k, pts))
     target = quadratic_bump()
     rng = np.random.default_rng(22)
     x = rng.random(200)
     y = target(x) + 0.01 * rng.standard_normal(200)
-    diagnostic_split(kernel, spectral_cutoff(), 1e-3, x, y, partition(200, 4),
-                     target)
-    assert len(calls) == 4
+    part = partition(200, 4)
+    diagnostic_split(kernel, spectral_cutoff(), 1e-3, x, y, part, target)
+    assert len(calls) == 1
+    stacked = [tuple(p) for pts in calls for p in np.atleast_2d(pts)]
+    assert sorted(stacked) == sorted(tuple(x[ix]) for ix in part.blocks)
 
 
 @pytest.mark.parametrize("filt", [landweber(), nu_method()],

@@ -104,6 +104,15 @@ def test_tail_probe_brackets_bump_threshold():
         assert (slope > 0.1) == growing
 
 
+def test_coefficient_count_is_bounded():
+    # 4 J quadrature nodes stay within the L2 error's 4096
+    assert fourier_coefficients(quadratic_bump(), 65536).size == 65536
+    for target, J in ((quadratic_bump(), 65537),
+                      (_by_quadrature(quadratic_bump()), 1025)):
+        with pytest.raises(ValueError):
+            fourier_coefficients(target, J)
+
+
 def test_quadrature_requires_vanishing_endpoints():
     bad = TargetFunction("user", lambda x: np.asarray(x, dtype=float) + 0.0)
     with pytest.raises(ValueError):
