@@ -4,13 +4,13 @@ chunks of a partition level's block fits.
 Threads share the GIL.  Dense LAPACK and BLAS calls (``eigh``, Gram
 products) release it for their whole run.  The O(n) paths of the built-in
 kernel are many short numpy calls, which hold it for their per-call
-overhead, so threads overlap less there.  A level's spectral or shifted
-fit (``distributed._solve_blocks``) therefore hands the pool one chunk of
-equal-size blocks per task, not one block: each task is one stacked
-``eigh`` and a few broadcast products, where a task per block of a few
-dozen points spent its time in numpy's per-call overhead and ran slower
-on two threads than on one.  Results come back in submission order, so
-the worker count never changes any output.
+overhead, so they fit a whole level at once on the calling thread.  A
+level's eigendecomposing fit (``distributed._solve_blocks``) hands the
+pool one chunk of equal-size blocks per task, not one block: each task is
+one stacked ``eigh`` and a few broadcast products, where a task per block
+of a few dozen points spent its time in numpy's per-call overhead and ran
+slower on two threads than on one.  Results come back in submission
+order, so the worker count never changes any output.
 """
 
 from __future__ import annotations

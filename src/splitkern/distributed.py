@@ -17,10 +17,11 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .estimator import (KernelExpansion, _as_data, _evaluate,
-                        coefficient_solver, iterate_coefficients)
+                        _solves_shifted, coefficient_solver,
+                        iterate_coefficients)
 from .filters import FilterSpec, check_steps, iterate
-from .kernels import (Kernel, kernel_operator, level_operator, rkhs_error_sq,
-                      rkhs_norm_sq)
+from .kernels import (DenseOperator, Kernel, kernel_operator, level_operator,
+                      rkhs_error_sq, rkhs_norm_sq)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ def _check_block_count(n: int, m: int) -> None:
 
 
 class AveragedEstimator:
-    """Arithmetic mean of per-block kernel expansions, `block_fits`.
+    """Arithmetic mean of per-block kernel expansions, `block_fits`, of a
+    user kernel (the built-in kernel's are :class:`LevelEstimator`).
 
     Block expansions with 2-D coefficients give one averaged estimator
     per row (one per lambda of a lattice, as `fit_lattice` returns them);
@@ -70,10 +72,10 @@ class AveragedEstimator:
 
     def __init__(self, block_fits):
         self.block_fits = tuple(block_fits)
-
-    @property
-    def m(self) -> int:
-        return len(self.block_fits)
+        self.m = len(self.block_fits)
+        self.kernel = self.block_fits[0].operator.kernel
+        # every block's anchors, blocks in order
+        self.points = np.concatenate([f.points for f in self.block_fits])
 
     def __call__(self, x):
         total = self.block_fits[0](x)
@@ -83,11 +85,6 @@ class AveragedEstimator:
 
     def __getitem__(self, i):
         return AveragedEstimator(f[i] for f in self.block_fits)
-
-    @property
-    def points(self) -> np.ndarray:
-        """Every block's anchors, blocks in order."""
-        return np.concatenate([f.points for f in self.block_fits])
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -101,25 +98,17 @@ class AveragedEstimator:
         return KernelExpansion(self.coefficients, kernel_operator(
             self.kernel, self.points))
 
-    @property
-    def kernel(self) -> Kernel:
-        return self.block_fits[0].operator.kernel
-
 
 class LevelEstimator(AveragedEstimator):
-    """The average of a partition level fitted at once: `level` holds a
-    row of coefficients per block of the block-layout `operator` (and a
-    leading row per fit, ``est[i]``).  It predicts every block at once
-    (``mean_cross``), adding the blocks in ascending order as the base
-    class does; `block_fits` builds each block's own operator when read."""
+    """The average of a built-in kernel's partition level: `level` is an
+    ``(..., m, s)`` level vector of the block-layout `operator` (a leading
+    row per fit, ``est[i]``), predicted at once (``mean_cross``) with the
+    blocks added in ascending order, as the base class adds them.
+    `block_fits` builds each block's own operator when read."""
 
     def __init__(self, operator, level):
-        self.operator = operator
-        self.level = level
-
-    @property
-    def m(self) -> int:
-        return self.operator.m
+        self.operator, self.level, self.m = operator, level, operator.m
+        self.kernel, self.points = operator.kernel, operator.points
 
     def __call__(self, x):
         return _evaluate(self.operator.mean_cross, self.level, x)
@@ -134,19 +123,11 @@ class LevelEstimator(AveragedEstimator):
         return tuple(
             KernelExpansion(a, kernel_operator(op.kernel, p)) for a, p in zip(
                 np.split(op.blocks(self.level), split, axis=-1),
-                np.split(op.blocks(op.points), split)))
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.operator.blocks(self.operator.points)
+                np.split(op.points, split)))
 
     @property
     def coefficients(self) -> np.ndarray:
         return self.operator.blocks(self.level) / self.m
-
-    @property
-    def kernel(self) -> Kernel:
-        return self.operator.kernel
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
@@ -155,9 +136,7 @@ def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
 
     Each block's coefficients are bit for bit its :func:`fit_iterative`'s
     for an iterative filter (Landweber, nu-method) and its
-    :func:`fit_spectral`'s for any other.  On the built-in kernel the
-    iterations step every block at once; a spectral or shifted fit runs a
-    chunk of equal-size blocks at a time (:func:`_fit_blocks`).  With
+    :func:`fit_spectral`'s for any other (:func:`_fit_blocks`).  With
     ``m == 1`` this reduces exactly to the single-machine fit.
     """
     return _fit_blocks(kernel, filt, lam, x, [y], part)[0]
@@ -166,13 +145,13 @@ def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
 def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
     """The fits of every block of `part` to each right-hand side in `ys`,
     as one average with a row per right-hand side.  Every input is checked
-    before any block is fitted; each block's operator (and
-    eigendecomposition) serves every row.  A filter that does not iterate
-    runs :func:`_solve_blocks` on one worker, as the Monte-Carlo runs share
-    the pool.  On the built-in kernel an iterative filter steps the
-    ``(rows, m, s)`` level vector, with ``1 / (kappa**2 |block|)`` as an
-    ``(m, 1)`` column: every step is elementwise or a row's prefix sums,
-    so each block's coefficients are its own fit's.
+    before any block is fitted; one operator (and eigendecomposition)
+    serves every row.  A filter that does not iterate runs
+    :func:`_solve_blocks` on one worker, as the Monte-Carlo runs share the
+    pool.  On the built-in kernel an iterative filter steps the ``(rows,
+    m, s)`` level vector, with ``1 / (kappa**2 |block|)`` as an ``(m, 1)``
+    column: every step is elementwise or a row's prefix sums, so each
+    block's coefficients are its own fit's.
     """
     x = np.asarray(x, dtype=float).ravel()
     if sum(map(len, part.blocks)) != x.size:
@@ -185,7 +164,7 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
     if op is not None:
         scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
         b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
-        steps = iterate(filt, b, lambda v: scale * op.matvec(v))
+        steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
         return LevelEstimator(op, next(islice(steps, k - 1, None)))
     fits = []
     for ix in part.blocks:
@@ -224,19 +203,28 @@ def _solve_blocks(kernel, filt, lams, x, ys, blocks,
     """The :func:`coefficient_solver` fits of every block ``x[ix]``, `ix`
     in `blocks`, to every right-hand side in `ys` at every lambda in
     `lams`: an average with row ``r * len(lams) + l`` for ``ys[r]`` at
-    ``lams[l]``.  One task of `workers` fits a chunk (:func:`_chunks`)
-    with one stacked eigendecomposition, or one shifted solve per block
-    for Tikhonov on the built-in kernel.  Each block keeps the operator
-    its fit built, and its own ``fit_spectral``'s coefficients, bit for
-    bit.
+    ``lams[l]``; each block's coefficients are its ``fit_spectral``'s.  The
+    built-in kernel's level is one :class:`LevelEstimator`, and Tikhonov
+    one ``solve_shifted`` call per right-hand side.  Otherwise one task of
+    `workers` eigendecomposes a chunk of equal-size blocks
+    (:func:`_chunks`), whose dense operators a user kernel's blocks keep.
     """
+    level = level_operator(kernel, x, blocks)
+    if level is not None and _solves_shifted(level, filt):
+        solve = coefficient_solver([level], filt)
+        rows = [solve(lams, [y[np.concatenate(blocks)]])[0] for y in ys]
+        return LevelEstimator(level, level.layout(np.concatenate(rows)))
+
     def fit(chunk):
-        ops = [kernel_operator(kernel, x[ix]) for ix in chunk]
+        ops = [DenseOperator(kernel, x[ix]) for ix in chunk]
         solve = coefficient_solver(ops, filt)
         return ops, np.concatenate([solve(lams, y[chunk]) for y in ys],
                                    axis=1)
 
     fitted = parallel_map(fit, _chunks(blocks), workers)
+    if level is not None:
+        return LevelEstimator(level, level.layout(np.concatenate(
+            [c for _, coefs in fitted for c in coefs], axis=-1)))
     # Each block gets its own copy of its coefficients, made on this
     # thread after every chunk is fitted, so the chunks' arrays, made on
     # pool threads, are freed.  Keeping views of them instead raised the

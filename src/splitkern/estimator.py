@@ -8,7 +8,8 @@ expansion ``f(x) = sum_j alpha_j K(x_j, x)`` with
 
 For Tikhonov, ``g_lam(t) = 1/(lam + t)``, this is ``alpha = (G + lam *
 kappa**2 * n * I)^{-1} y``; with the built-in kernel that system is solved
-in O(n) without the eigendecomposition (:func:`coefficient_solver`).
+in O(n) without the eigendecomposition, for a whole partition level at
+once (:func:`coefficient_solver`).
 
 Iterative filters can alternatively be run as actual iterations in
 coefficient space; both paths agree to high accuracy and the agreement
@@ -91,34 +92,42 @@ def spectral_model(kernel: Kernel, x) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs[..., ::-1]
 
 
-def coefficient_solver(ops, filt: FilterSpec):
-    """``solve(lams, ys)``: expansion coefficients of the single-block fits
-    on the anchors of each Gram operator in `ops`, all of one size, to
-    the outputs ``ys[b]`` of block b: a ``(len(ops), len(lams), size)``
-    array, one row per lambda in `lams`.  One block is a stack of one.
+def _solves_shifted(op, filt: FilterSpec) -> bool:
+    """Tikhonov on an operator with ``solve_shifted`` is solved with it."""
+    return filt.kind == "tikhonov" and hasattr(op, "solve_shifted")
 
-    The one place the fitting path is chosen.  Tikhonov on operators
-    with ``solve_shifted`` (the built-in kernel's) solves ``(G + lam *
-    kappa**2 * n * I) alpha = y`` with it, block by block: O(n) per
-    lambda, no eigendecomposition.  Every other pair filters one
-    :func:`spectral_model` of the stacked anchors, shared by every
-    ``solve``: one ``filter_values`` call for every block and lambda, and
+
+def coefficient_solver(ops, filt: FilterSpec):
+    """``solve(lams, ys)``: expansion coefficients of the fits on the
+    anchors of each Gram operator in `ops` to the outputs ``ys[b]`` of
+    operator b: a ``(len(ops), len(lams), size)`` array, one row per
+    lambda in `lams`.
+
+    The one place the fitting path is chosen (:func:`_solves_shifted`).
+    Tikhonov on the built-in kernel takes one operator, a level of one
+    block or more, and one ``solve_shifted`` call solves ``(G_i + lam *
+    kappa**2 |block i| I) alpha_i = y_i`` for every block i and lambda in
+    O(n) each.  Every other pair takes a stack of one-block operators of
+    one size and filters one :func:`spectral_model` of the stacked
+    anchors: one ``filter_values`` call for every block and lambda, and
     one broadcast matrix-vector product per (block, lambda) row.
     """
     kernel = ops[0].kernel
     points = np.stack([op.points for op in ops])
-    scale = kernel.kappa ** 2 * points.shape[-1]
 
     def outputs(ys):
         return np.stack([_as_data(x, y)[1] for x, y in zip(points, ys,
                                                            strict=True)])
 
-    if filt.kind == "tikhonov" and hasattr(ops[0], "solve_shifted"):
+    if _solves_shifted(ops[0], filt):
+        (op,) = ops
+        scale = kernel.kappa ** 2 * op.sizes
         def solve(lams, ys):
-            ys = outputs(ys)
-            c = np.array([check_lambda(float(lam)) for lam in lams]) * scale
-            return np.stack([op.solve_shifted(c, y) for op, y in zip(ops, ys)])
+            lams = np.array([check_lambda(float(lam)) for lam in lams])
+            return np.stack([op.solve_shifted(lams[:, None, None] * scale, y)
+                             for y in outputs(ys)])
     else:
+        scale = kernel.kappa ** 2 * points.shape[-1]
         evals, V = spectral_model(kernel, points)
 
         def solve(lams, ys):

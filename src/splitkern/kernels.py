@@ -7,15 +7,14 @@ continuous functions vanishing at both endpoints with inner product
 with a vectorized evaluation rule and a supremum bound ``kappa``.
 
 Products with the Gram matrix of fixed anchors go through a
-:class:`KernelOperator` from :func:`kernel_operator`.  The built-in kernel
-gets an O(n) structured operator: ``min(x, t) - x*t`` is the
-Brownian-bridge covariance, so an expansion in it is piecewise linear
-with kinks at the anchors, and prefix sums over the sorted anchors give
-its values and its derivative; its shifted systems ``(G + c I) a = y``
-are solved in O(n) as well.  Other kernels get a dense operator.  The
-blocks of one partition level of the built-in kernel can share one
-:class:`BlockLayoutOperator` from :func:`level_operator`, whose products
-act on every block at once.
+:class:`KernelOperator` from :func:`kernel_operator`.  Other kernels get a
+dense operator; the built-in kernel has one O(n) structured operator,
+:class:`BlockLayoutOperator`, for every block of a partition level at
+once (:func:`level_operator`; one block is a level of one):
+``min(x, t) - x*t`` is the Brownian-bridge covariance, so an expansion in
+it is piecewise linear with kinks at the anchors, and prefix sums over the
+sorted anchors give its values, its derivative and the O(n) solves of its
+shifted systems ``(G + c I) a = y``.
 """
 
 from __future__ import annotations
@@ -169,125 +168,6 @@ def _bridge_values(sums, t, seg):
     return prefix.take(seg, axis=-1) + t * slope.take(seg, axis=-1)
 
 
-class SobolevMinOperator(KernelOperator):
-    """``min(x, t) - x*t`` without forming G: O(n) per product after one sort.
-
-    ``f = sum_j a_j K(x_j, .)`` is ``f(t) = P(t) + t * D(t)`` with
-    ``P(t) = sum_{x_j <= t} x_j a_j`` and ``D(t) = sum_{x_j > t} a_j -
-    sum_j x_j a_j``, where ``D`` is also ``f'`` between anchors.  Tied
-    anchors need no special case: at a tie both branches of ``min`` agree.
-    """
-
-    def __init__(self, kernel, points):
-        super().__init__(kernel, points)
-        self._order = np.argsort(points, kind="stable")
-        self._sorted = points[self._order]
-        # segment of each anchor: the number of anchors <= it
-        self._rank = np.empty(points.size, dtype=np.intp)
-        self._rank[self._order] = np.searchsorted(self._sorted, self._sorted,
-                                                  side="right")
-        # lengths of the n + 1 segments between 0, sorted anchors and 1
-        self._gaps = np.diff(np.concatenate(([0.0], self._sorted, [1.0])))
-
-    def _reordered(self, index):
-        """This operator's sort, reindexed for the anchors ``points[index]``
-        (`index` a permutation): no second sort.  Exactly tied anchors keep
-        this operator's order among themselves, where a sort of the
-        reordered anchors would take theirs, so their sums may then differ
-        in the last bits."""
-        op = copy.copy(self)
-        op.points = self.points[index]
-        inverse = np.empty_like(index)
-        inverse[index] = np.arange(index.size)
-        op._order = inverse[self._order]
-        op._rank = self._rank[index]
-        return op
-
-    def _sums(self, coef):
-        return _bridge_sums(self._sorted, np.asarray(coef, dtype=float).take(
-            self._order, axis=-1))
-
-    def matvec(self, v):
-        return _bridge_values(self._sums(v), self.points, self._rank)
-
-    def cross(self, coef, t):
-        seg = np.searchsorted(self._sorted, t, side="right")
-        return _bridge_values(self._sums(coef), t, seg)
-
-    def quad_form(self, a):
-        """``int f'^2``: exact, and never negative."""
-        _, slope = self._sums(a)
-        return float(self._gaps @ slope ** 2)
-
-    def solve_shifted(self, c, y) -> np.ndarray:
-        """``(G + c_l I)^{-1} y`` for each shift ``c_l > 0`` of the 1-D array
-        `c`, as the rows of a ``(len(c), n)`` array; O(n) per shift.
-
-        This is the linear smoothing spline (Reinsch's algorithm; Wahba,
-        *Spline Models for Observational Data*, 1990), solved in
-        covariance form:
-
-        - anchors at 0 or 1 have a zero Gram row: ``alpha_i = y_i / c``;
-        - tied interior anchors share a Gram row and are merged into the
-          distinct points ``u`` with multiplicities ``d``:
-          ``(G_u + c/d) beta = ybar`` (group means of y), then
-          ``alpha_i = beta_k / d_k + (y_i - ybar_k) / c``;
-        - ``G_u = S (H - h h') S'``, with ``S`` the lower-triangular ones
-          matrix, ``h`` the Brownian-bridge increments (gaps
-          ``0 -> u_1, ..., u_{N-1} -> u_N``) and ``H = diag(h)``.  So
-          ``beta = D' (A - h h')^{-1} D ybar``, where ``D`` is the first
-          difference and ``A = H + D diag(c/d) D'`` is tridiagonal and
-          strictly diagonally dominant.  No entry of ``A`` divides by a
-          gap, which is why near-tied anchors lose no accuracy here while
-          the tridiagonal inverse of ``G`` (entries ``1/h``) does.
-        - ``A`` is solved by cyclic reduction and ``-h h'`` by
-          Sherman-Morrison.  Its denominator ``1 - h' A^{-1} h`` equals
-          ``(1 - u_N) + (c/d_N) (A^{-1} h)_N`` (from ``A 1 = h + (c/d_N)
-          e_N``), a sum of positive terms, so it is formed without
-          cancellation.
-        """
-        c = np.asarray(c, dtype=float)
-        if c.ndim != 1 or not (np.isfinite(c).all() and (c > 0).all()):
-            raise ValueError("shifts must be a 1-D array of finite "
-                             "positive values")
-        ys = np.asarray(y, dtype=float)
-        if ys.shape != self.points.shape:
-            raise ValueError(f"got {ys.size} outputs for "
-                             f"{self.points.size} anchors")
-        ys = ys[self._order]
-        xs = self._sorted
-        out = ys / c[:, None]                  # right for anchors at 0 or 1
-        inner = np.flatnonzero((xs > 0) & (xs < 1))
-        if inner.size:
-            xi, yi = xs[inner], ys[inner]
-            start = np.flatnonzero(np.r_[True, xi[1:] != xi[:-1]])
-            d = np.diff(np.r_[start, xi.size])
-            group = np.repeat(np.arange(start.size), d)
-            ybar = np.add.reduceat(yi, start) / d
-            gaps = np.diff(np.r_[0.0, xi[start], 1.0])
-            h = gaps[:-1]
-            # position along axis 0; shifts, then the two right-hand
-            # sides D ybar and h, along the trailing axes
-            w = c / d[:, None]                 # (N, L)
-            diag = h[:, None] + w
-            diag[1:] += w[:-1]
-            rhs = np.stack([np.diff(np.r_[0.0, ybar]), h], axis=-1)
-            z = _tridiagonal_solve(diag[..., None], -w[:-1, :, None],
-                                   rhs[:, None, :])
-            zb, zh = z[..., 0], z[..., 1]      # A^{-1} D ybar, A^{-1} h
-            denom = gaps[-1] + w[-1] * zh[-1]
-            # h' zb shift by shift, the same call as in a one-shift solve
-            hz = np.concatenate([h @ zb[:, i:i + 1] for i in range(c.size)])
-            v = zb + zh * (hz / denom)
-            beta = v.copy()
-            beta[:-1] -= v[1:]                 # D' v
-            out[:, inner] = (beta / d[:, None])[group].T \
-                + (yi - ybar[group]) / c[:, None]
-        alpha = np.empty_like(out)
-        alpha[:, self._order] = out
-        return alpha
-
-
 def _tridiagonal_solve(diag, off, rhs):
     """Solve symmetric tridiagonal systems by cyclic reduction.
 
@@ -322,127 +202,249 @@ def _tridiagonal_solve(diag, off, rhs):
 
 
 def kernel_operator(kernel: Kernel, points) -> KernelOperator:
-    """Gram operator of `kernel` at `points`: structured for the built-in
-    kernel, dense otherwise.  Rejects empty, non-finite or out-of-domain
-    anchors.  Only this and :func:`level_operator` tell the built-in kernel
-    apart; the fits ask the operator what it can do."""
+    """Gram operator of `kernel` at `points`: for the built-in kernel the
+    level of one block, dense otherwise.  Rejects empty, non-finite or
+    out-of-domain anchors.  Only this and :func:`level_operator` tell the
+    built-in kernel apart; the fits ask the operator what it can do."""
     pts = _check_domain(points).ravel()
     if pts.size == 0:
         raise ValueError("a kernel operator needs at least one anchor")
     if kernel.fn is _sobolev_min_fn:
-        return SobolevMinOperator(kernel, pts)
+        return BlockLayoutOperator(kernel, pts, np.array([pts.size]))
     return DenseOperator(kernel, pts)
 
 
-class BlockLayoutOperator:
-    """The :class:`SobolevMinOperator` products of every block of one
-    partition level at once, as one ``(m, s)`` array, ``s`` the largest
-    block size.  Built by :func:`level_operator`.
+class BlockLayoutOperator(KernelOperator):
+    """``min(x, t) - x*t`` without forming G, for every block of a
+    partition level at once (one block is a level of one): O(n) per
+    product after one sort.  ``f = sum_j a_j K(x_j, .)`` is ``f(t) = P(t)
+    + t * D(t)`` with ``P(t) = sum_{x_j <= t} x_j a_j`` and ``D(t) =
+    sum_{x_j > t} a_j - sum_j x_j a_j``, where ``D`` is also ``f'``
+    between anchors; at a tie both branches of ``min`` agree.
 
-    Row i holds block i's anchors sorted (stably, as the block operator
-    sorts them), then anchors at 1 up to length ``s``.  Those pads have
-    ``K(1, .) = 0``; products hold their coefficients at ``-0.0``, the
-    additive identity, so every prefix sum of a row is the block
-    operator's, bit for bit.  A vector of the level is an ``(..., m, s)``
-    array in this layout: :meth:`layout` and :meth:`blocks` map between it
-    and the blocks' values one after another, each block in its index
-    order.
+    Row i of one ``(m, s)`` array, ``s`` the largest block size, holds
+    block i's anchors sorted stably, then anchors at 1 up to length ``s``.
+    Those pads have ``K(1, .) = 0``; products hold their coefficients at
+    ``-0.0``, the additive identity, so every prefix sum of a row is its
+    block's alone, bit for bit.  ``matvec``, ``cross``, ``quad_form`` and
+    ``solve_shifted`` take flat ``(..., n)`` vectors over `points` (the
+    blocks one after another, each in its index order) and each block's
+    own Gram matrix.  ``level_matvec`` and ``mean_cross`` take ``(..., m,
+    s)`` level vectors, on which the level iteration steps with no
+    scatter; :meth:`layout` and :meth:`blocks` map between the two.
     """
 
-    def __init__(self, kernel: Kernel, values: np.ndarray, sizes: np.ndarray):
-        self.kernel = kernel
+    def __init__(self, kernel: Kernel, points: np.ndarray, sizes: np.ndarray):
+        super().__init__(kernel, points)
         m, s = sizes.size, int(sizes.max())
-        row = np.repeat(np.arange(m), sizes)
-        col = np.arange(values.size) - np.repeat(np.cumsum(sizes) - sizes,
-                                                 sizes)
+        self.m, self.sizes = m, sizes[:, None]
+        # the slots of each row that hold anchors, before and after the
+        # sort: it keeps the pads, at 1, last after any anchor at 1
+        real = np.arange(s) < self.sizes
+        self._pad = None if real.all() else ~real
         unsorted = np.ones((m, s))
-        unsorted[row, col] = values
+        unsorted[real] = points
         order = np.argsort(unsorted, axis=1, kind="stable")
-        self.points = np.take_along_axis(unsorted, order, axis=1)
-        self.sizes = sizes[:, None]
-        inverse = np.empty_like(order)
-        np.put_along_axis(inverse, order, np.arange(s)[None, :], axis=1)
-        # position in the layout of each block value
-        self._slot = row * s + inverse[row, col]
-        # the stable sort keeps the pads last, after any anchor at 1
-        self._pad = np.arange(s) >= self.sizes
-        # segment of each anchor: the anchors <= it in its row, pads too
-        end = np.ones((m, s), dtype=bool)
-        end[:, :-1] = self.points[:, 1:] != self.points[:, :-1]
-        ends = np.where(end, np.arange(1, s + 1), s)
-        rank = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
-        # segment r of row i is entry i (s + 1) + r of the flat row sums
-        self._first = np.arange(m)[:, None] * (s + 1)
-        self._at = self._first + rank
+        order += np.arange(0, m * s, s)[:, None]
+        self._sorted = unsorted.ravel()[order]
+        inverse = np.empty(m * s, dtype=np.intp)
+        inverse[order.ravel()] = np.arange(m * s)
+        self._slot = inverse.reshape(m, s)[real]   # slot of each flat value
+        flat = np.zeros((m, s), dtype=np.intp)
+        flat[real] = np.arange(points.size)
+        self._source = flat.ravel()[order]         # flat index per slot
 
-    @property
-    def m(self) -> int:
-        return len(self.points)
+    @cached_property
+    def _at(self):
+        """Each anchor's segment, the anchors <= it in its row (pads too):
+        segment r of row i is entry ``i (s + 1) + r`` of the flat sums."""
+        m, s = self._sorted.shape
+        end = np.ones((m, s), dtype=bool)
+        end[:, :-1] = self._sorted[:, 1:] != self._sorted[:, :-1]
+        ends = np.where(end, np.arange(1, s + 1), s)
+        return np.arange(m)[:, None] * (s + 1) + np.minimum.accumulate(
+            ends[:, ::-1], axis=1)[:, ::-1]
 
     def layout(self, values) -> np.ndarray:
-        """``(..., n)`` block values, blocks one after another, as an
-        ``(..., m, s)`` level vector with ``-0.0`` at the pads."""
-        values = np.asarray(values, dtype=float)
-        out = np.full(values.shape[:-1] + self.points.shape, -0.0)
-        out.reshape(values.shape[:-1] + (-1,))[..., self._slot] = values
-        return out
+        """Flat values as a level vector (pads: copies, which sums mask)."""
+        return np.asarray(values, dtype=float).take(self._source, axis=-1)
 
     def blocks(self, a) -> np.ndarray:
-        """The block values of a level vector, blocks one after another:
-        the inverse of :meth:`layout`."""
-        a = np.asarray(a)
-        return a.reshape(a.shape[:-2] + (-1,))[..., self._slot]
+        """The flat values of a level vector: :meth:`layout` inverted."""
+        return np.reshape(a, np.shape(a)[:-2] + (-1,)).take(self._slot, -1)
 
-    def _sums(self, coef):
-        """:func:`_bridge_sums` of each row with its pads masked, flat:
-        segment r of row i is entry ``i (s + 1) + r``."""
-        prefix, slope = _bridge_sums(self.points,
-                                     np.where(self._pad, -0.0, coef))
+    def _reordered(self, index):
+        """This operator's sort, reindexed for the anchors ``points[index]``
+        (`index` a permutation): no second sort.  Exactly tied anchors keep
+        this operator's order among themselves, where a sort of the
+        reordered anchors would take theirs, so their sums may then differ
+        in the last bits."""
+        op = copy.copy(self)
+        op.points = self.points[index]
+        op._slot = self._slot[index]
+        inverse = np.empty_like(index)
+        inverse[index] = np.arange(index.size)
+        op._source = inverse[self._source]
+        return op
+
+    def _sums(self, level):
+        """:func:`_bridge_sums` of each level row, pads masked, flattened."""
+        if self._pad is not None:
+            level = np.where(self._pad, -0.0, level)
+        prefix, slope = _bridge_sums(self._sorted, level)
         flat = prefix.shape[:-2] + (-1,)
         return prefix.reshape(flat), slope.reshape(flat)
 
-    def matvec(self, v) -> np.ndarray:
-        """Every block's ``G @ v``, for a level vector `v`."""
-        return _bridge_values(self._sums(v), self.points, self._at)
+    def matvec(self, v):
+        return _bridge_values(self._sums(self.layout(v)), self.points,
+                              self._at.ravel()[self._slot])
 
-    def _row_chunks(self, coef, ts):
-        """Every block's expansion at the ascending points `ts`, a chunk of
-        blocks at a time: ``(..., rows, len(ts))`` arrays, blocks in
-        order, each of about `CROSS_CHUNK` values at most."""
-        m, s = self.points.shape
-        # row i's segment at ts[j] is its anchors with at most j points
-        # below them: segment k over the ts[j] with g[k - 1] <= j < g[k]
-        g = np.searchsorted(ts, self.points, side="left")
-        runs = np.diff(g, axis=1, prepend=0, append=ts.size)
-        at = self._first + np.arange(s + 1)
-        sums = self._sums(coef)
-        step = max(1, CROSS_CHUNK // max(ts.size, 1))
-        for lo in range(0, m, step):
-            rows = slice(lo, lo + step)
-            seg = np.repeat(at[rows], runs[rows].ravel())
-            yield _bridge_values(sums, ts,
-                                 seg.reshape(len(at[rows]), ts.size))
+    def level_matvec(self, v) -> np.ndarray:
+        """Every block's ``G @ v``, for a level vector `v`."""
+        return _bridge_values(self._sums(v), self._sorted, self._at)
+
+    def cross(self, coef, t):
+        return self._total(self.layout(coef), t)
 
     def mean_cross(self, coef, t) -> np.ndarray:
-        """The mean of the blocks' expansions at the 1-D array of points
-        `t`, ``(..., len(t))``: each block's values added one after
-        another, in ascending block order, a chunk of blocks at a time."""
+        """The blocks' mean expansion at the 1-D points `t` (level `coef`)."""
+        return self._total(coef, t) / self.m
+
+    def _total(self, level, t):
+        """The sum of the blocks' expansions at `t`, added in ascending
+        block order, a chunk of about `CROSS_CHUNK` values at a time."""
         t = np.asarray(t, dtype=float)
+        sums = self._sums(level)
+        if self.m == 1:                        # no sort of t: as one row
+            return _bridge_values(sums, t, np.searchsorted(
+                self._sorted[0], t, side="right"))
+        m, s = self._sorted.shape
         order = np.argsort(t, kind="stable")
-        total = None
-        for rows in self._row_chunks(coef, t[order]):
-            if total is not None:
+        ts = t[order]
+        # row i's segment at ts[j] is its anchors with at most j points
+        # below them: segment k over the ts[j] with g[k - 1] <= j < g[k]
+        g = np.searchsorted(ts, self._sorted, side="left")
+        runs = np.diff(g, axis=1, prepend=0, append=ts.size)
+        at = np.arange(m)[:, None] * (s + 1) + np.arange(s + 1)
+        step = max(1, CROSS_CHUNK // max(ts.size, 1))
+        for lo in range(0, m, step):
+            first = at[lo:lo + step]
+            seg = np.repeat(first, runs[lo:lo + step].ravel())
+            rows = _bridge_values(sums, ts, seg.reshape(len(first), ts.size))
+            if lo:
                 rows[..., 0, :] += total
             # accumulate adds row after row, as a loop over the rows does
             total = np.add.accumulate(rows, axis=-2)[..., -1, :]
         out = np.empty_like(total)
         out[..., order] = total
-        return out / self.m
+        return out
+
+    @cached_property
+    def _gaps(self):
+        # lengths of each row's s + 1 segments between 0, anchors and 1
+        return np.diff(self._sorted, axis=1, prepend=0.0, append=1.0).ravel()
+
+    def quad_form(self, a):
+        """``int f'^2`` over every block: exact, and never negative."""
+        _, slope = self._sums(self.layout(a))
+        return float(self._gaps @ slope ** 2)
+
+    def solve_shifted(self, c, y) -> np.ndarray:
+        """``(G_i + c_li I)^{-1} y_i`` for every block i and each shift
+        ``c_li > 0``, as the flat rows of a ``(len(c), n)`` array, O(n) per
+        shift: `c` is ``(L, m, 1)``, a shift per block (``lam * kappa**2 *
+        |block|``), or 1-D, each shift for every block.
+
+        This is the linear smoothing spline (Reinsch's algorithm; Wahba,
+        *Spline Models for Observational Data*, 1990), solved in
+        covariance form, for each block:
+
+        - anchors at 0 or 1 have a zero Gram row: ``alpha_i = y_i / c``;
+        - tied interior anchors share a Gram row and are merged into the
+          distinct points ``u`` with multiplicities ``d``:
+          ``(G_u + c/d) beta = ybar`` (group means of y), then
+          ``alpha_i = beta_k / d_k + (y_i - ybar_k) / c``;
+        - ``G_u = S (H - h h') S'``, with ``S`` the lower-triangular ones
+          matrix, ``h`` the Brownian-bridge increments (gaps
+          ``0 -> u_1, ..., u_{N-1} -> u_N``) and ``H = diag(h)``.  So
+          ``beta = D' (A - h h')^{-1} D ybar``, where ``D`` is the first
+          difference and ``A = H + D diag(c/d) D'`` is tridiagonal and
+          strictly diagonally dominant.  No entry of ``A`` divides by a
+          gap, which is why near-tied anchors lose no accuracy here while
+          the tridiagonal inverse of ``G`` (entries ``1/h``) does.
+        - ``A`` is solved by cyclic reduction and ``-h h'`` by
+          Sherman-Morrison.  Its denominator ``1 - h' A^{-1} h`` equals
+          ``(1 - u_N) + (c/d_N) (A^{-1} h)_N`` (from ``A 1 = h + (c/d_N)
+          e_N``), a sum of positive terms, so it is formed without
+          cancellation.
+
+        Blocks with the same count N of distinct interior anchors are one
+        trailing axis of :func:`_tridiagonal_solve`, each system with its
+        own reduction and bits: at most two calls on uniform data.
+        """
+        c = np.asarray(c, dtype=float)
+        if not ((c.ndim == 1 or c.shape[1:] == self.sizes.shape)
+                and np.isfinite(c).all() and (c > 0).all()):
+            raise ValueError("shifts must be a 1-D array or one column per "
+                             "block of finite positive values")
+        ys = np.asarray(y, dtype=float)
+        if ys.shape != self.points.shape:
+            raise ValueError(f"got {ys.size} outputs for "
+                             f"{self.points.size} anchors")
+        L, (m, s) = len(c), self._sorted.shape
+        cb = np.broadcast_to(c.reshape(L, -1).T, (m, L))   # block, shift
+        level = self.layout(ys)
+        xs = self._sorted
+        inner = (xs > 0) & (xs < 1)            # the pads are at 1
+        at = np.flatnonzero(inner)
+        first = inner.copy()
+        first[:, 1:] &= xs[:, 1:] != xs[:, :-1]
+        # the distinct interior points u, row after row
+        start = np.flatnonzero(first.ravel()[at])
+        d = np.diff(np.append(start, at.size))
+        group = np.repeat(np.arange(start.size), d)
+        ybar = np.add.reduceat(level.ravel()[at], start) / d
+        u = xs.ravel()[at[start]]
+        block = at[start] // s                 # of each distinct point
+        count = np.bincount(block, minlength=m)  # N of each block
+        beta_d = np.empty((start.size, L))     # beta / d
+        for N in sorted(set(count.tolist()) - {0}):
+            k = np.flatnonzero(count[block] == N).reshape(-1, N)  # by block
+            rows = block[k[:, 0]]
+            zero = np.zeros((len(rows), 1))    # faster than diff's prepend=
+            gaps = np.diff(np.concatenate([zero, u[k], zero + 1.0], axis=1))
+            h = gaps[:, :-1]
+            dk = d[k].T[..., None]
+            # position along axis 0; blocks, shifts, then the two
+            # right-hand sides D ybar and h, along the trailing axes
+            w = cb[rows] / dk                      # (N, rows, L)
+            diag = h.T[..., None] + w
+            diag[1:] += w[:-1]
+            rhs = np.stack([np.diff(np.concatenate([zero, ybar[k]], axis=1)).T,
+                            h.T], axis=-1)
+            z = _tridiagonal_solve(diag[..., None], -w[:-1, ..., None],
+                                   rhs[:, :, None])
+            zb, zh = z[..., 0], z[..., 1]  # A^{-1} D ybar, A^{-1} h
+            denom = gaps[:, -1:] + w[-1] * zh[-1]
+            # h' zb block by block and shift by shift, the same call
+            # as in a one-block, one-shift solve
+            hz = np.array([[(hj @ zb[:, j, i:i + 1])[0] for i in range(L)]
+                           for j, hj in enumerate(h)])
+            v = zb + zh * (hz / denom)
+            beta = v.copy()
+            beta[:-1] -= v[1:]                 # D' v
+            beta_d[k.T] = beta / dk
+        mean = np.zeros(m * s)
+        mean[at] = ybar[group]
+        # (y - ybar) / c, which is alpha at the anchors at 0 or 1
+        out = (level - mean.reshape(m, s)) / cb.T[:, :, None]
+        out.reshape(L, -1)[:, at] += beta_d[group].T
+        return self.blocks(out)
 
 
 def level_operator(kernel: Kernel, x, blocks) -> BlockLayoutOperator | None:
-    """The built-in kernel's Gram operators of the blocks ``x[ix]``, `ix`
-    in `blocks`, as one :class:`BlockLayoutOperator`; ``None`` for a
+    """The built-in kernel's operator of the blocks ``x[ix]``, `ix` in
+    `blocks`, its flat points the blocks one after another; ``None`` for a
     kernel with no block layout (any other).  Rejects what
     :func:`kernel_operator` rejects in any block."""
     if kernel.fn is not _sobolev_min_fn:

@@ -12,7 +12,7 @@ from splitkern.estimator import (KernelExpansion, coefficient_solver,
 from splitkern.experiments import gen_data
 from splitkern.filters import (filter_values, landweber, nu_method,
                                spectral_cutoff, tikhonov)
-from splitkern.kernels import (SobolevMinOperator, gram, kernel_operator,
+from splitkern.kernels import (BlockLayoutOperator, gram, kernel_operator,
                                sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump
 
@@ -370,14 +370,14 @@ def test_lattice_fit_memory_is_bounded_by_the_chunk_cap():
     assert peak < out + 3 * 8 * distributed.CHUNK_VALUES
 
 
-def test_adapt_builds_one_operator_per_block_and_level(monkeypatch):
-    # the operator a block's solve builds is the one its expansion scores
+def test_adapt_builds_one_operator_per_level(monkeypatch):
+    # the operator a level's solve builds is the one its estimator scores
     # with
     builds = []
-    real = SobolevMinOperator.__init__
-    monkeypatch.setattr(SobolevMinOperator, "__init__",
+    real = BlockLayoutOperator.__init__
+    monkeypatch.setattr(BlockLayoutOperator, "__init__",
                         lambda self, *a: builds.append(1) or real(self, *a))
     x, y = gen_data(quadratic_bump(), 400, 0.01, 17)
     result = adapt(x, y, sobolev_min(), tikhonov(), np.logspace(-6, 0, 13),
                    m_sequence=[16, 7, 3, 1], delta=0.5, seed=5, workers=2)
-    assert len(builds) == sum(lev.m_k for lev in result.trace)
+    assert len(builds) == len(result.trace)

@@ -293,17 +293,23 @@ def test_workers_below_one_exits_2(capsys, monkeypatch, workers):
 
 
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
-    texts = []
-    for i, workers in enumerate(("1", "2")):
-        out_file = tmp_path / f"rate{i}.csv"
-        code, _, _ = run_cli(capsys, "sweep-n", "--filter", "tikhonov",
-                             "--lambda", "oracle", "--ns", "64,128,256",
-                             "--sigma", "0.005", "--runs", "3", "--seed", "4",
-                             "--workers", workers, "--out", str(out_file))
-        assert code == 0
-        summary = out_file.with_suffix(".summary.csv")
-        texts.append(out_file.read_bytes() + summary.read_bytes())
-    assert texts[0] == texts[1]
+    # m = 1 and the level solves of m = n**0.5 blocks, contiguous and
+    # shuffled
+    for shuffle in ([], ["--shuffle"]):
+        texts = []
+        for i, workers in enumerate(("1", "2")):
+            out_file = tmp_path / f"rate{i}.csv"
+            code, _, _ = run_cli(capsys, "sweep-n", "--filter", "tikhonov",
+                                 "--lambda", "oracle", "--ns", "64,128,256",
+                                 "--alphas", "0,0.5", *shuffle,
+                                 "--sigma", "0.005", "--runs", "3",
+                                 "--seed", "4", "--workers", workers,
+                                 "--out", str(out_file))
+            assert code == 0
+            summary = out_file.with_suffix(".summary.csv")
+            texts.append(out_file.read_bytes() + summary.read_bytes())
+        assert texts[0] == texts[1]
+        assert b"\n256,16,0.5," in texts[0]
 
 
 @pytest.mark.parametrize("command", ["oracle", "simulate", "sweep-alpha",

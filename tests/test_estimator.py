@@ -5,7 +5,7 @@ from splitkern.estimator import (KernelExpansion, fit_iterative, fit_spectral,
                                  predict, spectral_model)
 from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, filter_values, landweber,
                                nu_method, spectral_cutoff, tikhonov)
-from splitkern.kernels import (SobolevMinOperator, gram, kernel_operator,
+from splitkern.kernels import (BlockLayoutOperator, gram, kernel_operator,
                                sobolev_min)
 
 
@@ -97,8 +97,8 @@ def test_fit_iterative_rejects_too_many_steps(kernel):
 def test_fit_iterative_products(kernel, monkeypatch, filt):
     # k steps make k - 1 products with the Gram operator
     products = []
-    real = SobolevMinOperator.matvec
-    monkeypatch.setattr(SobolevMinOperator, "matvec",
+    real = BlockLayoutOperator.matvec
+    monkeypatch.setattr(BlockLayoutOperator, "matvec",
                         lambda self, v: products.append(1) or real(self, v))
     x, y = _data(30, seed=6)
     for k in (1, 2, 17):

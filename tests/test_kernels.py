@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splitkern.estimator import KernelExpansion
-from splitkern.kernels import (DenseOperator, SobolevMinOperator, gram,
+from splitkern.kernels import (BlockLayoutOperator, DenseOperator, gram,
                                kernel_operator, level_operator, rkhs_norm_sq,
                                sobolev_min, user_kernel)
 
@@ -165,7 +165,7 @@ def test_rkhs_norm_matches_derivative_integral(kernel):
 
 def test_operator_version_follows_kernel(kernel, dense_sobolev):
     pts = [0.2, 0.6]
-    assert isinstance(kernel_operator(kernel, pts), SobolevMinOperator)
+    assert isinstance(kernel_operator(kernel, pts), BlockLayoutOperator)
     assert isinstance(kernel_operator(dense_sobolev, pts), DenseOperator)
 
 

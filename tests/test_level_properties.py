@@ -1,21 +1,22 @@
 """Property tests of the block-layout operator and the level fit.
 
 A partition level of the built-in kernel is fitted at once on one
-``(m, s)`` array (``kernels.BlockLayoutOperator``).  Each block's
-coefficients, products and values must equal those of its own
-``SobolevMinOperator`` exactly: compared by ``tobytes()``, so signed
-zeros count too.  Anchor sets are drawn as in
-``test_operator_properties.py`` (ties, anchors at 0 and 1, near ties), and
-partitions with any block count, shuffled or not.
+``(m, s)`` array (``kernels.BlockLayoutOperator``), and a single block is
+a level of one.  Each block's coefficients, products, values and shifted
+solves on the level must equal those of its own level of one exactly:
+compared by ``tobytes()``, so signed zeros count too.  Anchor sets are
+drawn as in ``test_operator_properties.py`` (ties, anchors at 0 and 1, near
+ties), and partitions with any block count, shuffled or not.
 """
 
 import numpy as np
 import pytest
 
 from splitkern import kernels
+from splitkern.adaptivity import fit_lattice
 from splitkern.distributed import AveragedEstimator, fit_distributed, partition
-from splitkern.estimator import fit_iterative
-from splitkern.filters import landweber, nu_method
+from splitkern.estimator import fit_iterative, fit_spectral
+from splitkern.filters import landweber, nu_method, tikhonov
 from splitkern.kernels import kernel_operator, level_operator, sobolev_min
 from test_operator_properties import PROPERTY, anchor_sets, seeds
 
@@ -84,7 +85,7 @@ def _check_products(x, part, seed, kind):
     blocks = [kernel_operator(KERNEL, x[ix]) for ix in part.blocks]
     split = np.cumsum([len(ix) for ix in part.blocks])[:-1]
     coefs = np.split(v, split)
-    products = np.split(op.blocks(op.matvec(op.layout(v))), split)
+    products = np.split(op.blocks(op.level_matvec(op.layout(v))), split)
     total = blocks[0].cross(coefs[0], t)
     for i, (block, a) in enumerate(zip(blocks, coefs)):
         assert products[i].tobytes() == block.matvec(a).tobytes()
@@ -111,3 +112,72 @@ def test_level_estimator_is_the_block_average(level, seed, filt):
     assert est(t[0]) == ref(t[0])
     assert est.coefficients.tobytes() == ref.coefficients.tobytes()
     assert est.points.tobytes() == ref.points.tobytes()
+
+
+lattices = st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(levels(), seeds, st.sampled_from(["normal", "zero", "minus-zero"]),
+       lattices)
+def test_level_solve_is_per_block_solve(level, seed, kind, lams):
+    # one shifted solve of the whole level, with each block's own shifts
+    # lam * kappa**2 * |block|, against each block's level of one
+    x, part = level
+    y = _outputs(kind, seed, x.size)
+    op = level_operator(KERNEL, x, part.blocks)
+    lams = np.array(lams)
+    scale = KERNEL.kappa ** 2 * op.sizes
+    rows = op.solve_shifted(lams[:, None, None] * scale,
+                            y[np.concatenate(part.blocks)])
+    split = np.cumsum(op.sizes[:-1, 0])
+    for ix, got in zip(part.blocks, np.split(rows, split, axis=1),
+                       strict=True):
+        c = lams * (KERNEL.kappa ** 2 * ix.size)
+        ref = kernel_operator(KERNEL, x[ix]).solve_shifted(c, y[ix])
+        assert got.tobytes() == ref.tobytes()
+
+
+@PROPERTY
+@given(levels(), seeds, lattices)
+def test_tikhonov_level_fits_are_fit_spectral(level, seed, lams):
+    # fit_distributed at one lambda and fit_lattice at each lambda of a
+    # lattice (contiguous blocks), block by block
+    x, part = level
+    y = np.random.default_rng(seed).standard_normal(x.size)
+    est = fit_distributed(KERNEL, tikhonov(), lams[0], x, y, part)
+    for ix, block in zip(part.blocks, est.block_fits, strict=True):
+        ref = fit_spectral(KERNEL, tikhonov(), lams[0], x[ix], y[ix])
+        assert block.coefficients.tobytes() == ref.coefficients.tobytes()
+        assert block.points.tobytes() == ref.points.tobytes()
+    fits = fit_lattice(KERNEL, tikhonov(), lams, x, y, part.m, 1)
+    blocks = partition(x.size, part.m).blocks
+    for lam, row in zip(lams, fits, strict=True):
+        for ix, block in zip(blocks, row.block_fits, strict=True):
+            ref = fit_spectral(KERNEL, tikhonov(), lam, x[ix], y[ix])
+            assert block.coefficients.tobytes() == ref.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 181, 1000])
+def test_level_solve_makes_at_most_two_reductions(monkeypatch, m):
+    # uniform anchors have no ties and none at 0 or 1, so every block's
+    # count of distinct interior anchors is its size; sizes differ by at
+    # most one, so the blocks form at most two systems of one size each
+    depths, depth = [], [0]
+    real = kernels._tridiagonal_solve
+
+    def counted(*a):
+        # the reduction recurses through the module name: count the calls
+        # from outside it
+        depths.append(depth[0])
+        depth[0] += 1
+        try:
+            return real(*a)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "_tridiagonal_solve", counted)
+    rng = np.random.default_rng(m)
+    x, y = rng.random(1000), rng.standard_normal(1000)
+    fit_distributed(KERNEL, tikhonov(), 1e-4, x, y, partition(1000, m))
+    assert 1 <= depths.count(0) <= 2
