@@ -22,7 +22,7 @@ from itertools import count, islice
 import numpy as np
 
 from . import theory
-from ._parallel import parallel_map
+from ._parallel import _pool_workers, parallel_map
 from .distributed import (AveragedEstimator, _check_block_count,
                           _target_norm_sq, fit_distributed, partition)
 from .estimator import KernelExpansion, coefficient_solver
@@ -111,7 +111,8 @@ SETTINGS = {
     "lambda": (_parse_lambda, "'oracle', 'theory', or an explicit value"),
     "runs": (int, "Monte-Carlo repetitions"),
     "seed": (int, "master seed"),
-    "workers": (int, "parallel workers (default: cpu count)"),
+    "workers": (int, "most threads for the Monte-Carlo runs (default: the "
+                     "usable CPUs); small runs go on one"),
     "shuffle": (_parse_bool, "shuffle before partitioning"),
     "grid_min": (float, "smallest lambda of the oracle grid"),
     "grid_size": (int, "points in the oracle lambda grid"),
@@ -245,6 +246,18 @@ def _default_grid(cfg: ExperimentConfig, filt: FilterSpec):
     return np.logspace(0.0, math.log10(cfg.grid_min), cfg.grid_size)
 
 
+def _run_workers(cfg: ExperimentConfig, filt: FilterSpec,
+                 shifts: int) -> int:
+    """Threads for a study's runs at ``cfg.n``, by the size of one run's
+    largest numpy call (:func:`_parallel._pool_workers`): the level vector
+    of an iterative filter (n values), Tikhonov's solve of `shifts` shifts
+    at once (n * shifts) or cut-off's ``eigh`` (n**2)."""
+    n = cfg.n
+    values = (n if filt.iterative else n * shifts if filt.kind == "tikhonov"
+              else n * n)
+    return _pool_workers(cfg.workers, values)
+
+
 @dataclass
 class OracleSelection:
     """Outcome of a grid sweep for the error-minimizing parameter."""
@@ -271,7 +284,10 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
     if grid.size == 0:
         raise ValueError("empty parameter grid")
     if filt.iterative:
-        grid = np.unique(grid.astype(int))         # ascending: fewest steps first
+        # the distinct counts, ascending: fewest steps first (np.unique
+        # would import numpy.ma, 12-15 ms and 1.6 MiB, on its first call)
+        grid = np.sort(grid.astype(int), axis=None)
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         check_steps(int(grid[0]))
         check_steps(int(grid[-1]))
         steps, lambdas = grid, filt.step_lambda(grid)
@@ -283,7 +299,8 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
         return _error_curves(kernel, filt, x, y, target, grid)
 
-    hk_sq = np.stack(parallel_map(one_run, range(cfg.runs), cfg.workers))
+    hk_sq = np.stack(parallel_map(one_run, range(cfg.runs),
+                                  _run_workers(cfg, filt, grid.size)))
     rms = np.sqrt(hk_sq.mean(axis=0))
     best = int(np.argmin(rms))
     return OracleSelection(
@@ -427,7 +444,7 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
         per_run = parallel_map(
             lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,
                                   levels),
-            range(cfg.runs), cfg.workers)
+            range(cfg.runs), _run_workers(cfg_n, filt, 1))
         rows.extend(row for rows_ in per_run for row in rows_)
     summary = _group_stats(rows)
     slopes = {}

@@ -1,9 +1,14 @@
 import argparse
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitkern
 from splitkern import adaptivity, experiments
 from splitkern.cli import _config_from_args, build_parser, main
 from splitkern.experiments import SETTINGS, ExperimentConfig
@@ -114,7 +119,7 @@ def test_missing_config_file_exits_nonzero(capsys):
     assert code == 2
 
 
-def test_cli_determinism_across_workers(tmp_path, capsys):
+def test_cli_determinism_across_workers(tmp_path, capsys, pooled):
     texts = []
     for i, workers in enumerate(("1", "2")):
         out_file = tmp_path / f"det{i}.csv"
@@ -126,27 +131,51 @@ def test_cli_determinism_across_workers(tmp_path, capsys):
         assert code == 0
         texts.append(out_file.read_bytes())
     assert texts[0] == texts[1]
+    assert pooled == [2, 2]             # the oracle's runs, then the study's
 
 
 @pytest.mark.parametrize("shuffle", [("--shuffle",), ()],
                          ids=["shuffled", "contiguous"])
-@pytest.mark.parametrize("filt,k_max", [("nu-method", "16"),
-                                        ("landweber", "60")],
-                         ids=["nu-method", "landweber"])
-def test_sweep_alpha_identical_across_workers(tmp_path, capsys, filt, k_max,
-                                              shuffle):
+@pytest.mark.parametrize("filt,k_max", [("nu-method", ("--k-max", "16")),
+                                        ("landweber", ("--k-max", "60")),
+                                        ("cutoff", ())],
+                         ids=["nu-method", "landweber", "cutoff"])
+def test_sweep_alpha_identical_across_workers(tmp_path, capsys, pooled, filt,
+                                              k_max, shuffle):
     texts = []
     for i, workers in enumerate(("1", "2")):
         out_file = tmp_path / f"sweep{i}.csv"
         code, _, _ = run_cli(capsys, "sweep-alpha", "--filter", filt,
                              "--n", "256", "--sigma", "0.005",
-                             "--lambda", "oracle", "--k-max", k_max,
+                             "--lambda", "oracle", *k_max,
                              "--alphas", "0,0.3,0.6,1", *shuffle,
                              "--runs", "3", "--seed", "7",
                              "--workers", workers, "--out", str(out_file))
         assert code == 0
         texts.append(out_file.read_bytes())
     assert texts[0] == texts[1]
+    assert pooled == [2, 2]
+
+
+def test_sweep_alpha_nu_method_leaves_numpy_ma_unimported(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma on its first call: 12-15 ms
+    # and 1.6 MiB of every sweep-alpha process.  (numpy 1.x imports
+    # numpy.ma with numpy itself, so only an import by the run counts.)
+    script = ("import sys\n"
+              "from splitkern.cli import main\n"
+              "before = 'numpy.ma' in sys.modules\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, 'numpy.ma' in sys.modules and not before)\n")
+    src = Path(splitkern.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "sweep-alpha", "--filter",
+         "nu-method", "--n", "64", "--k-max", "8", "--alphas", "0,0.5",
+         "--runs", "2", "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_non_finite_sigma_exits_2(capsys):
@@ -292,7 +321,7 @@ def test_workers_below_one_exits_2(capsys, monkeypatch, workers):
     assert err == f"error: workers must be at least 1, got {workers}\n"
 
 
-def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
+def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys, pooled):
     # m = 1 and the level solves of m = n**0.5 blocks, contiguous and
     # shuffled
     for shuffle in ([], ["--shuffle"]):
@@ -310,6 +339,7 @@ def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys):
             texts.append(out_file.read_bytes() + summary.read_bytes())
         assert texts[0] == texts[1]
         assert b"\n256,16,0.5," in texts[0]
+    assert pooled == [2, 2] * 3 * 2     # oracle and study, 3 sizes, twice
 
 
 @pytest.mark.parametrize("command", ["oracle", "simulate", "sweep-alpha",

@@ -1,10 +1,12 @@
 import math
+import os
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from splitkern import _parallel
 from splitkern.distributed import fit_distributed, partition
 from splitkern.estimator import KernelExpansion, fit_iterative, fit_spectral
 from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
@@ -143,7 +145,7 @@ def test_block_fits_keep_their_operator(kernel, bump, monkeypatch):
         assert len(builds) == 1
 
 
-def test_study_computes_quadrature_nodes_once(monkeypatch):
+def test_study_computes_quadrature_nodes_once(monkeypatch, pooled):
     # the nodes are computed before the runs fan out, not by each pool
     # thread that finds the cache empty
     calls = []
@@ -155,6 +157,7 @@ def test_study_computes_quadrature_nodes_once(monkeypatch):
                            lam="oracle", k_max=8, runs=4, seed=3, workers=2)
     sweep_alpha(cfg, [0.0, 0.3])
     assert calls == [512]
+    assert pooled == [2, 2]
 
 
 def test_gl_nodes_cached_and_read_only():
@@ -347,7 +350,7 @@ def test_sweep_n_slope_present(bump):
     assert ns == [64, 128, 256]
 
 
-def test_reproducible_across_worker_counts(bump):
+def test_reproducible_across_worker_counts(bump, pooled):
     base = ExperimentConfig(filter="nu-method", n=64, sigma=0.01, lam="oracle",
                             runs=4, seed=10, k_max=16)
     out = []
@@ -356,6 +359,54 @@ def test_reproducible_across_worker_counts(bump):
         out.append((results_csv(sweep.rows),
                     summary_csv(sweep.summary, sweep.slopes)))
     assert out[0] == out[1] == out[2]
+    assert pooled == [2, 2, 4, 4]
+
+
+def _no_thread(max_workers):
+    raise AssertionError(f"started a pool of {max_workers} threads")
+
+
+def test_small_studies_run_inline(bump, monkeypatch):
+    # one run's numpy calls hold n values: two threads would spend their
+    # time handing the GIL over
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", _no_thread)
+    nu = ExperimentConfig(filter="nu-method", n=1024, sigma=0.01,
+                          lam="oracle", k_max=16, runs=2, seed=1, workers=2)
+    assert len(sweep_alpha(nu, [0.0, 0.5]).rows) == 4
+    tik = replace(nu, filter="tikhonov", lam=1e-3)
+    assert len(sweep_n(tik, [512, 2048], [0.0, 0.5]).rows) == 8
+
+
+@pytest.mark.parametrize("filt,n", [("tikhonov", 256), ("cutoff", 96)])
+def test_oracles_with_large_calls_use_the_pool(bump, pool_starts, filt, n):
+    # Tikhonov solves 40 shifts of n values at once, cut-off
+    # eigendecomposes n x n: at least POOL_VALUES values per call
+    assert n * (40 if filt == "tikhonov" else n) >= _parallel.POOL_VALUES
+    cfg = ExperimentConfig(filter=filt, n=n, sigma=0.01, runs=2, seed=1,
+                           workers=2)
+    oracle_select(cfg)
+    assert pool_starts == [2]
+
+
+def test_pool_workers_checks_workers_before_the_size_rule():
+    limit = _parallel.POOL_VALUES
+    assert _parallel._pool_workers(3, limit) == 3
+    assert _parallel._pool_workers(3, limit - 1) == 1
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            _parallel._pool_workers(workers, 1)
+
+
+def test_default_workers_counts_the_usable_cpus(monkeypatch, pool_starts):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7},
+                        raising=False)
+    assert _parallel.default_workers() == 2
+    assert _parallel.parallel_map(abs, range(-5, 5)) == [5, 4, 3, 2, 1,
+                                                         0, 1, 2, 3, 4]
+    assert pool_starts == [2]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _parallel.default_workers() == 64
 
 
 def test_config_from_mapping_round_trip():
