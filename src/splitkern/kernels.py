@@ -171,33 +171,35 @@ def _bridge_values(sums, t, seg):
 def _tridiagonal_solve(diag, off, rhs):
     """Solve symmetric tridiagonal systems by cyclic reduction.
 
-    Position runs along axis 0: `diag` has N rows, `off` (the entries
-    ``A[i, i+1]``) N - 1 and `rhs` N; the trailing axes broadcast and
-    index independent systems.  Each level eliminates the even positions
-    and halves the system, so the work is O(N) in O(log N) numpy passes.
-    Stable without pivoting for diagonally dominant matrices (Heller,
-    SIAM J. Numer. Anal. 13, 1976).
+    Position runs along the last axis: `diag` has N entries, `off` (the
+    entries ``A[i, i+1]``) N - 1 and `rhs` N; the leading axes broadcast
+    and index independent systems, each with its own reduction and bits.
+    Each level eliminates the even positions and halves the system, so
+    the work is O(N) in O(log N) numpy passes.  An even N needs no pad:
+    its last odd position has no right neighbour.  Stable without
+    pivoting for diagonally dominant matrices (Heller, SIAM J. Numer.
+    Anal. 13, 1976).
     """
-    n = diag.shape[0]
+    n = diag.shape[-1]
     if n == 1:
         return rhs / diag
-    if n % 2 == 0:                             # pad with a decoupled row
-        x = _tridiagonal_solve(np.concatenate([diag, np.ones_like(diag[:1])]),
-                               np.concatenate([off, np.zeros_like(off[:1])]),
-                               np.concatenate([rhs, np.zeros_like(rhs[:1])]))
-        return x[:n]
-    even = diag[::2]
-    lo, up = off[::2], off[1::2]               # A[2j+1, 2j], A[2j+1, 2j+2]
-    left, right = lo / even[:-1], up / even[1:]
-    odd = _tridiagonal_solve(diag[1::2] - left * lo - right * up,
-                             -right[:-1] * lo[1:],
-                             rhs[1::2] - left * rhs[:-1:2]
-                             - right * rhs[2::2])
-    x = np.empty(np.broadcast_shapes(rhs.shape, diag.shape))
-    x[1::2] = odd
-    x[::2] = rhs[::2] / even
-    x[:-1:2] -= lo * odd / even[:-1]
-    x[2::2] -= up * odd / even[1:]
+    # odd positions, and those of them with a right neighbour
+    half, inner = n // 2, (n - 1) // 2
+    even = diag[..., ::2]
+    lo, up = off[..., ::2], off[..., 1::2]     # A[2j+1, 2j], A[2j+1, 2j+2]
+    left, right = lo / even[..., :half], up / even[..., 1:]
+    reduced = diag[..., 1::2] - left * lo
+    reduced[..., :inner] -= right * up
+    rhs_odd = rhs[..., 1::2] - left * rhs[..., :2 * half:2]
+    rhs_odd[..., :inner] -= right * rhs[..., 2::2]
+    odd = _tridiagonal_solve(reduced, -right[..., :half - 1] * lo[..., 1:],
+                             rhs_odd)
+    x = np.empty(odd.shape[:-1] + (n,))
+    x[..., 1::2] = odd
+    xe = x[..., ::2]
+    xe[...] = rhs[..., ::2] / even
+    xe[..., :half] -= lo * odd / even[..., :half]
+    xe[..., 1:] -= up * odd[..., :inner] / even[..., 1:]
     return x
 
 
@@ -378,9 +380,13 @@ class BlockLayoutOperator(KernelOperator):
           e_N``), a sum of positive terms, so it is formed without
           cancellation.
 
-        Blocks with the same count N of distinct interior anchors are one
-        trailing axis of :func:`_tridiagonal_solve`, each system with its
-        own reduction and bits: at most two calls on uniform data.
+        Blocks with the same count N of distinct interior anchors form
+        one call of :func:`_tridiagonal_solve`, with the blocks, the
+        shifts and the two right-hand sides on its leading axes: each
+        system keeps its own reduction and bits, and uniform data makes at
+        most two calls.  ``h' A^{-1} D ybar`` of every block and shift is
+        one sum over the last axis, whose rows are added as in a
+        one-block, one-shift solve.
         """
         c = np.asarray(c, dtype=float)
         if not ((c.ndim == 1 or c.shape[1:] == self.sizes.shape)
@@ -407,38 +413,37 @@ class BlockLayoutOperator(KernelOperator):
         u = xs.ravel()[at[start]]
         block = at[start] // s                 # of each distinct point
         count = np.bincount(block, minlength=m)  # N of each block
-        beta_d = np.empty((start.size, L))     # beta / d
+        beta_d = np.empty((L, start.size))     # beta / d
         for N in sorted(set(count.tolist()) - {0}):
             k = np.flatnonzero(count[block] == N).reshape(-1, N)  # by block
             rows = block[k[:, 0]]
             zero = np.zeros((len(rows), 1))    # faster than diff's prepend=
             gaps = np.diff(np.concatenate([zero, u[k], zero + 1.0], axis=1))
             h = gaps[:, :-1]
-            dk = d[k].T[..., None]
-            # position along axis 0; blocks, shifts, then the two
-            # right-hand sides D ybar and h, along the trailing axes
-            w = cb[rows] / dk                      # (N, rows, L)
-            diag = h.T[..., None] + w
-            diag[1:] += w[:-1]
-            rhs = np.stack([np.diff(np.concatenate([zero, ybar[k]], axis=1)).T,
-                            h.T], axis=-1)
-            z = _tridiagonal_solve(diag[..., None], -w[:-1, ..., None],
-                                   rhs[:, :, None])
-            zb, zh = z[..., 0], z[..., 1]  # A^{-1} D ybar, A^{-1} h
-            denom = gaps[:, -1:] + w[-1] * zh[-1]
-            # h' zb block by block and shift by shift, the same call
-            # as in a one-block, one-shift solve
-            hz = np.array([[(hj @ zb[:, j, i:i + 1])[0] for i in range(L)]
-                           for j, hj in enumerate(h)])
-            v = zb + zh * (hz / denom)
+            dk = d[k][:, None, :]
+            # blocks, shifts, then the two right-hand sides D ybar and h,
+            # along the leading axes; position along the last
+            w = cb[rows][..., None] / dk           # (rows, L, N)
+            diag = h[:, None] + w
+            diag[..., 1:] += w[..., :-1]
+            rhs = np.stack([np.diff(np.concatenate([zero, ybar[k]], axis=1)),
+                            h], axis=1)
+            z = _tridiagonal_solve(diag[:, :, None], -w[:, :, None, :-1],
+                                   rhs[:, None])
+            zb, zh = z[:, :, 0], z[:, :, 1]  # A^{-1} D ybar, A^{-1} h
+            denom = gaps[:, -1:] + w[..., -1] * zh[..., -1]
+            # h' zb of every block and shift: each row is summed as in a
+            # one-block, one-shift solve
+            hz = (zb * h[:, None]).sum(-1)
+            v = zb + zh * (hz / denom)[..., None]
             beta = v.copy()
-            beta[:-1] -= v[1:]                 # D' v
-            beta_d[k.T] = beta / dk
+            beta[..., :-1] -= v[..., 1:]           # D' v
+            beta_d[:, k] = np.moveaxis(beta / dk, 1, 0)
         mean = np.zeros(m * s)
         mean[at] = ybar[group]
         # (y - ybar) / c, which is alpha at the anchors at 0 or 1
         out = (level - mean.reshape(m, s)) / cb.T[:, :, None]
-        out.reshape(L, -1)[:, at] += beta_d[group].T
+        out.reshape(L, -1)[:, at] += beta_d[:, group]
         return self.blocks(out)
 
 

@@ -16,11 +16,14 @@ from typing import Callable
 
 import numpy as np
 
+from ._quadrature import gauss_legendre
+
 ENDPOINT_TOL = 1e-9
 ZERO_COEFF_TOL = 1e-10
 # Largest J of `fourier_coefficients`: by the analytic rule, arrays of 512
 # KiB; by quadrature, 4 J nodes, as many as ``experiments.QUAD_NODES_MAX``
-# (``leggauss`` eigendecomposes an N x N matrix: about 11 s and 290 MiB).
+# (``gauss_legendre`` takes 60-90 ms for them; the J x 4 J table of sines
+# peaks at 64 MiB).
 _MAX_J, _MAX_QUADRATURE_J = 2 ** 16, 1024
 
 
@@ -119,7 +122,7 @@ def fourier_coefficients(target: TargetFunction, J: int) -> np.ndarray:
     if abs(f0) > ENDPOINT_TOL or abs(f1) > ENDPOINT_TOL:
         raise ValueError(
             f"target must vanish at both endpoints (f(0)={f0:g}, f(1)={f1:g})")
-    xg, wg = np.polynomial.legendre.leggauss(int(max(128, 4 * J)))
+    xg, wg = gauss_legendre(int(max(128, 4 * J)))
     xg = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
     fw = wg * np.asarray(target(xg), dtype=float)

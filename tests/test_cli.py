@@ -157,25 +157,42 @@ def test_sweep_alpha_identical_across_workers(tmp_path, capsys, pooled, filt,
     assert pooled == [2, 2]
 
 
+def _run_imports(module, *args):
+    """The exit code of ``main(args)`` in a fresh process, and whether
+    the run imported `module`, which was not imported before it."""
+    script = ("import sys\n"
+              "from splitkern.cli import main\n"
+              f"before = {module!r} in sys.modules\n"
+              "code = main(sys.argv[1:])\n"
+              f"print(code, {module!r} in sys.modules and not before)\n")
+    src = Path(splitkern.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_sweep_alpha_nu_method_leaves_numpy_ma_unimported(tmp_path):
     # numpy 2.4's np.unique imports numpy.ma on its first call: 12-15 ms
     # and 1.6 MiB of every sweep-alpha process.  (numpy 1.x imports
     # numpy.ma with numpy itself, so only an import by the run counts.)
-    script = ("import sys\n"
-              "from splitkern.cli import main\n"
-              "before = 'numpy.ma' in sys.modules\n"
-              "code = main(sys.argv[1:])\n"
-              "print(code, 'numpy.ma' in sys.modules and not before)\n")
-    src = Path(splitkern.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run(
-        [sys.executable, "-c", script, "sweep-alpha", "--filter",
-         "nu-method", "--n", "64", "--k-max", "8", "--alphas", "0,0.5",
-         "--runs", "2", "--out", str(tmp_path / "sweep.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert _run_imports(
+        "numpy.ma", "sweep-alpha", "--filter", "nu-method", "--n", "64",
+        "--k-max", "8", "--alphas", "0,0.5", "--runs", "2",
+        "--out", str(tmp_path / "sweep.csv")) == "0 False"
+
+
+def test_sweep_n_tikhonov_leaves_numpy_polynomial_unimported(tmp_path):
+    # the quadrature nodes come from gauss_legendre: leggauss's import
+    # took 2.6 ms and its eigensolve 25-35 ms of every sweep-n process.
+    # (numpy 1.x imports numpy.polynomial with numpy itself.)
+    assert _run_imports(
+        "numpy.polynomial", "sweep-n", "--filter", "tikhonov",
+        "--ns", "64,128", "--alphas", "0", "--runs", "2",
+        "--out", str(tmp_path / "sweep.csv")) == "0 False"
 
 
 def test_non_finite_sigma_exits_2(capsys):

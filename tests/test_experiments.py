@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from splitkern import _parallel
+from splitkern import _parallel, experiments
 from splitkern.distributed import fit_distributed, partition
 from splitkern.estimator import KernelExpansion, fit_iterative, fit_spectral
 from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
@@ -149,9 +149,9 @@ def test_study_computes_quadrature_nodes_once(monkeypatch, pooled):
     # the nodes are computed before the runs fan out, not by each pool
     # thread that finds the cache empty
     calls = []
-    real = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda deg: calls.append(deg) or real(deg))
+    real = experiments.gauss_legendre
+    monkeypatch.setattr(experiments, "gauss_legendre",
+                        lambda n: calls.append(n) or real(n))
     _gl_nodes.cache_clear()
     cfg = ExperimentConfig(filter="nu-method", n=64, sigma=0.01,
                            lam="oracle", k_max=8, runs=4, seed=3, workers=2)

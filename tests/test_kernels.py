@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from splitkern.estimator import KernelExpansion
-from splitkern.kernels import (BlockLayoutOperator, DenseOperator, gram,
-                               kernel_operator, level_operator, rkhs_norm_sq,
-                               sobolev_min, user_kernel)
+from splitkern.kernels import (BlockLayoutOperator, DenseOperator,
+                               _tridiagonal_solve, gram, kernel_operator,
+                               level_operator, rkhs_norm_sq, sobolev_min,
+                               user_kernel)
 
 
 @pytest.fixture
@@ -297,6 +298,26 @@ def _exact_solve(pts, c, y):
         x[k] = (M[k][n] - sum(M[k][j] * x[j] for j in range(k + 1, n))) \
             / M[k][k]
     return np.array([float(v) for v in x])
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 1023, 1024])
+def test_tridiagonal_solve_matches_dense_solve(n):
+    # strictly diagonally dominant: |off| < 1 on each side of a diagonal
+    # in [2.5, 3.5); diagonals (2, 3, 1, N) against right-hand sides (2, 1,
+    # 2, N), position last, so 12 systems in one call
+    rng = np.random.default_rng(n)
+    diag = 2.5 + rng.random((2, 3, 1, n))
+    off = rng.uniform(-1.0, 1.0, (2, 3, 1, n - 1))
+    rhs = rng.standard_normal((2, 1, 2, n))
+    x = _tridiagonal_solve(diag, off, rhs)
+    assert x.shape == (2, 3, 2, n)
+    for i, j in np.ndindex(2, 3):
+        d, o, b = diag[i, j, 0], off[i, j, 0], rhs[i, 0]
+        ref = np.linalg.solve(np.diag(d) + np.diag(o, 1) + np.diag(o, -1),
+                              b.T).T
+        assert np.max(np.abs(x[i, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for r in range(2):               # each system is its own call's
+            assert np.array_equal(x[i, j, r], _tridiagonal_solve(d, o, b[r]))
 
 
 _P = np.random.default_rng(3).random(5)
