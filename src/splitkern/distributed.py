@@ -43,13 +43,16 @@ class Partition:
 def partition(n: int, m: int, shuffle_seed=None) -> Partition:
     """Split ``range(n)`` into `m` balanced blocks, optionally shuffled.
 
-    Without a seed the blocks are contiguous index ranges.  With a seed
-    the indices are permuted first (deterministically).
+    Without a seed the blocks are contiguous index ranges, read-only
+    views of one ``arange``.  With a seed the indices are permuted first
+    (deterministically) and each block is sorted.
     """
     _check_block_count(n, m)
     idx = np.arange(n)
-    if shuffle_seed is not None:
-        np.random.default_rng(shuffle_seed).shuffle(idx)
+    if shuffle_seed is None:
+        idx.setflags(write=False)       # its views, the blocks, too
+        return Partition(tuple(np.array_split(idx, m)))
+    np.random.default_rng(shuffle_seed).shuffle(idx)
     return Partition(tuple(np.sort(b) for b in np.array_split(idx, m)))
 
 

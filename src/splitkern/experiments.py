@@ -358,28 +358,36 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
     """Fit (and score) one seeded run at every requested partition level.
 
     `levels` is a list of (alpha label, m) pairs; the same generated data
-    underlies each, so comparisons across levels are paired.
+    underlies each, so comparisons across levels are paired.  The rows
+    follow `levels`.
+
+    Each level's average is scored, in RKHS and in L2, as one expansion
+    on the Gram operator of the run's whole sample, reindexed into the
+    level's block order: x is sorted once per run.  A level of one block
+    is fitted first, as its fit's operator is that one.
     """
     rng = run_rng(cfg.seed, run)
     x, y = gen_data(target, cfg.n, cfg.sigma, rng)
     k = filt.steps(lam) if filt.iterative else None
-    # the Gram operator of the run's sample, on which every level's average
-    # is scored as one expansion: x is sorted once per run, not per level
-    op = kernel_operator(kernel, x)
-    results = []
-    for a, m in levels:
+    # drawn in level order, whatever order the levels are fitted in
+    seeds = rng.spawn(len(levels)) if cfg.shuffle else [None] * len(levels)
+    op, results = None, [None] * len(levels)
+    for i in sorted(range(len(levels)), key=lambda i: levels[i][1] != 1):
+        a, m = levels[i]
         t0 = time.perf_counter()
-        shuffle_seed = rng.spawn(1)[0] if cfg.shuffle else None
-        part = partition(cfg.n, m, shuffle_seed)
+        part = partition(cfg.n, m, seeds[i])
         est = fit_distributed(kernel, filt, lam, x, y, part)
+        if op is None:
+            op = est.operator if m == 1 else kernel_operator(kernel, x)
         # est.as_expansion() without its sort: the anchors in block order
-        hk = hk_error(KernelExpansion(est.coefficients, op._reordered(
-            np.concatenate(part.blocks))), target)
-        l2 = l2_error(est, target, cfg.quad_nodes)
+        exp = KernelExpansion(est.coefficients, op._reordered(
+            np.concatenate(part.blocks)))
+        hk = hk_error(exp, target)
+        l2 = l2_error(exp, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
-        results.append(RunResult(
+        results[i] = RunResult(
             n=cfg.n, m=m, alpha=a, lam=lam, k=k, run=run,
-            hk_error=hk, l2_error=l2, wall_ms=wall))
+            hk_error=hk, l2_error=l2, wall_ms=wall)
     return results
 
 

@@ -22,9 +22,10 @@ ENDPOINT_TOL = 1e-9
 ZERO_COEFF_TOL = 1e-10
 # Largest J of `fourier_coefficients`: by the analytic rule, arrays of 512
 # KiB; by quadrature, 4 J nodes, as many as ``experiments.QUAD_NODES_MAX``
-# (``gauss_legendre`` takes 60-90 ms for them; the J x 4 J table of sines
-# peaks at 64 MiB).
+# (``gauss_legendre`` takes 60-90 ms for them).  The J x 4 J sines of the
+# quadrature are formed `_SINE_CHUNK` values at a time.
 _MAX_J, _MAX_QUADRATURE_J = 2 ** 16, 1024
+_SINE_CHUNK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,16 @@ def fourier_coefficients(target: TargetFunction, J: int) -> np.ndarray:
     xg = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
     fw = wg * np.asarray(target(xg), dtype=float)
-    sines = np.sin(math.pi * js[:, None] * xg[None, :])
-    return math.sqrt(2.0) * math.pi * js * (sines @ fw)
+    # the sines of a chunk of j's at a time, 8 MiB at most; a multiple of 8
+    # rows, as BLAS takes a matrix-vector product's rows in groups, so each
+    # chunk's dots are the unchunked product's (one BLAS thread)
+    rows = _SINE_CHUNK // xg.size // 8 * 8
+    buf, dots = np.empty((min(rows, J), xg.size)), np.empty(J)
+    for lo in range(0, J, rows):
+        sines = buf[:min(rows, J - lo)]
+        np.multiply(math.pi * js[lo:lo + rows, None], xg, out=sines)
+        dots[lo:lo + rows] = np.sin(sines, out=sines) @ fw
+    return math.sqrt(2.0) * math.pi * js * dots
 
 
 @dataclass

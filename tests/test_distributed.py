@@ -50,6 +50,16 @@ def test_partition_shuffle_deterministic():
             np.sort(np.concatenate(part.blocks)), np.arange(40))
 
 
+def test_partition_blocks_of_a_range_are_read_only_views():
+    # contiguous blocks are already ascending: views of one arange, with
+    # no sort; shuffled blocks are sorted copies
+    for part in (partition(10, 3), partition(10, 1)):
+        assert all(not b.flags.writeable and b.base is not None
+                   for b in part.blocks)
+    shuffled = partition(40, 4, shuffle_seed=7)
+    assert all(np.array_equal(b, np.sort(b)) for b in shuffled.blocks)
+
+
 def _data(n, seed=0, sigma=0.1):
     rng = np.random.default_rng(seed)
     x = rng.random(n)

@@ -160,6 +160,63 @@ def test_study_computes_quadrature_nodes_once(monkeypatch, pooled):
     assert pooled == [2, 2]
 
 
+def _tied_sample(target, n, sigma, rng):
+    """`gen_data`'s draw with exact ties and anchors at 0 and 1 mixed in."""
+    x, _ = gen_data(target, n, sigma, rng)
+    x[:40] = x[40:80]
+    x[80:90], x[90:100] = 0.0, 1.0
+    x[100:110] = x[110]
+    return x, target(x) + sigma * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("filt, lam", [(nu_method(), 1.0 / 12 ** 2),
+                                       (tikhonov(), 1e-4)])
+def test_assessment_l2_is_the_block_average_l2(bump, monkeypatch, filt, lam,
+                                               shuffle):
+    # the harness scores L2 on one expansion over the whole sample; that is
+    # the block average's L2 to rounding, and bit for bit at m = 1
+    fits = {}
+    real = experiments.fit_distributed
+
+    def recording(*args):
+        est = real(*args)
+        fits[args[-1].m] = est
+        return est
+
+    monkeypatch.setattr(experiments, "gen_data", _tied_sample)
+    monkeypatch.setattr(experiments, "fit_distributed", recording)
+    cfg = ExperimentConfig(n=600, sigma=0.01, shuffle=shuffle, seed=4)
+    levels = [(0.5, 28), (0.0, 1), (0.2, 2), (0.3, 5), (0.8, 147)]
+    rows = experiments._assess_run(cfg, sobolev_min(), filt, bump, lam, 0,
+                                   levels)
+    assert [(r.alpha, r.m) for r in rows] == levels
+    for row in rows:
+        ref = l2_error(fits[row.m], bump, cfg.quad_nodes)
+        if row.m == 1:
+            assert row.l2_error == ref
+        else:
+            assert row.l2_error == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("alphas", [[0.0, 0.3], [0.3, 0.0], [0.3, 0.6]])
+def test_study_run_sorts_its_sample_once(monkeypatch, alphas):
+    # a run's sample is laid out once: by its level of one block when it
+    # has one, whichever level comes first, else by the scoring operator
+    full = []
+    real = BlockLayoutOperator.__init__
+
+    def counting(self, kernel, points, sizes):
+        full.append(sizes.size == 1)
+        real(self, kernel, points, sizes)
+
+    monkeypatch.setattr(BlockLayoutOperator, "__init__", counting)
+    cfg = ExperimentConfig(filter="nu-method", n=64, sigma=0.01,
+                           lam=1.0 / 8 ** 2, runs=3, seed=3)
+    sweep_alpha(cfg, alphas)
+    assert sum(full) == cfg.runs
+
+
 def test_gl_nodes_cached_and_read_only():
     xg, wg = _gl_nodes(128)
     assert _gl_nodes(128)[0] is xg

@@ -249,6 +249,21 @@ def test_reordered_operator_is_the_reordered_anchors_operator(kernel,
         assert got.quad_form(a[1]) == ref.quad_form(a[1])
 
 
+@pytest.mark.parametrize("name", ["unsorted", "tied", "endpoints"])
+def test_reordered_operator_after_a_product(kernel, name):
+    # a product caches the operator's segment map; the reordered copy
+    # must not reuse it, as its values come in another order
+    pts = ANCHORS[name]
+    rng = np.random.default_rng(pts.size + 3)
+    index = rng.permutation(pts.size)
+    v = rng.standard_normal(pts.size)
+    op = kernel_operator(kernel, pts)
+    assert np.allclose(op.matvec(v), gram(kernel, pts) @ v,
+                       rtol=0, atol=1e-12)
+    got = op._reordered(index).matvec(v)
+    assert np.allclose(got, gram(kernel, pts[index]) @ v, rtol=0, atol=1e-12)
+
+
 _PAIRS = np.random.default_rng(8).random(24)
 SOLVE_ANCHORS = {
     **ANCHORS,

@@ -10,7 +10,8 @@ state; products to the same 1e-12, of the scale they round at
 import numpy as np
 import pytest
 
-from splitkern.kernels import gram, kernel_operator, sobolev_min
+from splitkern.kernels import (gram, kernel_operator, level_operator,
+                               sobolev_min)
 from test_kernels import _exact_solve
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,3 +94,57 @@ def test_lattice_rows_are_one_shift_solves(pts, seed, shifts):
     rows = op.solve_shifted(c, y)
     for i in range(c.size):
         assert np.array_equal(rows[i], op.solve_shifted(c[i:i + 1], y)[0])
+
+
+def _stable_layout(pts, sizes):
+    """``_sorted``, ``_slot`` and ``_source`` of a level laid out as
+    documented, by one stable sort of every row: the anchors of block i,
+    then pads at 1 up to the longest block."""
+    m, s = sizes.size, int(sizes.max())
+    real = np.arange(s) < sizes[:, None]
+    unsorted = np.ones((m, s))
+    unsorted[real] = pts
+    order = np.argsort(unsorted, axis=1, kind="stable")
+    order += np.arange(0, m * s, s)[:, None]
+    inverse = np.empty(m * s, dtype=np.intp)
+    inverse[order.ravel()] = np.arange(m * s)
+    flat = np.zeros((m, s), dtype=np.intp)
+    flat[real] = np.arange(pts.size)
+    return (unsorted.ravel()[order], inverse.reshape(m, s)[real],
+            flat.ravel()[order])
+
+
+@st.composite
+def block_layouts(draw):
+    """Anchors (drawn, or all equal) and block sizes of any split of them
+    into one or more blocks, so that the shorter blocks' rows get pads."""
+    pts = draw(anchor_sets())
+    if draw(st.booleans()):
+        pts = np.full(pts.size, pts[0])
+    cuts = draw(st.sets(st.integers(1, pts.size - 1), max_size=5)
+                if pts.size > 1 else st.just(set()))
+    return pts, np.diff([0, *sorted(cuts), pts.size])
+
+
+_DISTINCT = np.random.default_rng(5).random(300)
+
+
+@PROPERTY
+@given(block_layouts())
+@hypothesis.example((_DISTINCT, np.array([300])))
+@hypothesis.example((_DISTINCT[:40], np.array([17, 3, 20])))
+@hypothesis.example((np.array([0.5, 0.2, 0.9, 1.0, 0.0]), np.array([4, 1])))
+@hypothesis.example((np.r_[_DISTINCT, 1.0, 0.4], np.array([300, 2])))
+@hypothesis.example((np.array([0.4, 1.0, 0.4, 0.1, 0.3]), np.array([3, 2])))
+@hypothesis.example((np.full(30, 0.25), np.array([13, 17])))
+def test_sort_is_the_stable_sort(layout):
+    # the default sort, redone stably only after a tie other than between
+    # pads, lays every level out as one stable sort does: exact ties, rows
+    # of one value, anchors at 0 and 1, and an anchor at 1 before pads
+    pts, sizes = layout
+    blocks = np.split(np.arange(pts.size), np.cumsum(sizes)[:-1])
+    op = level_operator(KERNEL, pts, blocks)
+    ref_sorted, ref_slot, ref_source = _stable_layout(pts, sizes)
+    assert op._sorted.tobytes() == ref_sorted.tobytes()
+    assert np.array_equal(op._slot, ref_slot)
+    assert np.array_equal(op._source, ref_source)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splitkern._quadrature import gauss_legendre
 from splitkern.smoothness import (TargetFunction, fourier_coefficients,
                                   max_smoothness, quadratic_bump, scaled_sine,
                                   tail_sum, target_by_name, zero_target)
@@ -111,6 +113,26 @@ def test_coefficient_count_is_bounded():
                       (_by_quadrature(quadratic_bump()), 1025)):
         with pytest.raises(ValueError):
             fourier_coefficients(target, J)
+
+
+def test_quadrature_memory_is_bounded():
+    # the J x 4 J sines (64 MiB at J = 1024) are formed a chunk of j's at a
+    # time, and the dots are the unchunked product's
+    target = _by_quadrature(quadratic_bump())
+    J = 1024
+    tracemalloc.start()
+    try:
+        got = fourier_coefficients(target, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    xg, wg = gauss_legendre(4 * J)
+    xg, wg = 0.5 * (xg + 1.0), 0.5 * wg
+    js = np.arange(1, J + 1)
+    ref = math.sqrt(2.0) * math.pi * js * (
+        np.sin(math.pi * js[:, None] * xg[None, :]) @ (wg * target(xg)))
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_quadrature_requires_vanishing_endpoints():
