@@ -56,8 +56,11 @@ def _parse_lattice(text: str) -> np.ndarray:
     """Either 'v1,v2,...' or 'log:<min>:<max>:<count>'."""
     if text.startswith("log:"):
         _, lo, hi, count = text.split(":")
-        return np.logspace(math.log10(float(lo)), math.log10(float(hi)),
-                           int(count))
+        lo, hi = float(lo), float(hi)
+        if not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise ValueError(f"lattice bounds must be positive and finite, "
+                             f"got {text!r}")
+        return np.logspace(math.log10(lo), math.log10(hi), int(count))
     return np.asarray(_parse_floats(text))
 
 
@@ -201,10 +204,10 @@ def _cmd_sweep_n(args) -> int:
 def _cmd_adapt(args) -> int:
     cfg = _config_from_args(args)
     kernel, filt, target = experiments._resolve_pieces(cfg)
-    x, y = experiments.gen_data(target, cfg.n, cfg.sigma,
-                                experiments.run_rng(cfg.seed, 0))
     lattice = _parse_lattice(args.lattice)
     m_seq = _parse_ints(args.m_sequence) if args.m_sequence else None
+    x, y = experiments.gen_data(target, cfg.n, cfg.sigma,
+                                experiments.run_rng(cfg.seed, 0))
     result = adaptivity.adapt(
         x, y, kernel, filt, lattice, m_sequence=m_seq, delta=args.delta,
         val_fraction=args.split, seed=cfg.seed, workers=cfg.workers)

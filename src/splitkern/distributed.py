@@ -103,21 +103,22 @@ class AveragedEstimator:
 
 
 class LevelEstimator(AveragedEstimator):
-    """The average of a built-in kernel's partition level: `level` is an
-    ``(..., m, s)`` level vector of the block-layout `operator` (a leading
-    row per fit, ``est[i]``), predicted at once (``mean_cross``) with the
-    blocks added in ascending order, as the base class adds them.
-    `block_fits` builds each block's own operator when read."""
+    """The average of a built-in kernel's partition level: `weights` holds
+    every block's coefficients over the block-layout `operator`'s points,
+    blocks in order (a leading row per fit, ``est[i]``), predicted at once
+    (``cross``) with the blocks added in ascending order, as the base
+    class adds them.  `block_fits` builds each block's own operator when
+    read."""
 
-    def __init__(self, operator, level):
-        self.operator, self.level, self.m = operator, level, operator.m
+    def __init__(self, operator, weights):
+        self.operator, self.weights, self.m = operator, weights, operator.m
         self.kernel, self.points = operator.kernel, operator.points
 
     def __call__(self, x):
-        return _evaluate(self.operator.mean_cross, self.level, x)
+        return _evaluate(self.operator.cross, self.weights, x) / self.m
 
     def __getitem__(self, i):
-        return LevelEstimator(self.operator, self.level[i])
+        return LevelEstimator(self.operator, self.weights[i])
 
     @cached_property
     def block_fits(self) -> tuple:
@@ -125,12 +126,12 @@ class LevelEstimator(AveragedEstimator):
         split = np.cumsum(op.sizes[:-1, 0])
         return tuple(
             KernelExpansion(a, kernel_operator(op.kernel, p)) for a, p in zip(
-                np.split(op.blocks(self.level), split, axis=-1),
+                np.split(self.weights, split, axis=-1),
                 np.split(op.points, split)))
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self.operator.blocks(self.level) / self.m
+        return self.weights / self.m
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
@@ -168,7 +169,7 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
         scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
         b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
         steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
-        return LevelEstimator(op, next(islice(steps, k - 1, None)))
+        return LevelEstimator(op, op.blocks(next(islice(steps, k - 1, None))))
     fits = []
     for ix in part.blocks:
         op = kernel_operator(kernel, x[ix])
@@ -215,8 +216,8 @@ def _solve_blocks(kernel, filt, lams, x, ys, blocks,
     level = level_operator(kernel, x, blocks)
     if level is not None and _solves_shifted(level, filt):
         solve = coefficient_solver([level], filt)
-        rows = [solve(lams, [y[np.concatenate(blocks)]])[0] for y in ys]
-        return LevelEstimator(level, level.layout(np.concatenate(rows)))
+        return LevelEstimator(level, np.concatenate(
+            [solve(lams, [y[np.concatenate(blocks)]])[0] for y in ys]))
 
     def fit(chunk):
         ops = [DenseOperator(kernel, x[ix]) for ix in chunk]
@@ -226,8 +227,8 @@ def _solve_blocks(kernel, filt, lams, x, ys, blocks,
 
     fitted = parallel_map(fit, _chunks(blocks), workers)
     if level is not None:
-        return LevelEstimator(level, level.layout(np.concatenate(
-            [c for _, coefs in fitted for c in coefs], axis=-1)))
+        return LevelEstimator(level, np.concatenate(
+            [c for _, coefs in fitted for c in coefs], axis=-1))
     # Each block gets its own copy of its coefficients, made on this
     # thread after every chunk is fitted, so the chunks' arrays, made on
     # pool threads, are freed.  Keeping views of them instead raised the

@@ -27,7 +27,7 @@ from ._quadrature import gauss_legendre
 from .distributed import (AveragedEstimator, _check_block_count,
                           _target_norm_sq, fit_distributed, partition)
 from .estimator import KernelExpansion, coefficient_solver
-from .filters import FilterSpec, check_steps, iterate
+from .filters import LAMBDA_MIN, FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
 from .kernels import kernel_operator, rkhs_error_sq, rkhs_norm_sq, sobolev_min
 from .smoothness import target_by_name
@@ -239,10 +239,17 @@ def _resolve_pieces(cfg: ExperimentConfig):
 def _default_grid(cfg: ExperimentConfig, filt: FilterSpec):
     """Oracle grid: k = 1..k_max for iterative filters, else descending
     log-spaced lambdas (first grid entry = strongest regularization, so
-    argmin tie-breaking errs toward more smoothing)."""
+    argmin tie-breaking errs toward more smoothing).  A setting is checked
+    only where it is read: an explicit `k_max` leaves `grid_min` unread."""
+    if filt.iterative and cfg.k_max is not None:
+        return np.arange(1, check_steps(int(cfg.k_max)) + 1)
+    if not LAMBDA_MIN <= cfg.grid_min <= 1.0:
+        raise ValueError(f"grid_min: lambda must lie in [{LAMBDA_MIN:g}, 1],"
+                         f" got {cfg.grid_min}")
     if filt.iterative:
-        k_max = filt.steps(cfg.grid_min) if cfg.k_max is None else cfg.k_max
-        return np.arange(1, check_steps(int(k_max)) + 1)
+        return np.arange(1, check_steps(filt.steps(cfg.grid_min)) + 1)
+    if cfg.grid_size < 1:
+        raise ValueError(f"grid_size must be at least 1, got {cfg.grid_size}")
     return np.logspace(0.0, math.log10(cfg.grid_min), cfg.grid_size)
 
 
@@ -268,32 +275,19 @@ class OracleSelection:
     lambdas: np.ndarray
     steps: np.ndarray | None
     rms_curve: np.ndarray        # root-mean squared RKHS error per grid point
-    hk_sq_runs: np.ndarray       # runs x grid
 
 
-def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
-    """Pick the grid parameter minimizing root-mean RKHS error at m = 1.
+def oracle_select(cfg: ExperimentConfig) -> OracleSelection:
+    """Pick the point of the oracle grid (:func:`_default_grid`)
+    minimizing root-mean RKHS error at m = 1.
 
     Ties break toward stronger regularization (larger lambda / fewer
-    steps).  The full per-run error curves are returned for reuse.
+    steps), which the grid lists first.
     """
     kernel, filt, target = _resolve_pieces(cfg)
-    if grid is None:
-        grid = _default_grid(cfg, filt)
-    grid = np.asarray(grid)
-    if grid.size == 0:
-        raise ValueError("empty parameter grid")
-    if filt.iterative:
-        # the distinct counts, ascending: fewest steps first (np.unique
-        # would import numpy.ma, 12-15 ms and 1.6 MiB, on its first call)
-        grid = np.sort(grid.astype(int), axis=None)
-        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-        check_steps(int(grid[0]))
-        check_steps(int(grid[-1]))
-        steps, lambdas = grid, filt.step_lambda(grid)
-    else:
-        grid = np.sort(grid.astype(float))[::-1]   # descending: largest lambda first
-        steps, lambdas = None, grid
+    grid = _default_grid(cfg, filt)
+    steps, lambdas = ((grid, filt.step_lambda(grid)) if filt.iterative
+                      else (None, grid))
 
     def one_run(r: int) -> np.ndarray:
         x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, r))
@@ -306,8 +300,7 @@ def oracle_select(cfg: ExperimentConfig, grid=None) -> OracleSelection:
     return OracleSelection(
         lam=float(lambdas[best]),
         k=int(steps[best]) if steps is not None else None,
-        index=best, lambdas=lambdas, steps=steps, rms_curve=rms,
-        hk_sq_runs=hk_sq)
+        index=best, lambdas=lambdas, steps=steps, rms_curve=rms)
 
 
 # ---------------------------------------------------------------------------

@@ -243,19 +243,25 @@ class BlockLayoutOperator(KernelOperator):
     product after one sort.  ``f = sum_j a_j K(x_j, .)`` is ``f(t) = P(t)
     + t * D(t)`` with ``P(t) = sum_{x_j <= t} x_j a_j`` and ``D(t) =
     sum_{x_j > t} a_j - sum_j x_j a_j``, where ``D`` is also ``f'``
-    between anchors; at a tie both branches of ``min`` agree.
+    between anchors.
 
     Row i of one ``(m, s)`` array, ``s`` the largest block size, holds
     block i's anchors sorted stably, then anchors at 1 up to length ``s``
     (:func:`_row_order`).
     Those pads have ``K(1, .) = 0``; products hold their coefficients at
     ``-0.0``, the additive identity, so every prefix sum of a row is its
-    block's alone, bit for bit.  ``matvec``, ``cross``, ``quad_form`` and
-    ``solve_shifted`` take flat ``(..., n)`` vectors over `points` (the
-    blocks one after another, each in its index order) and each block's
-    own Gram matrix.  ``level_matvec`` and ``mean_cross`` take ``(..., m,
-    s)`` level vectors, on which the level iteration steps with no
-    scatter; :meth:`layout` and :meth:`blocks` map between the two.
+    block's alone, bit for bit.  Segment r of a row holds the points with
+    r of its anchors at or below them, and products read segments by
+    position: slot j reads segment j + 1.  At a tie both branches of
+    ``min`` agree, so an anchor tied to the next one may read its own
+    segment; only the last bits of its value depend on which.
+
+    ``matvec``, ``cross``, ``quad_form`` and ``solve_shifted`` take flat
+    ``(..., n)`` vectors over `points` (the blocks one after another, each
+    in its index order) and each block's own Gram matrix; ``cross`` sums
+    the blocks' expansions.  Only ``level_matvec`` takes an ``(..., m, s)``
+    level vector, on which the level iteration steps with no scatter;
+    :meth:`layout` and :meth:`blocks` map between the two.
     """
 
     def __init__(self, kernel: Kernel, points: np.ndarray, sizes: np.ndarray):
@@ -279,17 +285,6 @@ class BlockLayoutOperator(KernelOperator):
         flat[real] = np.arange(points.size)
         self._source = flat.ravel()[order]         # flat index per slot
 
-    @cached_property
-    def _at(self):
-        """Each anchor's segment, the anchors <= it in its row (pads too):
-        segment r of row i is entry ``i (s + 1) + r`` of the flat sums."""
-        m, s = self._sorted.shape
-        end = np.ones((m, s), dtype=bool)
-        end[:, :-1] = self._sorted[:, 1:] != self._sorted[:, :-1]
-        ends = np.where(end, np.arange(1, s + 1), s)
-        return np.arange(m)[:, None] * (s + 1) + np.minimum.accumulate(
-            ends[:, ::-1], axis=1)[:, ::-1]
-
     def layout(self, values) -> np.ndarray:
         """Flat values as a level vector (pads: copies, which sums mask)."""
         return np.asarray(values, dtype=float).take(self._source, axis=-1)
@@ -305,7 +300,6 @@ class BlockLayoutOperator(KernelOperator):
         reordered anchors would take theirs, so their sums may then differ
         in the last bits."""
         op = copy.copy(self)
-        op.__dict__.pop("_segments", None)     # read through `_slot`
         op.points = self.points[index]
         op._slot = self._slot[index]
         inverse = np.empty_like(index)
@@ -314,38 +308,28 @@ class BlockLayoutOperator(KernelOperator):
         return op
 
     def _sums(self, level):
-        """:func:`_bridge_sums` of each level row, pads masked, flattened."""
+        """:func:`_bridge_sums` of each level row, pads masked: ``(..., m,
+        s + 1)``, segment r of row i at ``[..., i, r]``."""
         if self._pad is not None:
             level = np.where(self._pad, -0.0, level)
-        prefix, slope = _bridge_sums(self._sorted, level)
-        flat = prefix.shape[:-2] + (-1,)
-        return prefix.reshape(flat), slope.reshape(flat)
-
-    @cached_property
-    def _segments(self):
-        """The segment of each flat value (`_at` in flat order)."""
-        return self._at.ravel()[self._slot]
+        return _bridge_sums(self._sorted, level)
 
     def matvec(self, v):
-        return _bridge_values(self._sums(self.layout(v)), self.points,
-                              self._segments)
+        return self.blocks(self.level_matvec(self.layout(v)))
 
     def level_matvec(self, v) -> np.ndarray:
-        """Every block's ``G @ v``, for a level vector `v`."""
-        return _bridge_values(self._sums(v), self._sorted, self._at)
+        """Every block's ``G @ v``, for a level vector `v`: slot j of a row
+        reads segment j + 1."""
+        prefix, slope = self._sums(v)
+        return prefix[..., 1:] + self._sorted * slope[..., 1:]
 
     def cross(self, coef, t):
-        return self._total(self.layout(coef), t)
-
-    def mean_cross(self, coef, t) -> np.ndarray:
-        """The blocks' mean expansion at the 1-D points `t` (level `coef`)."""
-        return self._total(coef, t) / self.m
-
-    def _total(self, level, t):
         """The sum of the blocks' expansions at `t`, added in ascending
         block order, a chunk of about `CROSS_CHUNK` values at a time."""
         t = np.asarray(t, dtype=float)
-        sums = self._sums(level)
+        prefix, slope = self._sums(self.layout(coef))
+        flat = prefix.shape[:-2] + (-1,)
+        sums = prefix.reshape(flat), slope.reshape(flat)
         if self.m == 1:                        # no sort of t: as one row
             return _bridge_values(sums, t, np.searchsorted(
                 self._sorted[0], t, side="right"))
@@ -378,7 +362,7 @@ class BlockLayoutOperator(KernelOperator):
     def quad_form(self, a):
         """``int f'^2`` over every block: exact, and never negative."""
         _, slope = self._sums(self.layout(a))
-        return float(self._gaps @ slope ** 2)
+        return float(self._gaps @ slope.ravel() ** 2)
 
     def solve_shifted(self, c, y) -> np.ndarray:
         """``(G_i + c_li I)^{-1} y_i`` for every block i and each shift
@@ -394,7 +378,12 @@ class BlockLayoutOperator(KernelOperator):
         - tied interior anchors share a Gram row and are merged into the
           distinct points ``u`` with multiplicities ``d``:
           ``(G_u + c/d) beta = ybar`` (group means of y), then
-          ``alpha_i = beta_k / d_k + (y_i - ybar_k) / c``;
+          ``alpha_i = beta_k / d_k + (y_i - ybar_k) / c``.  The merge is
+          for accuracy: on 4096 anchors on a 0.1 grid the merged solve
+          is within 1.9e-16 of the largest coefficient of the exact one,
+          and a solve that takes the tied anchors as gaps of zero misses
+          by 4e-14 to 7.5e-14 (four shifts from 1 to 1e-14 times
+          ``kappa**2 n``, six draws);
         - ``G_u = S (H - h h') S'``, with ``S`` the lower-triangular ones
           matrix, ``h`` the Brownian-bridge increments (gaps
           ``0 -> u_1, ..., u_{N-1} -> u_N``) and ``H = diag(h)``.  So

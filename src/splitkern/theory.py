@@ -28,6 +28,10 @@ class TheoryParams:
     n: int = 1
 
     def __post_init__(self):
+        for name in ("r", "b", "sigma", "R"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.r <= 0:
             raise ValueError("r must be positive")
         if self.b <= 1:

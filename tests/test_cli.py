@@ -322,6 +322,58 @@ def test_non_finite_nu_exits_2(capsys, monkeypatch, command, nu):
     assert err == f"error: nu must be finite and positive, got {nu}\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--r", "inf"), ("--b", "nan"), ("--sigma", "inf"), ("--R", "inf"),
+    ("--R", "nan")])
+@pytest.mark.parametrize("command", [
+    ["theory", "--ns", "64"],
+    ["simulate", "--lambda", "theory", "--n", "64", "--runs", "1"]])
+def test_non_finite_theory_parameter_exits_2(capsys, monkeypatch, command,
+                                             flag, value):
+    # named in the message, not blamed on the lambda it would give (inf
+    # gave lambda = 1 and exit 0, nan "lambda must lie in"); no run starts
+    monkeypatch.setattr(experiments, "gen_data", _fail)
+    code, out, err = run_cli(capsys, *command, flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag[2:]} must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["oracle", "--grid-min", "0"],
+     "grid_min: lambda must lie in [1e-14, 1], got 0.0"),
+    (["oracle", "--filter", "tikhonov", "--grid-min", "0"],
+     "grid_min: lambda must lie in [1e-14, 1], got 0.0"),
+    (["oracle", "--filter", "tikhonov", "--grid-min", "inf"],
+     "grid_min: lambda must lie in [1e-14, 1], got inf"),
+    (["simulate", "--filter", "cutoff", "--grid-min", "nan"],
+     "grid_min: lambda must lie in [1e-14, 1], got nan"),
+    (["oracle", "--filter", "tikhonov", "--grid-size", "-1"],
+     "grid_size must be at least 1, got -1"),
+    (["oracle", "--filter", "cutoff", "--grid-size", "0"],
+     "grid_size must be at least 1, got 0"),
+    (["adapt", "--lattice", "log:1e-3:inf:3"],
+     "lattice bounds must be positive and finite, got 'log:1e-3:inf:3'"),
+    (["adapt", "--lattice", "log:0:1:3"],
+     "lattice bounds must be positive and finite, got 'log:0:1:3'"),
+    (["adapt", "--lattice", "log:-1:1:3"],
+     "lattice bounds must be positive and finite, got 'log:-1:1:3'")])
+def test_bad_grid_or_lattice_bound_exits_2(capsys, monkeypatch, command,
+                                           message):
+    # checked where each setting is read, before any data is drawn: no
+    # "math domain error", numpy message or RuntimeWarning
+    monkeypatch.setattr(experiments, "gen_data", _fail)
+    code, out, err = run_cli(capsys, *command, "--n", "64", "--runs", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_explicit_k_max_leaves_grid_min_unread(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--k-max", "10", "--grid-min",
+                           "0", "--n", "32", "--runs", "1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("0.01,10,")
+
+
 @pytest.mark.parametrize("ms", ["0", "4,0", "1,-2"])
 def test_theory_block_count_below_one_exits_2(capsys, ms):
     code, out, err = run_cli(capsys, "theory", "--ns", "64", "--ms", ms)

@@ -17,8 +17,9 @@ from splitkern.adaptivity import fit_lattice
 from splitkern.distributed import AveragedEstimator, fit_distributed, partition
 from splitkern.estimator import fit_iterative, fit_spectral
 from splitkern.filters import landweber, nu_method, tikhonov
-from splitkern.kernels import kernel_operator, level_operator, sobolev_min
-from test_operator_properties import PROPERTY, anchor_sets, seeds
+from splitkern.kernels import (gram, kernel_operator, level_operator,
+                               sobolev_min)
+from test_operator_properties import PROPERTY, _term_scale, anchor_sets, seeds
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -91,8 +92,41 @@ def _check_products(x, part, seed, kind):
         assert products[i].tobytes() == block.matvec(a).tobytes()
         if i:
             total = total + block.cross(a, t)
-    mean = op.mean_cross(op.layout(v), t)
+    mean = op.cross(v, t) / part.m
     assert mean.tobytes() == (total / part.m).tobytes()
+
+
+@pytest.mark.parametrize("shuffle", [None, 5], ids=["contiguous", "shuffled"])
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_heavily_tied_level_products(m, shuffle):
+    # 2048 anchors on the grid 0, 0.01, ..., 1, both ends included: about
+    # 20 ties per grid point, and ties within most blocks.  Each block's
+    # products are its level of one's bit for bit, and all of them are
+    # within test_products_match_gram's 1e-12 of the scale they round at
+    rng = np.random.default_rng(m)
+    x = rng.integers(0, 101, 2048) / 100
+    x[:2] = 0.0, 1.0
+    part = partition(x.size, m, shuffle)
+    _check_products(x, part, m, "normal")
+    op = level_operator(KERNEL, x, part.blocks)
+    a = rng.standard_normal(x.size)
+    t = np.concatenate([rng.random(20), np.arange(101) / 100])
+    tiny = np.finfo(float).smallest_normal
+    split = np.cumsum(op.sizes[:-1, 0])
+    products = op.matvec(a), op.blocks(op.level_matvec(op.layout(a)))
+    quad = quad_scale = 0.0
+    for p, ai, *got in zip(np.split(op.points, split), np.split(a, split),
+                           *(np.split(v, split) for v in products)):
+        Ga = gram(KERNEL, p) @ ai
+        scale = np.max(_term_scale(p, p) @ np.abs(ai))
+        for g in got:
+            assert np.max(np.abs(g - Ga)) <= 1e-12 * scale + tiny
+        quad += float(ai @ Ga)
+        quad_scale += float(np.abs(ai) @ _term_scale(p, p) @ np.abs(ai))
+    assert abs(op.quad_form(a) - quad) <= 1e-12 * quad_scale + tiny
+    K = KERNEL.fn(op.points[:, None], t[None, :])
+    scale = np.max(np.abs(a) @ _term_scale(op.points, t))
+    assert np.max(np.abs(op.cross(a, t) - a @ K)) <= 1e-12 * scale + tiny
 
 
 @PROPERTY
