@@ -93,11 +93,12 @@ def default_m_sequence(n_train: int):
 
 def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
                 m_k: int, workers=None) -> AveragedEstimator:
-    """The averaged estimator over `m_k` blocks with one row per lattice
-    value: ``fit_lattice(...)[i]`` is the fit at ``lattice[i]``, each block
-    its own ``fit_spectral``'s bit for bit (``distributed._solve_blocks``:
-    one level solve, or a chunk of equal-size blocks per pool task).  Pure
-    function of the training data."""
+    """The average over `m_k` blocks, on the level's one operator for
+    every kernel, with one row per lattice value: ``fit_lattice(...)[i]``
+    is the fit at ``lattice[i]``, each block its own ``fit_spectral``'s
+    bit for bit (``distributed._solve_blocks``: one level solve, or a
+    chunk of equal-size blocks per pool task).  Pure function of the
+    training data."""
     x_t, y_t = _as_data(x_t, y_t)
     return _solve_blocks(kernel, filt, lattice, x_t, [y_t],
                          partition(len(x_t), m_k).blocks, workers)

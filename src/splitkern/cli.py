@@ -55,12 +55,15 @@ def _parse_ints(text: str) -> list[int]:
 def _parse_lattice(text: str) -> np.ndarray:
     """Either 'v1,v2,...' or 'log:<min>:<max>:<count>'."""
     if text.startswith("log:"):
-        _, lo, hi, count = text.split(":")
-        lo, hi = float(lo), float(hi)
+        fields = text.split(":")
+        if len(fields) != 4 or not fields[3].isdecimal() or int(fields[3]) < 1:
+            raise ValueError(f"--lattice must be log:<min>:<max>:<count> with "
+                             f"an integer count >= 1, got {text!r}")
+        lo, hi, count = float(fields[1]), float(fields[2]), int(fields[3])
         if not (0 < lo < math.inf and 0 < hi < math.inf):
             raise ValueError(f"lattice bounds must be positive and finite, "
                              f"got {text!r}")
-        return np.logspace(math.log10(lo), math.log10(hi), int(count))
+        return np.logspace(math.log10(lo), math.log10(hi), count)
     return np.asarray(_parse_floats(text))
 
 

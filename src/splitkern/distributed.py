@@ -17,8 +17,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .estimator import (KernelExpansion, _as_data, _evaluate,
-                        _solves_shifted, coefficient_solver,
-                        iterate_coefficients)
+                        _solves_shifted, coefficient_solver)
 from .filters import FilterSpec, check_steps, iterate
 from .kernels import (DenseOperator, Kernel, kernel_operator, level_operator,
                       rkhs_error_sq, rkhs_norm_sq)
@@ -64,51 +63,12 @@ def _check_block_count(n: int, m: int) -> None:
 
 
 class AveragedEstimator:
-    """Arithmetic mean of per-block kernel expansions, `block_fits`, of a
-    user kernel (the built-in kernel's are :class:`LevelEstimator`).
-
-    Block expansions with 2-D coefficients give one averaged estimator
-    per row (one per lambda of a lattice, as `fit_lattice` returns them);
-    ``est[i]`` is row `i` on its own.  The blocks' values at a point are
-    added in ascending block order.
-    """
-
-    def __init__(self, block_fits):
-        self.block_fits = tuple(block_fits)
-        self.m = len(self.block_fits)
-        self.kernel = self.block_fits[0].operator.kernel
-        # every block's anchors, blocks in order
-        self.points = np.concatenate([f.points for f in self.block_fits])
-
-    def __call__(self, x):
-        total = self.block_fits[0](x)
-        for fit in self.block_fits[1:]:
-            total = total + fit(x)
-        return total / self.m
-
-    def __getitem__(self, i):
-        return AveragedEstimator(f[i] for f in self.block_fits)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The weights alpha/m of every block, in block order: the average
-        as one expansion over all anchors."""
-        return np.concatenate(
-            [f.coefficients for f in self.block_fits], axis=-1) / self.m
-
-    def as_expansion(self) -> KernelExpansion:
-        """The average rewritten as one expansion with weights alpha/m."""
-        return KernelExpansion(self.coefficients, kernel_operator(
-            self.kernel, self.points))
-
-
-class LevelEstimator(AveragedEstimator):
-    """The average of a built-in kernel's partition level: `weights` holds
-    every block's coefficients over the block-layout `operator`'s points,
-    blocks in order (a leading row per fit, ``est[i]``), predicted at once
-    (``cross``) with the blocks added in ascending order, as the base
-    class adds them.  `block_fits` builds each block's own operator when
-    read."""
+    """The average of a partition level's block fits: `weights` holds
+    every block's coefficients over the level `operator`'s points, blocks
+    in order (a leading row per fit, ``est[i]``), predicted at once
+    (``cross``) with the blocks added in ascending order and divided by
+    m.  `block_fits` builds each block's expansion on its own operator
+    when read."""
 
     def __init__(self, operator, weights):
         self.operator, self.weights, self.m = operator, weights, operator.m
@@ -118,20 +78,25 @@ class LevelEstimator(AveragedEstimator):
         return _evaluate(self.operator.cross, self.weights, x) / self.m
 
     def __getitem__(self, i):
-        return LevelEstimator(self.operator, self.weights[i])
+        return AveragedEstimator(self.operator, self.weights[i])
 
     @cached_property
     def block_fits(self) -> tuple:
         op = self.operator
-        split = np.cumsum(op.sizes[:-1, 0])
-        return tuple(
-            KernelExpansion(a, kernel_operator(op.kernel, p)) for a, p in zip(
-                np.split(self.weights, split, axis=-1),
-                np.split(op.points, split)))
+        return tuple(KernelExpansion(a, kernel_operator(op.kernel, p))
+                     for a, p in zip(op._split(self.weights),
+                                     op._split(op.points)))
 
     @property
     def coefficients(self) -> np.ndarray:
+        """The weights alpha/m of every block, in block order: the average
+        as one expansion over all anchors."""
         return self.weights / self.m
+
+    def as_expansion(self) -> KernelExpansion:
+        """The average rewritten as one expansion with weights alpha/m."""
+        return KernelExpansion(self.coefficients, kernel_operator(
+            self.kernel, self.points))
 
 
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
@@ -152,10 +117,10 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
     before any block is fitted; one operator (and eigendecomposition)
     serves every row.  A filter that does not iterate runs
     :func:`_solve_blocks` on one worker, as the Monte-Carlo runs share the
-    pool.  On the built-in kernel an iterative filter steps the ``(rows,
-    m, s)`` level vector, with ``1 / (kappa**2 |block|)`` as an ``(m, 1)``
-    column: every step is elementwise or a row's prefix sums, so each
-    block's coefficients are its own fit's.
+    pool.  An iterative filter steps the level operator's ``(rows, m,
+    s)`` level vector, with ``1 / (kappa**2 |block|)`` as an ``(m, 1)``
+    column: every step is elementwise or a block's own product
+    (``level_matvec``), so each block's coefficients are its own fit's.
     """
     x = np.asarray(x, dtype=float).ravel()
     if sum(map(len, part.blocks)) != x.size:
@@ -165,17 +130,10 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
     if k is None:
         return _solve_blocks(kernel, filt, [lam], x, ys, part.blocks, 1)
     op = level_operator(kernel, x, part.blocks)
-    if op is not None:
-        scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
-        b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
-        steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
-        return LevelEstimator(op, op.blocks(next(islice(steps, k - 1, None))))
-    fits = []
-    for ix in part.blocks:
-        op = kernel_operator(kernel, x[ix])
-        fits.append(KernelExpansion(np.stack(
-            [iterate_coefficients(op, filt, k, y[ix]) for y in ys]), op))
-    return AveragedEstimator(fits)
+    scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
+    b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
+    steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
+    return AveragedEstimator(op, op.blocks(next(islice(steps, k - 1, None))))
 
 
 # Gram values (blocks x size**2) that one chunk of a level fit
@@ -207,37 +165,30 @@ def _solve_blocks(kernel, filt, lams, x, ys, blocks,
     """The :func:`coefficient_solver` fits of every block ``x[ix]``, `ix`
     in `blocks`, to every right-hand side in `ys` at every lambda in
     `lams`: an average with row ``r * len(lams) + l`` for ``ys[r]`` at
-    ``lams[l]``; each block's coefficients are its ``fit_spectral``'s.  The
-    built-in kernel's level is one :class:`LevelEstimator`, and Tikhonov
-    one ``solve_shifted`` call per right-hand side.  Otherwise one task of
-    `workers` eigendecomposes a chunk of equal-size blocks
-    (:func:`_chunks`), whose dense operators a user kernel's blocks keep.
+    ``lams[l]``; each block's coefficients are its ``fit_spectral``'s.
+    Tikhonov on the built-in kernel is one ``solve_shifted`` call per
+    right-hand side.  Otherwise one task of `workers` eigendecomposes a
+    chunk of equal-size blocks (:func:`_chunks`), and the blocks'
+    coefficients are joined in block order into one array on this thread,
+    so the chunks' arrays, made on pool threads, are freed; the level's
+    operator then forms no Gram matrix.
     """
     level = level_operator(kernel, x, blocks)
-    if level is not None and _solves_shifted(level, filt):
+    if _solves_shifted(level, filt):
         solve = coefficient_solver([level], filt)
-        return LevelEstimator(level, np.concatenate(
-            [solve(lams, [y[np.concatenate(blocks)]])[0] for y in ys]))
+        weights = np.concatenate(
+            [solve(lams, [y[np.concatenate(blocks)]])[0] for y in ys])
+    else:
+        def fit(chunk):
+            solve = coefficient_solver(
+                [DenseOperator(kernel, x[ix], np.array([ix.size]))
+                 for ix in chunk], filt)
+            return np.concatenate([solve(lams, y[chunk]) for y in ys], axis=1)
 
-    def fit(chunk):
-        ops = [DenseOperator(kernel, x[ix]) for ix in chunk]
-        solve = coefficient_solver(ops, filt)
-        return ops, np.concatenate([solve(lams, y[chunk]) for y in ys],
-                                   axis=1)
-
-    fitted = parallel_map(fit, _chunks(blocks), workers)
-    if level is not None:
-        return LevelEstimator(level, np.concatenate(
-            [c for _, coefs in fitted for c in coefs], axis=-1))
-    # Each block gets its own copy of its coefficients, made on this
-    # thread after every chunk is fitted, so the chunks' arrays, made on
-    # pool threads, are freed.  Keeping views of them instead raised the
-    # peak RSS of a fresh-process adapt call with a user kernel (n = 4096,
-    # 2 workers) from 45.4 to 46.2 MiB, at the same time and 18% fewer
-    # page faults.
-    return AveragedEstimator(
-        KernelExpansion(np.array(c), op)
-        for ops, coefs in fitted for op, c in zip(ops, coefs))
+        weights = np.concatenate(
+            [c for coefs in parallel_map(fit, _chunks(blocks), workers)
+             for c in coefs], axis=-1)
+    return AveragedEstimator(level, weights)
 
 
 def _target_norm_sq(target) -> float:

@@ -51,10 +51,6 @@ class KernelExpansion:
     def __call__(self, x):
         return predict(self, x)
 
-    def __getitem__(self, i):
-        """Row `i` of a 2-D expansion, on the same operator."""
-        return KernelExpansion(self.coefficients[i], self.operator)
-
 
 def _as_data(x, y):
     x = np.asarray(x, dtype=float).ravel()
@@ -165,17 +161,9 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
     k = check_steps(filt.steps(lam))    # rejects non-iterative filters
     x, y = _as_data(x, y)
     op = kernel_operator(kernel, x)
-    return KernelExpansion(iterate_coefficients(op, filt, k, y), op)
-
-
-def iterate_coefficients(op: KernelOperator, filt: FilterSpec, k: int,
-                         y) -> np.ndarray:
-    """Coefficients after `k` steps of the iterative filter `filt` on the
-    anchors of the Gram operator `op` (see :func:`fit_iterative`)."""
-    _, y = _as_data(op.points, y)
-    scale = 1.0 / (op.kernel.kappa ** 2 * op.points.size)
+    scale = 1.0 / (kernel.kappa ** 2 * x.size)
     steps = iterate(filt, scale * y, lambda v: scale * op.matvec(v))
-    return next(islice(steps, k - 1, None))
+    return KernelExpansion(next(islice(steps, k - 1, None)), op)
 
 
 def predict(expansion: KernelExpansion, x):

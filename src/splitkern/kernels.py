@@ -6,22 +6,22 @@ continuous functions vanishing at both endpoints with inner product
 ``<f, g> = int f' g'``.  Custom kernels plug in through :class:`Kernel`
 with a vectorized evaluation rule and a supremum bound ``kappa``.
 
-Products with the Gram matrix of fixed anchors go through a
-:class:`KernelOperator` from :func:`kernel_operator`.  Other kernels get a
-dense operator; the built-in kernel has one O(n) structured operator,
-:class:`BlockLayoutOperator`, for every block of a partition level at
-once (:func:`level_operator`; one block is a level of one):
-``min(x, t) - x*t`` is the Brownian-bridge covariance, so an expansion in
-it is piecewise linear with kinks at the anchors, and prefix sums over the
-sorted anchors give its values, its derivative and the O(n) solves of its
-shifted systems ``(G + c I) a = y``.
+Products with the Gram matrices of fixed anchors go through a
+:class:`KernelOperator`, which holds every block of a partition level at
+once (:func:`level_operator`; :func:`kernel_operator` gives the level of
+one block).  Other kernels get a dense operator, one Gram matrix per
+block; the built-in kernel has one O(n) structured operator,
+:class:`BlockLayoutOperator`: ``min(x, t) - x*t`` is the Brownian-bridge
+covariance, so an expansion in it is piecewise linear with kinks at the
+anchors, and prefix sums over the sorted anchors give its values, its
+derivative and the O(n) solves of its shifted systems ``(G + c I) a = y``.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -101,20 +101,31 @@ def gram(kernel: Kernel, points) -> np.ndarray:
 
 
 class KernelOperator:
-    """The Gram matrix ``G[i, j] = K(x_i, x_j)`` of fixed anchors, as an
-    operator.  Built by :func:`kernel_operator`, which validates the
-    anchors once."""
+    """The Gram matrices ``G_i[j, k] = K(x_j, x_k)`` of the blocks of a
+    partition level, as one operator (one block is a level of one):
+    `points` holds the blocks' anchors one after another, `sizes` their
+    counts.  Built by :func:`level_operator`, which validates the anchors
+    once.
 
-    def __init__(self, kernel: Kernel, points: np.ndarray):
-        self.kernel = kernel
-        self.points = points
+    ``matvec``, ``cross`` and ``quad_form`` take flat ``(..., n)`` vectors
+    over `points`, with each block's own Gram matrix; ``cross`` sums the
+    blocks' expansions.  Only ``level_matvec`` takes an ``(..., m, s)``
+    level vector, ``s`` the largest block size, on which the level
+    iteration steps with no scatter; ``layout`` and ``blocks`` map
+    between the two.
+    """
+
+    def __init__(self, kernel: Kernel, points: np.ndarray, sizes: np.ndarray):
+        self.kernel, self.points = kernel, points
+        self.m, self.sizes = sizes.size, sizes[:, None]
 
     def matvec(self, v) -> np.ndarray:
-        """``G @ v``."""
-        raise NotImplementedError
+        """Every block's ``G_i @ v_i``."""
+        return self.blocks(self.level_matvec(self.layout(v)))
 
     def cross(self, coef, t) -> np.ndarray:
-        """``sum_j coef[j] * K(x_j, t)`` at the 1-D array of points `t`.
+        """``sum_j coef[j] * K(x_j, t)`` at the 1-D array of points `t`,
+        the blocks' expansions added in ascending block order.
 
         A 2-D `coef` holds one expansion per row and gives one row of
         values per expansion, ``(len(coef), len(t))``: the kernel is
@@ -123,27 +134,58 @@ class KernelOperator:
         raise NotImplementedError
 
     def quad_form(self, a) -> float:
-        """``a' G a``."""
+        """``a' G a``, summed over the blocks."""
         return float(a @ self.matvec(a))
 
+    def _split(self, values) -> list:
+        """Each block's part of the last axis of flat `values`."""
+        return np.split(values, np.cumsum(self.sizes[:-1, 0]), axis=-1)
+
     def _reordered(self, index) -> "KernelOperator":
-        """The operator of the anchors ``points[index]``, `index` a
-        permutation of them."""
-        return type(self)(self.kernel, self.points[index])
+        """The operator of the anchors ``points[index]`` of a level of one,
+        `index` a permutation of them."""
+        return type(self)(self.kernel, self.points[index], self.sizes[:, 0])
 
 
 class DenseOperator(KernelOperator):
-    """Any kernel: the dense Gram matrix, formed on first product and kept."""
+    """Any kernel: each block's dense Gram matrix, formed on the first
+    product and kept.  Row i of a level vector holds block i's values in
+    index order, then zeros up to length ``s``."""
 
     @cached_property
-    def _G(self) -> np.ndarray:
-        return gram(self.kernel, self.points)
+    def _real(self) -> np.ndarray:
+        # the slots of each row that hold a block's values
+        return np.arange(self.sizes.max()) < self.sizes
 
-    def matvec(self, v):
-        return self._G @ v
+    @cached_property
+    def _grams(self) -> list:
+        return [gram(self.kernel, p) for p in self._split(self.points)]
+
+    def layout(self, values) -> np.ndarray:
+        """Flat values as a zero-padded level vector."""
+        values = np.asarray(values, dtype=float)
+        level = np.zeros(values.shape[:-1] + self._real.shape)
+        level[..., self._real] = values
+        return level
+
+    def blocks(self, a) -> np.ndarray:
+        """The flat values of a level vector: :meth:`layout` inverted."""
+        return a[..., self._real]
+
+    def level_matvec(self, v) -> np.ndarray:
+        """Every block's ``G_i @ v_i``, for a level vector `v`, block by
+        block.  A stacked matrix-vector product rounds as one vector's
+        does; ``v @ G`` or a product with ``V.T`` would not."""
+        out = np.zeros(np.shape(v))
+        for i, G in enumerate(self._grams):
+            s = len(G)
+            out[..., i, :s] = (G @ v[..., i, :s, None])[..., 0]
+        return out
 
     def cross(self, coef, t):
-        return coef @ self.kernel.fn(self.points[:, None], t[None, :])
+        return reduce(np.add, (
+            a @ self.kernel.fn(p[:, None], t[None, :])
+            for a, p in zip(self._split(coef), self._split(self.points))))
 
 
 def _bridge_sums(xs, a):
@@ -225,16 +267,9 @@ def _row_order(values, pad_ties):
 
 
 def kernel_operator(kernel: Kernel, points) -> KernelOperator:
-    """Gram operator of `kernel` at `points`: for the built-in kernel the
-    level of one block, dense otherwise.  Rejects empty, non-finite or
-    out-of-domain anchors.  Only this and :func:`level_operator` tell the
-    built-in kernel apart; the fits ask the operator what it can do."""
-    pts = _check_domain(points).ravel()
-    if pts.size == 0:
-        raise ValueError("a kernel operator needs at least one anchor")
-    if kernel.fn is _sobolev_min_fn:
-        return BlockLayoutOperator(kernel, pts, np.array([pts.size]))
-    return DenseOperator(kernel, pts)
+    """Gram operator of `kernel` at `points`: the level of one block
+    (:func:`level_operator`)."""
+    return level_operator(kernel, points, [np.arange(np.size(points))])
 
 
 class BlockLayoutOperator(KernelOperator):
@@ -255,19 +290,11 @@ class BlockLayoutOperator(KernelOperator):
     position: slot j reads segment j + 1.  At a tie both branches of
     ``min`` agree, so an anchor tied to the next one may read its own
     segment; only the last bits of its value depend on which.
-
-    ``matvec``, ``cross``, ``quad_form`` and ``solve_shifted`` take flat
-    ``(..., n)`` vectors over `points` (the blocks one after another, each
-    in its index order) and each block's own Gram matrix; ``cross`` sums
-    the blocks' expansions.  Only ``level_matvec`` takes an ``(..., m, s)``
-    level vector, on which the level iteration steps with no scatter;
-    :meth:`layout` and :meth:`blocks` map between the two.
     """
 
     def __init__(self, kernel: Kernel, points: np.ndarray, sizes: np.ndarray):
-        super().__init__(kernel, points)
-        m, s = sizes.size, int(sizes.max())
-        self.m, self.sizes = m, sizes[:, None]
+        super().__init__(kernel, points, sizes)
+        m, s = self.m, int(sizes.max())
         # the slots of each row that hold anchors, before and after the
         # sort: it keeps the pads, at 1, last after any anchor at 1
         real = np.arange(s) < self.sizes
@@ -313,9 +340,6 @@ class BlockLayoutOperator(KernelOperator):
         if self._pad is not None:
             level = np.where(self._pad, -0.0, level)
         return _bridge_sums(self._sorted, level)
-
-    def matvec(self, v):
-        return self.blocks(self.level_matvec(self.layout(v)))
 
     def level_matvec(self, v) -> np.ndarray:
         """Every block's ``G @ v``, for a level vector `v`: slot j of a row
@@ -465,18 +489,19 @@ class BlockLayoutOperator(KernelOperator):
         return self.blocks(out)
 
 
-def level_operator(kernel: Kernel, x, blocks) -> BlockLayoutOperator | None:
-    """The built-in kernel's operator of the blocks ``x[ix]``, `ix` in
-    `blocks`, its flat points the blocks one after another; ``None`` for a
-    kernel with no block layout (any other).  Rejects what
-    :func:`kernel_operator` rejects in any block."""
-    if kernel.fn is not _sobolev_min_fn:
-        return None
+def level_operator(kernel: Kernel, x, blocks) -> KernelOperator:
+    """The operator of the blocks ``x[ix]``, `ix` in `blocks`, its flat
+    points the blocks one after another: block-layout for the built-in
+    kernel, dense for any other.  Rejects empty, non-finite or
+    out-of-domain anchors in any block.  Only this tells the built-in
+    kernel apart; the fits ask the operator what it can do."""
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
     if not sizes.all():
         raise ValueError("a kernel operator needs at least one anchor")
     values = np.asarray(x, dtype=float).ravel()[np.concatenate(blocks)]
-    return BlockLayoutOperator(kernel, _check_domain(values), sizes)
+    cls = (BlockLayoutOperator if kernel.fn is _sobolev_min_fn
+           else DenseOperator)
+    return cls(kernel, _check_domain(values), sizes)
 
 
 def rkhs_norm_sq(expansion) -> float:

@@ -356,7 +356,12 @@ def test_non_finite_theory_parameter_exits_2(capsys, monkeypatch, command,
     (["adapt", "--lattice", "log:0:1:3"],
      "lattice bounds must be positive and finite, got 'log:0:1:3'"),
     (["adapt", "--lattice", "log:-1:1:3"],
-     "lattice bounds must be positive and finite, got 'log:-1:1:3'")])
+     "lattice bounds must be positive and finite, got 'log:-1:1:3'"),
+    *((["adapt", "--lattice", text],
+       "--lattice must be log:<min>:<max>:<count> with an integer count "
+       f">= 1, got {text!r}")
+      for text in ("log:1e-3:1", "log:1e-3:1:-1", "log:1e-3:1:0",
+                   "log:1e-3:1:2.5"))])
 def test_bad_grid_or_lattice_bound_exits_2(capsys, monkeypatch, command,
                                            message):
     # checked where each setting is read, before any data is drawn: no

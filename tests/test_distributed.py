@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitkern import distributed, estimator
-from splitkern.distributed import (AveragedEstimator, diagnostic_split,
+from splitkern.distributed import (Partition, diagnostic_split,
                                    fit_distributed, partition)
 from splitkern.estimator import fit_iterative, fit_spectral
 from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, iterate, landweber,
@@ -119,8 +119,10 @@ def test_identical_blocks_average_to_local(kernel):
 
 def test_block_order_permutation_invariance(kernel):
     x, y = _data(60, seed=4)
-    avg = fit_distributed(kernel, tikhonov(), 0.05, x, y, partition(60, 5))
-    reordered = AveragedEstimator(block_fits=avg.block_fits[::-1])
+    part = partition(60, 5)
+    avg = fit_distributed(kernel, tikhonov(), 0.05, x, y, part)
+    reordered = fit_distributed(kernel, tikhonov(), 0.05, x, y,
+                                Partition(part.blocks[::-1]))
     xs = np.random.default_rng(5).random(100)
     assert np.max(np.abs(avg(xs) - reordered(xs))) < 1e-12
 

@@ -50,13 +50,16 @@ def test_user_kernel_rejects_bad_kappa(kappa):
         user_kernel(lambda x, t: np.minimum(x, t), kappa=kappa)
 
 
-def test_level_operator_only_for_the_built_in_kernel(kernel, dense_sobolev):
-    # a kernel with no block layout gets None, and its level is fitted
-    # block by block
+def test_level_operator_class_follows_kernel(kernel, dense_sobolev):
+    # every kernel gets a level operator: the built-in one its block
+    # layout, any other a dense Gram matrix per block
     blocks = [np.arange(3), np.arange(3, 6)]
     x = np.linspace(0.1, 0.9, 6)
-    assert level_operator(dense_sobolev, x, blocks) is None
-    assert level_operator(kernel, x, blocks).m == 2
+    for kern, cls in ((kernel, BlockLayoutOperator),
+                      (dense_sobolev, DenseOperator)):
+        op = level_operator(kern, x, blocks)
+        assert type(op) is cls
+        assert op.m == 2
 
 
 def test_gram_hand_values(kernel):

@@ -1,9 +1,10 @@
-"""Property tests of the block-layout operator and the level fit.
+"""Property tests of the level operators and the level fit.
 
-A partition level of the built-in kernel is fitted at once on one
-``(m, s)`` array (``kernels.BlockLayoutOperator``), and a single block is
-a level of one.  Each block's coefficients, products, values and shifted
-solves on the level must equal those of its own level of one exactly:
+A partition level is fitted at once on one ``(m, s)`` level vector: the
+built-in kernel's ``kernels.BlockLayoutOperator`` and, for the built-in
+rule wrapped as a user kernel, ``kernels.DenseOperator``; a single block
+is a level of one.  Each block's coefficients, products, values and
+shifted solves on the level must equal those of its own level of one exactly:
 compared by ``tobytes()``, so signed zeros count too.  Anchor sets are
 drawn as in ``test_operator_properties.py`` (ties, anchors at 0 and 1, near
 ties), and partitions with any block count, shuffled or not.
@@ -14,11 +15,11 @@ import pytest
 
 from splitkern import kernels
 from splitkern.adaptivity import fit_lattice
-from splitkern.distributed import AveragedEstimator, fit_distributed, partition
+from splitkern.distributed import fit_distributed, partition
 from splitkern.estimator import fit_iterative, fit_spectral
 from splitkern.filters import landweber, nu_method, tikhonov
 from splitkern.kernels import (gram, kernel_operator, level_operator,
-                               sobolev_min)
+                               sobolev_min, user_kernel)
 from test_operator_properties import PROPERTY, _term_scale, anchor_sets, seeds
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,6 +27,8 @@ st = pytest.importorskip("hypothesis.strategies")
 given = hypothesis.given
 
 KERNEL = sobolev_min()
+# the built-in rule as a user kernel: its level is the dense operator's
+KERNELS = [KERNEL, user_kernel(lambda x, t: np.minimum(x, t) - x * t, 0.5)]
 FILTERS = [nu_method(), nu_method(2.5), landweber()]
 
 
@@ -52,38 +55,39 @@ def _lambda(filt, k):
 
 @PROPERTY
 @given(levels(), seeds, st.sampled_from(["normal", "zero", "minus-zero"]),
-       st.sampled_from(FILTERS), st.integers(1, 12))
-def test_level_fit_is_per_block_fit_iterative(level, seed, kind, filt, k):
+       st.sampled_from(FILTERS), st.integers(1, 12), st.sampled_from(KERNELS))
+def test_level_fit_is_per_block_fit_iterative(level, seed, kind, filt, k,
+                                              kernel):
     x, part = level
     y = _outputs(kind, seed, x.size)
     lam = _lambda(filt, k)
-    est = fit_distributed(KERNEL, filt, lam, x, y, part)
+    est = fit_distributed(kernel, filt, lam, x, y, part)
     assert est.m == part.m
     for ix, block in zip(part.blocks, est.block_fits, strict=True):
-        ref = fit_iterative(KERNEL, filt, lam, x[ix], y[ix])
+        ref = fit_iterative(kernel, filt, lam, x[ix], y[ix])
         assert block.coefficients.tobytes() == ref.coefficients.tobytes()
         assert block.points.tobytes() == ref.points.tobytes()
 
 
 @PROPERTY
 @given(levels(), seeds, st.sampled_from(["normal", "zero", "minus-zero"]),
-       st.sampled_from([1, 50, kernels.CROSS_CHUNK]))
-def test_level_products_are_block_products(level, seed, kind, chunk):
+       st.sampled_from([1, 50, kernels.CROSS_CHUNK]), st.sampled_from(KERNELS))
+def test_level_products_are_block_products(level, seed, kind, chunk, kernel):
     # matvec and the mean of the blocks' expansions, against each block's
     # own operator; the points include the anchors, 0 and 1, unsorted, and
     # are evaluated one block at a time, a few blocks at a time, or all at
-    # once
+    # once (the block-layout operator's chunks)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CROSS_CHUNK", chunk)
-        _check_products(*level, seed, kind)
+        _check_products(*level, seed, kind, kernel)
 
 
-def _check_products(x, part, seed, kind):
+def _check_products(x, part, seed, kind, kernel=KERNEL):
     rng = np.random.default_rng(seed)
-    op = level_operator(KERNEL, x, part.blocks)
+    op = level_operator(kernel, x, part.blocks)
     v = _outputs(kind, seed, x.size)[np.concatenate(part.blocks)]
     t = rng.permutation(np.concatenate([rng.random(17), x, [0.0, 1.0]]))
-    blocks = [kernel_operator(KERNEL, x[ix]) for ix in part.blocks]
+    blocks = [kernel_operator(kernel, x[ix]) for ix in part.blocks]
     split = np.cumsum([len(ix) for ix in part.blocks])[:-1]
     coefs = np.split(v, split)
     products = np.split(op.blocks(op.level_matvec(op.layout(v))), split)
@@ -130,22 +134,28 @@ def test_heavily_tied_level_products(m, shuffle):
 
 
 @PROPERTY
-@given(levels(), seeds, st.sampled_from(FILTERS))
-def test_level_estimator_is_the_block_average(level, seed, filt):
-    # prediction, averaged weights and anchors of the level estimator equal
-    # those of the average of per-block fits
+@given(levels(), seeds, st.sampled_from(FILTERS), st.sampled_from(KERNELS))
+def test_level_estimator_is_the_block_average(level, seed, filt, kernel):
+    # prediction, averaged weights and anchors of the level's average equal
+    # those of the per-block fits, added in block order and divided by m
     x, part = level
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(x.size)
     lam = _lambda(filt, 5)
-    est = fit_distributed(KERNEL, filt, lam, x, y, part)
-    ref = AveragedEstimator(fit_iterative(KERNEL, filt, lam, x[ix], y[ix])
-                            for ix in part.blocks)
+    est = fit_distributed(kernel, filt, lam, x, y, part)
+    fits = [fit_iterative(kernel, filt, lam, x[ix], y[ix])
+            for ix in part.blocks]
     t = np.concatenate([rng.random(9), x[:3], [0.0, 1.0]])
-    assert est(t).tobytes() == ref(t).tobytes()
-    assert est(t[0]) == ref(t[0])
-    assert est.coefficients.tobytes() == ref.coefficients.tobytes()
-    assert est.points.tobytes() == ref.points.tobytes()
+    for at in (t, t[0]):
+        total = fits[0](at)
+        for fit in fits[1:]:
+            total = total + fit(at)
+        assert np.asarray(est(at)).tobytes() == \
+            np.asarray(total / part.m).tobytes()
+    coefs = np.concatenate([f.coefficients for f in fits]) / part.m
+    assert est.coefficients.tobytes() == coefs.tobytes()
+    points = np.concatenate([f.points for f in fits])
+    assert est.points.tobytes() == points.tobytes()
 
 
 lattices = st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4)
