@@ -4,8 +4,8 @@ diagnostics and a reproducible Monte-Carlo harness."""
 
 from .adaptivity import (AdaptResult, adapt, empirical_error, holdout_split,
                          stopping_index)
-from .distributed import (AveragedEstimator, Partition, diagnostic_split,
-                          fit_distributed, partition)
+from .distributed import (Partition, diagnostic_split, fit_distributed,
+                          partition)
 from .estimator import (KernelExpansion, fit_iterative, fit_spectral,
                         predict, spectral_model)
 from .experiments import (ExperimentConfig, OracleSelection, RunResult,

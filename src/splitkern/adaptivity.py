@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributed import (AveragedEstimator, _check_block_count,
-                          _solve_blocks, partition)
-from .estimator import _as_data
+from .distributed import _check_block_count, _solve_blocks, partition
+from .estimator import KernelExpansion, _as_data
 from .filters import FilterSpec
 from .kernels import Kernel, _check_domain
 
@@ -92,9 +91,10 @@ def default_m_sequence(n_train: int):
 
 
 def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
-                m_k: int, workers=None) -> AveragedEstimator:
-    """The average over `m_k` blocks, on the level's one operator for
-    every kernel, with one row per lattice value: ``fit_lattice(...)[i]``
+                m_k: int, workers=None) -> KernelExpansion:
+    """The average over `m_k` blocks, one ``KernelExpansion`` on the
+    level's one operator for every kernel, with a row of the blocks'
+    coefficients per lattice value: ``fit_lattice(...)[i]``
     is the fit at ``lattice[i]``, each block its own ``fit_spectral``'s
     bit for bit (``distributed._solve_blocks``: one level solve, or a
     chunk of equal-size blocks per pool task).  Pure function of the
@@ -117,7 +117,7 @@ class AdaptLevel:
 class AdaptResult:
     k_star: int
     lambda_hat: float
-    estimator: AveragedEstimator
+    estimator: KernelExpansion
     trace: tuple
     triggered: bool
     split: HoldoutSplit

@@ -2,25 +2,26 @@
 
 All blocks share one regularization parameter (chosen from the *global*
 sample size); the combined estimator is the plain arithmetic mean of the
-block estimators.  Block fits are independent and may run in parallel;
-the average is always reduced in ascending block order so results are
-bit-reproducible for any worker count.
+block estimators: one ``estimator.KernelExpansion`` on the level's
+operator, which holds every block's own coefficients.  Block fits are
+independent and may run in parallel; the average is always reduced in
+ascending block order so results are bit-reproducible for any worker
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby, islice
 
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimator import (KernelExpansion, _as_data, _evaluate,
-                        _solves_shifted, coefficient_solver)
+from .estimator import (KernelExpansion, _as_data, _solves_shifted,
+                        coefficient_solver)
 from .filters import FilterSpec, check_steps, iterate
-from .kernels import (DenseOperator, Kernel, kernel_operator, level_operator,
-                      rkhs_error_sq, rkhs_norm_sq)
+from .kernels import (DenseOperator, Kernel, level_operator, rkhs_error_sq,
+                      rkhs_norm_sq)
 
 
 @dataclass(frozen=True)
@@ -62,45 +63,8 @@ def _check_block_count(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
-class AveragedEstimator:
-    """The average of a partition level's block fits: `weights` holds
-    every block's coefficients over the level `operator`'s points, blocks
-    in order (a leading row per fit, ``est[i]``), predicted at once
-    (``cross``) with the blocks added in ascending order and divided by
-    m.  `block_fits` builds each block's expansion on its own operator
-    when read."""
-
-    def __init__(self, operator, weights):
-        self.operator, self.weights, self.m = operator, weights, operator.m
-        self.kernel, self.points = operator.kernel, operator.points
-
-    def __call__(self, x):
-        return _evaluate(self.operator.cross, self.weights, x) / self.m
-
-    def __getitem__(self, i):
-        return AveragedEstimator(self.operator, self.weights[i])
-
-    @cached_property
-    def block_fits(self) -> tuple:
-        op = self.operator
-        return tuple(KernelExpansion(a, kernel_operator(op.kernel, p))
-                     for a, p in zip(op._split(self.weights),
-                                     op._split(op.points)))
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The weights alpha/m of every block, in block order: the average
-        as one expansion over all anchors."""
-        return self.weights / self.m
-
-    def as_expansion(self) -> KernelExpansion:
-        """The average rewritten as one expansion with weights alpha/m."""
-        return KernelExpansion(self.coefficients, kernel_operator(
-            self.kernel, self.points))
-
-
 def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
-                    part: Partition) -> AveragedEstimator:
+                    part: Partition) -> KernelExpansion:
     """Fit every block with the same `lam` and average the results.
 
     Each block's coefficients are bit for bit its :func:`fit_iterative`'s
@@ -111,9 +75,10 @@ def fit_distributed(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     return _fit_blocks(kernel, filt, lam, x, [y], part)[0]
 
 
-def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
+def _fit_blocks(kernel, filt, lam, x, ys, part) -> KernelExpansion:
     """The fits of every block of `part` to each right-hand side in `ys`,
-    as one average with a row per right-hand side.  Every input is checked
+    as one ``KernelExpansion`` on the level operator, with a row of the
+    blocks' coefficients per right-hand side.  Every input is checked
     before any block is fitted; one operator (and eigendecomposition)
     serves every row.  A filter that does not iterate runs
     :func:`_solve_blocks` on one worker, as the Monte-Carlo runs share the
@@ -133,7 +98,7 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> AveragedEstimator:
     scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
     b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
     steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
-    return AveragedEstimator(op, op.blocks(next(islice(steps, k - 1, None))))
+    return KernelExpansion(op.blocks(next(islice(steps, k - 1, None))), op)
 
 
 # Gram values (blocks x size**2) that one chunk of a level fit
@@ -161,11 +126,12 @@ def _chunks(blocks):
 
 
 def _solve_blocks(kernel, filt, lams, x, ys, blocks,
-                  workers) -> AveragedEstimator:
+                  workers) -> KernelExpansion:
     """The :func:`coefficient_solver` fits of every block ``x[ix]``, `ix`
     in `blocks`, to every right-hand side in `ys` at every lambda in
-    `lams`: an average with row ``r * len(lams) + l`` for ``ys[r]`` at
-    ``lams[l]``; each block's coefficients are its ``fit_spectral``'s.
+    `lams`: one ``KernelExpansion`` on the level operator with row ``r *
+    len(lams) + l`` for ``ys[r]`` at ``lams[l]``; each block's
+    coefficients are its ``fit_spectral``'s.
     Tikhonov on the built-in kernel is one ``solve_shifted`` call per
     right-hand side.  Otherwise one task of `workers` eigendecomposes a
     chunk of equal-size blocks (:func:`_chunks`), and the blocks'
@@ -188,7 +154,7 @@ def _solve_blocks(kernel, filt, lams, x, ys, blocks,
         weights = np.concatenate(
             [c for coefs in parallel_map(fit, _chunks(blocks), workers)
              for c in coefs], axis=-1)
-    return AveragedEstimator(level, weights)
+    return KernelExpansion(weights, level)
 
 
 def _target_norm_sq(target) -> float:
@@ -207,13 +173,14 @@ class DiagnosticSplit:
     (target minus the noise-free surrogate built from the same blocks);
     `sample_norm` measures the noise contribution (surrogate minus the
     fitted average).  The surrogate is exact on the anchor span and is an
-    empirical surrogate of the corresponding population quantity.
+    empirical surrogate of the corresponding population quantity.  Both
+    are the level's ``KernelExpansion``, as `fit_distributed` returns it.
     """
 
     approximation_norm: float
     sample_norm: float
-    surrogate: AveragedEstimator
-    fitted: AveragedEstimator
+    surrogate: KernelExpansion
+    fitted: KernelExpansion
 
 
 def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
@@ -231,9 +198,10 @@ def diagnostic_split(kernel: Kernel, filt: FilterSpec, lam: float, x, y,
     both = _fit_blocks(kernel, filt, lam, x, [y, f_true(x)], part)
     fitted, surrogate = both[0], both[1]
     f_tilde = surrogate.as_expansion()
-    # fitted has the same anchors in the same order
+    # fitted has the same anchors in the same order: its average's weights
+    # on f_tilde's operator, with no second one built
     sample_sq = f_tilde.operator.quad_form(
-        f_tilde.coefficients - fitted.coefficients)
+        f_tilde.coefficients - fitted.coefficients / part.m)
     approx_sq = rkhs_error_sq(rkhs_norm_sq(f_tilde), f_tilde.coefficients,
                               np.asarray(f_true(f_tilde.points), dtype=float),
                               target_sq)

@@ -1,6 +1,8 @@
-"""Single-block spectral estimators realized through the Gram operator.
+"""Spectral estimators realized through the Gram operator.
 
-Fitting applies a filter to the normalized Gram operator
+A fitted estimator is a :class:`KernelExpansion`: the mean of a
+partition level's block fits, one block's fit for a level of one.
+Fitting one block applies a filter to the normalized Gram operator
 ``M = kappa**-2 * G / n`` (spectrum inside [0, 1]) and returns a kernel
 expansion ``f(x) = sum_j alpha_j K(x_j, x)`` with
 
@@ -19,6 +21,7 @@ is part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -33,9 +36,11 @@ EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """An RKHS element ``sum_j coefficients[j] * K(points[j], .)``, or one
-    per row of a 2-D `coefficients`, on the Gram operator of its anchors
-    (the one its fit built)."""
+    """The mean of the m block expansions ``sum_j coefficients[j] *
+    K(points[j], .)`` of its level `operator` (the one its fit built):
+    `coefficients` holds each block's own weights, blocks in order.  A
+    level of one block is one RKHS element.  A 2-D `coefficients` holds
+    one fit per row (``expansion[i]``)."""
 
     coefficients: np.ndarray
     operator: KernelOperator
@@ -50,6 +55,26 @@ class KernelExpansion:
 
     def __call__(self, x):
         return predict(self, x)
+
+    def __getitem__(self, i):
+        return KernelExpansion(self.coefficients[i], self.operator)
+
+    @cached_property
+    def block_fits(self) -> tuple:
+        """Each block's expansion, on its own one-block operator."""
+        op = self.operator
+        return tuple(KernelExpansion(a, kernel_operator(op.kernel, p))
+                     for a, p in zip(op._split(self.coefficients),
+                                     op._split(op.points)))
+
+    def as_expansion(self) -> KernelExpansion:
+        """The mean as one RKHS element: itself for one block, else the
+        weights alpha/m on the operator of all anchors."""
+        op = self.operator
+        if op.m == 1:
+            return self
+        return KernelExpansion(self.coefficients / op.m,
+                               kernel_operator(op.kernel, op.points))
 
 
 def _as_data(x, y):
@@ -167,15 +192,11 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
 
 
 def predict(expansion: KernelExpansion, x):
-    """Evaluate the expansion at `x` (scalar or array of any shape); a 2-D
-    expansion gives one leading row per row of coefficients."""
-    return _evaluate(expansion.operator.cross, expansion.coefficients, x)
-
-
-def _evaluate(cross, coef, x):
-    """``cross(coef, t)`` at the flattened `x`, in the shape of `x` after
-    any leading rows of `coef`; a float for a scalar `x`."""
+    """Evaluate the expansion at `x` (scalar or array of any shape): the
+    level's ``cross`` divided by m.  A 2-D expansion gives one leading
+    row per row of coefficients."""
+    op = expansion.operator
     xs = np.asarray(x, dtype=float)
-    out = cross(coef, xs.ravel())
+    out = op.cross(expansion.coefficients, xs.ravel()) / op.m
     out = out.reshape(out.shape[:-1] + xs.shape)
     return float(out) if out.ndim == 0 else out

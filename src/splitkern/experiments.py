@@ -24,8 +24,8 @@ import numpy as np
 from . import theory
 from ._parallel import _pool_workers, parallel_map
 from ._quadrature import gauss_legendre
-from .distributed import (AveragedEstimator, _check_block_count,
-                          _target_norm_sq, fit_distributed, partition)
+from .distributed import (_check_block_count, _target_norm_sq,
+                          fit_distributed, partition)
 from .estimator import KernelExpansion, coefficient_solver
 from .filters import LAMBDA_MIN, FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
@@ -153,9 +153,9 @@ def gen_data(target, n: int, sigma: float, seed):
 
 
 def hk_error(est, target) -> float:
-    """RKHS-norm error ``||est - target||`` of an expansion or an average
-    of them, by :func:`kernels.rkhs_error_sq` on the (averaged) weights."""
-    exp = est.as_expansion() if isinstance(est, AveragedEstimator) else est
+    """RKHS-norm error ``||est - target||`` of an expansion (a level's
+    average), by :func:`kernels.rkhs_error_sq` on its averaged weights."""
+    exp = est.as_expansion()
     return math.sqrt(rkhs_error_sq(
         rkhs_norm_sq(exp), exp.coefficients,
         np.asarray(target(exp.points), dtype=float), _target_norm_sq(target)))
@@ -357,7 +357,8 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
     Each level's average is scored, in RKHS and in L2, as one expansion
     on the Gram operator of the run's whole sample, reindexed into the
     level's block order: x is sorted once per run.  A level of one block
-    is fitted first, as its fit's operator is that one.
+    is that expansion itself, and is fitted first, as its fit's operator
+    is that one.
     """
     rng = run_rng(cfg.seed, run)
     x, y = gen_data(target, cfg.n, cfg.sigma, rng)
@@ -373,8 +374,8 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
         if op is None:
             op = est.operator if m == 1 else kernel_operator(kernel, x)
         # est.as_expansion() without its sort: the anchors in block order
-        exp = KernelExpansion(est.coefficients, op._reordered(
-            np.concatenate(part.blocks)))
+        exp = est if m == 1 else KernelExpansion(
+            est.coefficients / m, op._reordered(np.concatenate(part.blocks)))
         hk = hk_error(exp, target)
         l2 = l2_error(exp, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None

@@ -169,8 +169,10 @@ class DenseOperator(KernelOperator):
         return level
 
     def blocks(self, a) -> np.ndarray:
-        """The flat values of a level vector: :meth:`layout` inverted."""
-        return a[..., self._real]
+        """The flat values of a level vector: :meth:`layout` inverted, in
+        C order (a boolean index gives several rows in Fortran order, and
+        a strided row's dot product rounds differently)."""
+        return np.ascontiguousarray(a[..., self._real])
 
     def level_matvec(self, v) -> np.ndarray:
         """Every block's ``G_i @ v_i``, for a level vector `v`, block by
@@ -505,11 +507,11 @@ def level_operator(kernel: Kernel, x, blocks) -> KernelOperator:
 
 
 def rkhs_norm_sq(expansion) -> float:
-    """Squared RKHS norm ``alpha' G alpha`` of a kernel expansion.
-
-    Accepts any object with ``coefficients`` and an ``operator`` on its
-    anchors.  Tiny negative values from rounding are clamped to zero.
+    """Squared RKHS norm ``alpha' G alpha`` of a kernel expansion: of a
+    level's average, one expansion by its ``as_expansion()``.  Tiny
+    negative values from rounding are clamped to zero.
     """
+    expansion = expansion.as_expansion()
     val = expansion.operator.quad_form(
         np.asarray(expansion.coefficients, dtype=float))
     if val < 0:

@@ -132,7 +132,7 @@ def test_adapt_end_to_end():
     # the returned estimator is the recorded winner at level k*
     lev = result.trace[result.k_star - 1]
     assert lev.lambda_hat == result.lambda_hat
-    assert result.estimator.m == lev.m_k
+    assert result.estimator.operator.m == lev.m_k
 
 
 def test_adapt_training_fits_independent_of_validation():

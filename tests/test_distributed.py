@@ -7,7 +7,8 @@ from splitkern.distributed import (Partition, diagnostic_split,
 from splitkern.estimator import fit_iterative, fit_spectral
 from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, iterate, landweber,
                                nu_method, spectral_cutoff, tikhonov)
-from splitkern.kernels import BlockLayoutOperator, sobolev_min
+from splitkern.experiments import gen_data, hk_error
+from splitkern.kernels import BlockLayoutOperator, rkhs_norm_sq, sobolev_min
 from splitkern.smoothness import quadratic_bump, zero_target
 
 
@@ -71,7 +72,7 @@ def test_m1_identity(kernel):
     x, y = _data(64)
     single = fit_spectral(kernel, tikhonov(), 0.1, x, y)
     avg = fit_distributed(kernel, tikhonov(), 0.1, x, y, partition(64, 1))
-    assert avg.m == 1
+    assert avg.operator.m == 1
     assert np.array_equal(avg.block_fits[0].coefficients, single.coefficients)
 
 
@@ -133,6 +134,15 @@ def test_as_expansion_matches_mean(kernel):
     exp = avg.as_expansion()
     xs = np.random.default_rng(7).random(25)
     assert np.allclose(exp(xs), avg(xs), atol=1e-14)
+
+
+def test_rkhs_norm_of_a_level_is_its_average_norm(kernel, dense_sobolev):
+    # the squared norm of the blocks' average, on either operator class,
+    # not a sum over the blocks' own norms
+    x, y = gen_data(quadratic_bump(), 400, 0.01, 3)
+    for k in (kernel, dense_sobolev):
+        avg = fit_distributed(k, tikhonov(), 1e-3, x, y, partition(400, 8))
+        assert rkhs_norm_sq(avg) == rkhs_norm_sq(avg.as_expansion())
 
 
 def test_iterative_blocks_match_dense_kernel(kernel, dense_sobolev):
@@ -228,19 +238,22 @@ def test_diagnostic_split_fits_are_fit_distributed(kernel, dense_sobolev,
     # both halves are fit_distributed fits, bit for bit: to y and to the
     # noise-free f_true(x), on the structured and the dense operators
     # (the level fit and the block-by-block one for iterative filters),
-    # with contiguous and shuffled blocks
+    # with one, contiguous and shuffled blocks; the approximation norm is
+    # the surrogate's hk_error, bit for bit
     target = quadratic_bump()
     rng = np.random.default_rng(21)
     x = rng.random(300)
     y = target(x) + 0.01 * rng.standard_normal(300)
     for kern in (kernel, dense_sobolev):
-        for part in (partition(300, 4), partition(300, 7, shuffle_seed=2)):
+        for part in (partition(300, 1), partition(300, 4),
+                     partition(300, 7, shuffle_seed=2)):
             split = diagnostic_split(kern, filt, 1e-3, x, y, part, target)
             for est, values in ((split.fitted, y),
                                 (split.surrogate, target(x))):
                 ref = fit_distributed(kern, filt, 1e-3, x, values, part)
                 for a, b in zip(est.block_fits, ref.block_fits, strict=True):
                     assert np.array_equal(a.coefficients, b.coefficients)
+            assert split.approximation_norm == hk_error(ref, target)
 
 
 def test_diagnostic_split_eigendecomposes_each_block_once(kernel,

@@ -15,8 +15,9 @@ from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
                                    results_csv, run_rng, simulate,
                                    summary_csv, sweep_alpha, sweep_n)
 from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
-from splitkern.kernels import (BlockLayoutOperator, gram, kernel_operator,
-                               sobolev_min, user_kernel)
+from splitkern.kernels import (BlockLayoutOperator, KernelOperator, gram,
+                               kernel_operator, rkhs_norm_sq, sobolev_min,
+                               user_kernel)
 from splitkern.smoothness import quadratic_bump, scaled_sine
 
 
@@ -143,6 +144,27 @@ def test_block_fits_keep_their_operator(kernel, bump, monkeypatch):
         assert len(builds) == 1
         l2_error(est, bump)
         assert len(builds) == 1
+
+
+def test_one_block_scoring_builds_no_operator(kernel, dense_sobolev, bump,
+                                              monkeypatch):
+    # a level of one block is its own average, so scoring it builds no
+    # operator of either class
+    builds = []
+    real = KernelOperator.__init__
+    monkeypatch.setattr(KernelOperator, "__init__",
+                        lambda self, *a: builds.append(1) or real(self, *a))
+    x, y = gen_data(bump, 96, 0.01, 9)
+    for k in (kernel, dense_sobolev):
+        for est in (fit_spectral(k, tikhonov(), 1e-3, x, y),
+                    fit_distributed(k, nu_method(), 1.0 / 8 ** 2, x, y,
+                                    partition(96, 1))):
+            builds.clear()
+            assert est.as_expansion() is est
+            hk_error(est, bump)
+            l2_error(est, bump)
+            rkhs_norm_sq(est)
+            assert builds == []
 
 
 def test_study_computes_quadrature_nodes_once(monkeypatch, pooled):

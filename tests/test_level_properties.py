@@ -62,7 +62,7 @@ def test_level_fit_is_per_block_fit_iterative(level, seed, kind, filt, k,
     y = _outputs(kind, seed, x.size)
     lam = _lambda(filt, k)
     est = fit_distributed(kernel, filt, lam, x, y, part)
-    assert est.m == part.m
+    assert est.operator.m == part.m
     for ix, block in zip(part.blocks, est.block_fits, strict=True):
         ref = fit_iterative(kernel, filt, lam, x[ix], y[ix])
         assert block.coefficients.tobytes() == ref.coefficients.tobytes()
@@ -136,8 +136,9 @@ def test_heavily_tied_level_products(m, shuffle):
 @PROPERTY
 @given(levels(), seeds, st.sampled_from(FILTERS), st.sampled_from(KERNELS))
 def test_level_estimator_is_the_block_average(level, seed, filt, kernel):
-    # prediction, averaged weights and anchors of the level's average equal
-    # those of the per-block fits, added in block order and divided by m
+    # the level's prediction, and its average's weights and anchors, equal
+    # those of the per-block fits, added in block order and divided by m;
+    # the level's own coefficients are the blocks' weights, concatenated
     x, part = level
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(x.size)
@@ -152,10 +153,13 @@ def test_level_estimator_is_the_block_average(level, seed, filt, kernel):
             total = total + fit(at)
         assert np.asarray(est(at)).tobytes() == \
             np.asarray(total / part.m).tobytes()
-    coefs = np.concatenate([f.coefficients for f in fits]) / part.m
+    coefs = np.concatenate([f.coefficients for f in fits])
     assert est.coefficients.tobytes() == coefs.tobytes()
+    avg = est.as_expansion()
+    assert avg.coefficients.tobytes() == (coefs / part.m).tobytes()
     points = np.concatenate([f.points for f in fits])
     assert est.points.tobytes() == points.tobytes()
+    assert avg.points.tobytes() == points.tobytes()
 
 
 lattices = st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4)
