@@ -15,14 +15,16 @@ of 5 fresh processes each, 10 runs unless stated):
 
 - nu-method ``sweep-alpha``: n = 4096 (4 runs) 0.26 s against 0.21 s,
   8192 0.70 against 0.62 s, 16384 1.00 against 1.27 s;
-- Tikhonov ``sweep-n``, whose oracle solves 40 shifts at once: n = 4096
-  0.35 against 0.50 s, 16384 (four alphas) 1.46 against 2.13 s;
+- Tikhonov ``sweep-n``, whose oracle then solved 40 shifts at once:
+  n = 4096 0.35 against 0.50 s, 16384 (four alphas) 1.46 against 2.13 s;
 - cut-off ``oracle``: n = 256 0.10 against 0.16 s.
 
 So a study's Monte-Carlo runs go to the pool only when one run's largest
 numpy call holds at least `POOL_VALUES` values (:func:`_pool_workers`):
-n for an iterative filter's level vector, n times the shifts solved at
-once for Tikhonov, n**2 for cut-off's ``eigh``
+n for an iterative filter's level vector, n times the shifts of one
+chunk of Tikhonov's shifted solve (``kernels._shifts_at_once``; a chunk
+holds at least min(40 n, 16384) values, so the rule pools the same runs
+as when all 40 were solved at once), n**2 for cut-off's ``eigh``
 (``experiments._run_workers``).  Smaller runs go inline, one after
 another.  A level's eigendecomposing fit (``distributed._solve_blocks``)
 hands the pool one chunk of equal-size blocks per task, not one block:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
                       iterate)
-from .kernels import Kernel, KernelOperator, gram, kernel_operator
+from .kernels import (Kernel, KernelOperator, _check_domain, gram,
+                      kernel_operator)
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -194,9 +195,10 @@ def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
 def predict(expansion: KernelExpansion, x):
     """Evaluate the expansion at `x` (scalar or array of any shape): the
     level's ``cross`` divided by m.  A 2-D expansion gives one leading
-    row per row of coefficients."""
+    row per row of coefficients.  Points outside [0, 1] or not finite are
+    rejected, as :class:`kernels.Kernel` documents."""
     op = expansion.operator
-    xs = np.asarray(x, dtype=float)
+    xs = _check_domain(x)
     out = op.cross(expansion.coefficients, xs.ravel()) / op.m
     out = out.reshape(out.shape[:-1] + xs.shape)
     return float(out) if out.ndim == 0 else out

@@ -29,7 +29,8 @@ from .distributed import (_check_block_count, _target_norm_sq,
 from .estimator import KernelExpansion, coefficient_solver
 from .filters import LAMBDA_MIN, FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
-from .kernels import kernel_operator, rkhs_error_sq, rkhs_norm_sq, sobolev_min
+from .kernels import (_shifts_at_once, kernel_operator, rkhs_error_sq,
+                      rkhs_norm_sq, sobolev_min)
 from .smoothness import target_by_name
 
 RESULT_HEADER = "n,m,alpha,lambda,k,run,hk_error,l2_error,wall_ms"
@@ -257,10 +258,12 @@ def _run_workers(cfg: ExperimentConfig, filt: FilterSpec,
                  shifts: int) -> int:
     """Threads for a study's runs at ``cfg.n``, by the size of one run's
     largest numpy call (:func:`_parallel._pool_workers`): the level vector
-    of an iterative filter (n values), Tikhonov's solve of `shifts` shifts
-    at once (n * shifts) or cut-off's ``eigh`` (n**2)."""
+    of an iterative filter (n values), Tikhonov's solve of one chunk of
+    its `shifts` shifts (n times :func:`kernels._shifts_at_once`) or
+    cut-off's ``eigh`` (n**2)."""
     n = cfg.n
-    values = (n if filt.iterative else n * shifts if filt.kind == "tikhonov"
+    values = (n if filt.iterative
+              else n * _shifts_at_once(n, shifts) if filt.kind == "tikhonov"
               else n * n)
     return _pool_workers(cfg.workers, values)
 

@@ -35,6 +35,12 @@ PSD_TOLERANCE = 1e-10
 # memory instead of faulting in fresh pages on every chunk.
 CROSS_CHUNK = 8192
 
+# Level values' worth of shifts a shifted solve takes at once: the 40
+# oracle shifts at n = 131072 peak at 72 MiB, the (40, n) result included,
+# not 473 MiB.  Larger chunks make fewer numpy calls, which pays on two
+# pool threads at n = 4096 to 16384, but keep more bytes live.
+SHIFT_CHUNK = 2 ** 15
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -268,6 +274,13 @@ def _row_order(values, pad_ties):
     return order, srt
 
 
+def _shifts_at_once(size: int, shifts: int) -> int:
+    """Shifts of `size` level values each that one chunk of a shifted
+    solve takes: `SHIFT_CHUNK` values' worth, at least one, at most
+    `shifts`."""
+    return max(1, min(shifts, SHIFT_CHUNK // size))
+
+
 def kernel_operator(kernel: Kernel, points) -> KernelOperator:
     """Gram operator of `kernel` at `points`: the level of one block
     (:func:`level_operator`)."""
@@ -428,9 +441,11 @@ class BlockLayoutOperator(KernelOperator):
         one call of :func:`_tridiagonal_solve`, with the blocks, the
         shifts and the two right-hand sides on its leading axes: each
         system keeps its own reduction and bits, and uniform data makes at
-        most two calls.  ``h' A^{-1} D ybar`` of every block and shift is
-        one sum over the last axis, whose rows are added as in a
-        one-block, one-shift solve.
+        most two calls per chunk of shifts.  ``h' A^{-1} D ybar`` of every
+        block and shift is one sum over the last axis, whose rows are
+        added as in a one-block, one-shift solve.  What no shift changes
+        is set up once; then `SHIFT_CHUNK` values' worth of shifts at a
+        time are solved into the one result, whatever ``len(c)``.
         """
         c = np.asarray(c, dtype=float)
         if not ((c.ndim == 1 or c.shape[1:] == self.sizes.shape)
@@ -441,8 +456,7 @@ class BlockLayoutOperator(KernelOperator):
         if ys.shape != self.points.shape:
             raise ValueError(f"got {ys.size} outputs for "
                              f"{self.points.size} anchors")
-        L, (m, s) = len(c), self._sorted.shape
-        cb = np.broadcast_to(c.reshape(L, -1).T, (m, L))   # block, shift
+        m, s = self._sorted.shape
         level = self.layout(ys)
         xs = self._sorted
         inner = (xs > 0) & (xs < 1)            # the pads are at 1
@@ -457,38 +471,48 @@ class BlockLayoutOperator(KernelOperator):
         u = xs.ravel()[at[start]]
         block = at[start] // s                 # of each distinct point
         count = np.bincount(block, minlength=m)  # N of each block
-        beta_d = np.empty((L, start.size))     # beta / d
+        systems = []
         for N in sorted(set(count.tolist()) - {0}):
             k = np.flatnonzero(count[block] == N).reshape(-1, N)  # by block
-            rows = block[k[:, 0]]
-            zero = np.zeros((len(rows), 1))    # faster than diff's prepend=
+            zero = np.zeros((len(k), 1))       # faster than diff's prepend=
             gaps = np.diff(np.concatenate([zero, u[k], zero + 1.0], axis=1))
-            h = gaps[:, :-1]
-            dk = d[k][:, None, :]
-            # blocks, shifts, then the two right-hand sides D ybar and h,
-            # along the leading axes; position along the last
-            w = cb[rows][..., None] / dk           # (rows, L, N)
-            diag = h[:, None] + w
-            diag[..., 1:] += w[..., :-1]
+            # the two right-hand sides D ybar and h, by block
             rhs = np.stack([np.diff(np.concatenate([zero, ybar[k]], axis=1)),
-                            h], axis=1)
-            z = _tridiagonal_solve(diag[:, :, None], -w[:, :, None, :-1],
-                                   rhs[:, None])
-            zb, zh = z[:, :, 0], z[:, :, 1]  # A^{-1} D ybar, A^{-1} h
-            denom = gaps[:, -1:] + w[..., -1] * zh[..., -1]
-            # h' zb of every block and shift: each row is summed as in a
-            # one-block, one-shift solve
-            hz = (zb * h[:, None]).sum(-1)
-            v = zb + zh * (hz / denom)[..., None]
-            beta = v.copy()
-            beta[..., :-1] -= v[..., 1:]           # D' v
-            beta_d[:, k] = np.moveaxis(beta / dk, 1, 0)
+                            gaps[:, :-1]], axis=1)
+            systems.append((k, block[k[:, 0]], gaps, d[k][:, None, :], rhs))
         mean = np.zeros(m * s)
         mean[at] = ybar[group]
-        # (y - ybar) / c, which is alpha at the anchors at 0 or 1
-        out = (level - mean.reshape(m, s)) / cb.T[:, :, None]
-        out.reshape(L, -1)[:, at] += beta_d[:, group]
-        return self.blocks(out)
+        resid = level - mean.reshape(m, s)     # y - ybar
+        result = np.empty((len(c), self.points.size))
+        step = _shifts_at_once(m * s, len(c))
+        for lo in range(0, len(c), step):
+            cl = c[lo:lo + step]
+            cb = np.broadcast_to(cl.reshape(len(cl), -1).T,
+                                 (m, len(cl)))  # block, shift
+            beta_d = np.empty((len(cl), start.size))   # beta / d
+            for k, rows, gaps, dk, rhs in systems:
+                h = gaps[:, :-1]
+                # blocks, shifts, then the two right-hand sides, along the
+                # leading axes; position along the last
+                w = cb[rows][..., None] / dk           # (rows, L, N)
+                diag = h[:, None] + w
+                diag[..., 1:] += w[..., :-1]
+                z = _tridiagonal_solve(diag[:, :, None], -w[:, :, None, :-1],
+                                       rhs[:, None])
+                zb, zh = z[:, :, 0], z[:, :, 1]  # A^{-1} D ybar, A^{-1} h
+                denom = gaps[:, -1:] + w[..., -1] * zh[..., -1]
+                # h' zb of every block and shift: each row is summed as in
+                # a one-block, one-shift solve
+                hz = (zb * h[:, None]).sum(-1)
+                v = zb + zh * (hz / denom)[..., None]
+                beta = v.copy()
+                beta[..., :-1] -= v[..., 1:]           # D' v
+                beta_d[:, k] = np.moveaxis(beta / dk, 1, 0)
+            # (y - ybar) / c, which is alpha at the anchors at 0 or 1
+            out = resid / cb.T[:, :, None]
+            out.reshape(len(cl), -1)[:, at] += beta_d[:, group]
+            result[lo:lo + step] = self.blocks(out)
+        return result
 
 
 def level_operator(kernel: Kernel, x, blocks) -> KernelOperator:

@@ -1,9 +1,11 @@
+import contextlib
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from splitkern import _parallel
+from splitkern import _parallel, kernels
 from splitkern.kernels import user_kernel
 
 
@@ -36,3 +38,16 @@ def pooled(monkeypatch, pool_starts):
     `pool_starts`."""
     monkeypatch.setattr(_parallel, "POOL_VALUES", 1)
     return pool_starts
+
+
+@pytest.fixture(scope="session")
+def shift_chunks():
+    """``shift_chunks(n)``: contexts in which shifted solves over n anchors
+    run with ``kernels.SHIFT_CHUNK`` at its default, 1, 7 and 3n + 1, so
+    that chunk boundaries fall anywhere among a solve's shifts.  Session
+    scope: it holds no state, and Hypothesis runs each example inside."""
+    def contexts(n):
+        return [contextlib.nullcontext()] + [
+            mock.patch.object(kernels, "SHIFT_CHUNK", value)
+            for value in (1, 7, 3 * n + 1)]
+    return contexts

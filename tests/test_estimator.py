@@ -5,8 +5,8 @@ from splitkern.estimator import (KernelExpansion, fit_iterative, fit_spectral,
                                  predict, spectral_model)
 from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, filter_values, landweber,
                                nu_method, spectral_cutoff, tikhonov)
-from splitkern.kernels import (BlockLayoutOperator, gram, kernel_operator,
-                               sobolev_min)
+from splitkern.kernels import (BlockLayoutOperator, DenseOperator, gram,
+                               kernel_operator, sobolev_min, user_kernel)
 
 
 @pytest.fixture
@@ -138,6 +138,27 @@ def test_predict_matches_dense_kernel(kernel, dense_sobolev):
     ref = predict(KernelExpansion(alpha, kernel_operator(
         dense_sobolev, pts)), xs)
     assert np.max(np.abs(fast - ref)) <= 1e-12 * np.sum(np.abs(alpha))
+
+
+@pytest.mark.parametrize("gaussian", [False, True],
+                         ids=["block-layout", "dense"])
+def test_predict_rejects_points_outside_the_domain(kernel, gaussian):
+    # the fit would evaluate them silently: -2.29 at 1.5, -1.46 at -0.5 for
+    # the built-in kernel, and NaN at NaN
+    if gaussian:
+        kernel = user_kernel(lambda x, t: np.exp(-(x - t) ** 2 / 0.02), 1.0)
+    rng = np.random.default_rng(4)
+    x = np.linspace(0.05, 0.95, 20)
+    est = fit_spectral(kernel, tikhonov(), 0.01, x, rng.standard_normal(20))
+    assert isinstance(est.operator,
+                      DenseOperator if gaussian else BlockLayoutOperator)
+    for t in (1.5, -0.5, [0.5, 1.0 + 1e-12]):
+        with pytest.raises(ValueError, match=r"outside kernel domain"):
+            predict(est, t)
+    for t in (np.nan, [0.5, np.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            est(t)
+    assert np.isfinite(est(np.array([[0.0, 1.0]]))).all()
 
 
 def test_predict_values(kernel):

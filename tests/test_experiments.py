@@ -458,13 +458,24 @@ def test_small_studies_run_inline(bump, monkeypatch):
 
 @pytest.mark.parametrize("filt,n", [("tikhonov", 256), ("cutoff", 96)])
 def test_oracles_with_large_calls_use_the_pool(bump, pool_starts, filt, n):
-    # Tikhonov solves 40 shifts of n values at once, cut-off
+    # Tikhonov solves its 40 shifts of n values in one chunk, cut-off
     # eigendecomposes n x n: at least POOL_VALUES values per call
     assert n * (40 if filt == "tikhonov" else n) >= _parallel.POOL_VALUES
     cfg = ExperimentConfig(filter=filt, n=n, sigma=0.01, runs=2, seed=1,
                            workers=2)
     oracle_select(cfg)
     assert pool_starts == [2]
+
+
+@pytest.mark.parametrize("n", [204, 205, 256, 4096, 40000])
+def test_tikhonov_pool_rule_counts_one_chunk_of_shifts(n):
+    # one chunk of shifts holds at least min(40 n, 16384) values, so the
+    # runs pool exactly as when all 40 shifts (or the assessment's one)
+    # counted at once
+    for shifts in (40, 1):
+        cfg = ExperimentConfig(filter="tikhonov", n=n, workers=2)
+        whole = 2 if n * shifts >= _parallel.POOL_VALUES else 1
+        assert experiments._run_workers(cfg, tikhonov(), shifts) == whole
 
 
 def test_pool_workers_checks_workers_before_the_size_rule():
@@ -546,6 +557,24 @@ def test_tikhonov_oracle_memory_bounded():
         tracemalloc.stop()
     assert len(rows) == 1 and math.isfinite(rows[0].hk_error)
     assert peak < 64 * 2 ** 20
+
+
+def test_tikhonov_oracle_run_memory_bounded_at_paper_scale():
+    """One oracle run at n = 65536 over the default 40-point grid peaks
+    below 96 MiB of traced numpy memory, a bound fixed before the shifted
+    solve was chunked: it peaked at 242 MiB solving all 40 shifts at once,
+    and at 45 MiB a chunk of `kernels.SHIFT_CHUNK` values at a time, the
+    kept (40, n) coefficients (20 MiB) included."""
+    cfg = ExperimentConfig(filter="tikhonov", n=65536, runs=1, seed=3,
+                           workers=1)
+    tracemalloc.start()
+    try:
+        sel = oracle_select(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < sel.index < 39
+    assert peak < 96 * 2 ** 20
 
 
 def test_sweep_alpha_equals_sweep_n_at_one_size(bump):

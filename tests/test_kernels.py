@@ -299,6 +299,16 @@ def test_solve_shifted_rejects_bad_input(kernel):
         op.solve_shifted([1.0], [1.0, 2.0, 3.0])
 
 
+def test_solve_shifted_takes_no_shifts(kernel):
+    y = np.array([1.0, -2.0, 0.5])
+    for pts in ([0.2, 0.6, 0.6], [0.0, 0.5, 1.0]):
+        op = kernel_operator(kernel, pts)
+        got = op.solve_shifted(np.array([]), y)
+        assert got.shape == (0, 3) and got.dtype == float
+    level = level_operator(kernel, [0.2, 0.6, 0.9], [[0, 1], [2]])
+    assert level.solve_shifted(np.empty((0, 2, 1)), y).shape == (0, 3)
+
+
 def _exact_solve(pts, c, y):
     """``(G + c I)^{-1} y`` in exact rational arithmetic (the floats are
     exact rationals), rounded once at the end."""

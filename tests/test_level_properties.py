@@ -168,22 +168,27 @@ lattices = st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4)
 @PROPERTY
 @given(levels(), seeds, st.sampled_from(["normal", "zero", "minus-zero"]),
        lattices)
-def test_level_solve_is_per_block_solve(level, seed, kind, lams):
+def test_level_solve_is_per_block_solve(shift_chunks, level, seed, kind,
+                                        lams):
     # one shifted solve of the whole level, with each block's own shifts
-    # lam * kappa**2 * |block|, against each block's level of one
+    # lam * kappa**2 * |block|, against each block's level of one, whatever
+    # the chunk of shifts solved at once (the level and a block of it cut
+    # their shifts into different chunks)
     x, part = level
     y = _outputs(kind, seed, x.size)
     op = level_operator(KERNEL, x, part.blocks)
     lams = np.array(lams)
     scale = KERNEL.kappa ** 2 * op.sizes
-    rows = op.solve_shifted(lams[:, None, None] * scale,
-                            y[np.concatenate(part.blocks)])
     split = np.cumsum(op.sizes[:-1, 0])
-    for ix, got in zip(part.blocks, np.split(rows, split, axis=1),
-                       strict=True):
-        c = lams * (KERNEL.kappa ** 2 * ix.size)
-        ref = kernel_operator(KERNEL, x[ix]).solve_shifted(c, y[ix])
-        assert got.tobytes() == ref.tobytes()
+    for chunk in shift_chunks(x.size):
+        with chunk:
+            rows = op.solve_shifted(lams[:, None, None] * scale,
+                                    y[np.concatenate(part.blocks)])
+            for ix, got in zip(part.blocks, np.split(rows, split, axis=1),
+                               strict=True):
+                c = lams * (KERNEL.kappa ** 2 * ix.size)
+                ref = kernel_operator(KERNEL, x[ix]).solve_shifted(c, y[ix])
+                assert got.tobytes() == ref.tobytes()
 
 
 @PROPERTY
