@@ -26,7 +26,7 @@ chunk of Tikhonov's shifted solve (``kernels._shifts_at_once``; a chunk
 holds at least min(40 n, 16384) values, so the rule pools the same runs
 as when all 40 were solved at once), n**2 for cut-off's ``eigh``
 (``experiments._run_workers``).  Smaller runs go inline, one after
-another.  A level's eigendecomposing fit (``distributed._solve_blocks``)
+another.  A level's eigendecomposing fit (``estimator._solve_level``)
 hands the pool one chunk of equal-size blocks per task, not one block:
 each task is one stacked ``eigh`` and a few broadcast products.  Results
 come back in submission order, so the worker count never changes any

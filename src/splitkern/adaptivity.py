@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributed import _check_block_count, _solve_blocks, partition
-from .estimator import KernelExpansion, _as_data
+from .distributed import _check_block_count, partition
+from .estimator import KernelExpansion, _as_data, _solve_level
 from .filters import FilterSpec
 from .kernels import Kernel, _check_domain
 
@@ -51,10 +51,9 @@ def holdout_split(n: int, val_fraction: float = 0.2, seed=0) -> HoldoutSplit:
 def empirical_error(est, x_val, y_val) -> float | np.ndarray:
     """Mean squared prediction error on held-out data; one error per row
     (an array) for an estimator with one row per lambda."""
-    x_val = np.asarray(x_val, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
-    if x_val.size == 0:
+    if np.size(x_val) == 0:
         raise ValueError("validation set is empty")
+    x_val, y_val = _as_data(x_val, y_val)
     resid = y_val - np.asarray(est(x_val), dtype=float)
     if resid.ndim == 2:
         # row by row: np.mean over an axis sums in another order
@@ -96,12 +95,12 @@ def fit_lattice(kernel: Kernel, filt: FilterSpec, lattice, x_t, y_t,
     level's one operator for every kernel, with a row of the blocks'
     coefficients per lattice value: ``fit_lattice(...)[i]``
     is the fit at ``lattice[i]``, each block its own ``fit_spectral``'s
-    bit for bit (``distributed._solve_blocks``: one level solve, or a
+    bit for bit (``estimator._solve_level``: one level solve, or a
     chunk of equal-size blocks per pool task).  Pure function of the
     training data."""
     x_t, y_t = _as_data(x_t, y_t)
-    return _solve_blocks(kernel, filt, lattice, x_t, [y_t],
-                         partition(len(x_t), m_k).blocks, workers)
+    return _solve_level(kernel, filt, lattice, x_t, y_t[None],
+                        partition(len(x_t), m_k).blocks, workers)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,8 @@ def _cmd_theory(args) -> int:
     ms = experiments._distinct("ms", _parse_ints(args.ms))
     if min(ms) < 1:
         raise ValueError(f"block counts must be at least 1, got {ms}")
+    if not math.isfinite(args.beta):
+        raise ValueError(f"beta must be finite, got {args.beta}")
     rows = []
     for n in ns:
         p = theory.TheoryParams(r=args.r, b=args.b, s=args.s,

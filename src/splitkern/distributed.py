@@ -12,16 +12,13 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .estimator import (KernelExpansion, _as_data, _solves_shifted,
-                        coefficient_solver)
-from .filters import FilterSpec, check_steps, iterate
-from .kernels import (DenseOperator, Kernel, level_operator, rkhs_error_sq,
-                      rkhs_norm_sq)
+from .estimator import (KernelExpansion, _as_data, _iterate_level,
+                        _solve_level)
+from .filters import FilterSpec
+from .kernels import Kernel, rkhs_error_sq, rkhs_norm_sq
 
 
 @dataclass(frozen=True)
@@ -80,81 +77,18 @@ def _fit_blocks(kernel, filt, lam, x, ys, part) -> KernelExpansion:
     as one ``KernelExpansion`` on the level operator, with a row of the
     blocks' coefficients per right-hand side.  Every input is checked
     before any block is fitted; one operator (and eigendecomposition)
-    serves every row.  A filter that does not iterate runs
-    :func:`_solve_blocks` on one worker, as the Monte-Carlo runs share the
-    pool.  An iterative filter steps the level operator's ``(rows, m,
-    s)`` level vector, with ``1 / (kappa**2 |block|)`` as an ``(m, 1)``
-    column: every step is elementwise or a block's own product
-    (``level_matvec``), so each block's coefficients are its own fit's.
+    serves every row.  An iterative filter steps the level
+    (:func:`estimator._iterate_level`); any other is solved on one worker
+    (:func:`estimator._solve_level`), as the Monte-Carlo runs share the
+    pool.
     """
     x = np.asarray(x, dtype=float).ravel()
     if sum(map(len, part.blocks)) != x.size:
         raise ValueError("partition size does not match data size")
-    k = check_steps(filt.steps(lam)) if filt.iterative else None
     ys = np.stack([_as_data(x, y)[1] for y in ys])
-    if k is None:
-        return _solve_blocks(kernel, filt, [lam], x, ys, part.blocks, 1)
-    op = level_operator(kernel, x, part.blocks)
-    scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
-    b = scale * op.layout(ys[:, np.concatenate(part.blocks)])
-    steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
-    return KernelExpansion(op.blocks(next(islice(steps, k - 1, None))), op)
-
-
-# Gram values (blocks x size**2) that one chunk of a level fit
-# eigendecomposes at once.  A chunk's stacked Gram matrix and its
-# eigenvectors then take 1 MiB each, so a level's temporaries stay a few
-# MiB per worker at any n, while a chunk still holds 145 blocks of 30
-# points: each pool task is one large ``eigh``, which releases the
-# GIL, not numpy's per-call overhead, which holds it.  On an adapt call
-# with a user kernel (n = 4096, 2 workers, fresh process, 2-core x86-64)
-# 2**14 and 2**16 took 0.21 and 0.18 s with about 2x the page faults of
-# 2**17 (0.16 s); 2**18 and 2**20 were no faster and peaked 2 MiB higher.
-CHUNK_VALUES = 2 ** 17
-
-
-def _chunks(blocks):
-    """Runs of consecutive blocks of one size, each split into as few
-    near-equal chunks (the larger first) as keep every chunk within
-    `CHUNK_VALUES` Gram values, or one block: a chunk is a block per row."""
-    out = []
-    for size, run in groupby(blocks, len):
-        run = np.array(list(run))
-        step = max(1, CHUNK_VALUES // size ** 2)
-        out += np.array_split(run, -(-len(run) // step))
-    return out
-
-
-def _solve_blocks(kernel, filt, lams, x, ys, blocks,
-                  workers) -> KernelExpansion:
-    """The :func:`coefficient_solver` fits of every block ``x[ix]``, `ix`
-    in `blocks`, to every right-hand side in `ys` at every lambda in
-    `lams`: one ``KernelExpansion`` on the level operator with row ``r *
-    len(lams) + l`` for ``ys[r]`` at ``lams[l]``; each block's
-    coefficients are its ``fit_spectral``'s.
-    Tikhonov on the built-in kernel is one ``solve_shifted`` call per
-    right-hand side.  Otherwise one task of `workers` eigendecomposes a
-    chunk of equal-size blocks (:func:`_chunks`), and the blocks'
-    coefficients are joined in block order into one array on this thread,
-    so the chunks' arrays, made on pool threads, are freed; the level's
-    operator then forms no Gram matrix.
-    """
-    level = level_operator(kernel, x, blocks)
-    if _solves_shifted(level, filt):
-        solve = coefficient_solver([level], filt)
-        weights = np.concatenate(
-            [solve(lams, [y[np.concatenate(blocks)]])[0] for y in ys])
-    else:
-        def fit(chunk):
-            solve = coefficient_solver(
-                [DenseOperator(kernel, x[ix], np.array([ix.size]))
-                 for ix in chunk], filt)
-            return np.concatenate([solve(lams, y[chunk]) for y in ys], axis=1)
-
-        weights = np.concatenate(
-            [c for coefs in parallel_map(fit, _chunks(blocks), workers)
-             for c in coefs], axis=-1)
-    return KernelExpansion(weights, level)
+    if filt.iterative:
+        return _iterate_level(kernel, filt, lam, x, ys, part.blocks)
+    return _solve_level(kernel, filt, [lam], x, ys, part.blocks, 1)
 
 
 def _target_norm_sq(target) -> float:

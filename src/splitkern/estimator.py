@@ -11,25 +11,25 @@ expansion ``f(x) = sum_j alpha_j K(x_j, x)`` with
 For Tikhonov, ``g_lam(t) = 1/(lam + t)``, this is ``alpha = (G + lam *
 kappa**2 * n * I)^{-1} y``; with the built-in kernel that system is solved
 in O(n) without the eigendecomposition, for a whole partition level at
-once (:func:`coefficient_solver`).
-
-Iterative filters can alternatively be run as actual iterations in
-coefficient space; both paths agree to high accuracy and the agreement
-is part of the test suite.
+once.  Every fit is a level fit: the closed form (:func:`_solve_level`)
+or, for an iterative filter, the actual iteration in coefficient space
+(:func:`_iterate_level`); both paths agree to high accuracy and the
+agreement is part of the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .filters import (FilterSpec, check_lambda, check_steps, filter_values,
                       iterate)
 from .kernels import (Kernel, KernelOperator, _check_domain, gram,
-                      kernel_operator)
+                      kernel_operator, level_operator)
 
 # spectrum entries below this are indistinguishable from zero
 EIGENVALUE_FLOOR = 1e-14
@@ -114,82 +114,112 @@ def spectral_model(kernel: Kernel, x) -> tuple[np.ndarray, np.ndarray]:
     return evals, vecs[..., ::-1]
 
 
-def _solves_shifted(op, filt: FilterSpec) -> bool:
-    """Tikhonov on an operator with ``solve_shifted`` is solved with it."""
-    return filt.kind == "tikhonov" and hasattr(op, "solve_shifted")
+# Gram values (blocks x size**2) that one chunk of a level fit
+# eigendecomposes at once.  A chunk's stacked Gram matrix and its
+# eigenvectors then take 1 MiB each, so a level's temporaries stay a few
+# MiB per worker at any n, while a chunk still holds 145 blocks of 30
+# points: each pool task is one large ``eigh``, which releases the
+# GIL, not numpy's per-call overhead, which holds it.  On an adapt call
+# with a user kernel (n = 4096, 2 workers, fresh process, 2-core x86-64)
+# 2**14 and 2**16 took 0.21 and 0.18 s with about 2x the page faults of
+# 2**17 (0.16 s); 2**18 and 2**20 were no faster and peaked 2 MiB higher.
+CHUNK_VALUES = 2 ** 17
 
 
-def coefficient_solver(ops, filt: FilterSpec):
-    """``solve(lams, ys)``: expansion coefficients of the fits on the
-    anchors of each Gram operator in `ops` to the outputs ``ys[b]`` of
-    operator b: a ``(len(ops), len(lams), size)`` array, one row per
-    lambda in `lams`.
+def _chunks(blocks):
+    """Runs of consecutive blocks of one size, each split into as few
+    near-equal chunks (the larger first) as keep every chunk within
+    `CHUNK_VALUES` Gram values, or one block: a chunk is a block per row."""
+    out = []
+    for size, run in groupby(blocks, len):
+        run = np.array(list(run))
+        step = max(1, CHUNK_VALUES // size ** 2)
+        out += np.array_split(run, -(-len(run) // step))
+    return out
 
-    The one place the fitting path is chosen (:func:`_solves_shifted`).
-    Tikhonov on the built-in kernel takes one operator, a level of one
-    block or more, and one ``solve_shifted`` call solves ``(G_i + lam *
-    kappa**2 |block i| I) alpha_i = y_i`` for every block i and lambda in
-    O(n) each.  Every other pair takes a stack of one-block operators of
-    one size and filters one :func:`spectral_model` of the stacked
-    anchors: one ``filter_values`` call for every block and lambda, and
-    one broadcast matrix-vector product per (block, lambda) row.
+
+def _solve_level(kernel, filt, lams, x, ys, blocks,
+                 workers) -> KernelExpansion:
+    """The closed-form fits of every block ``x[ix]``, `ix` in `blocks`, to
+    every row of the checked outputs `ys` at every lambda in `lams`: one
+    ``KernelExpansion`` on the level operator, row ``r * len(lams) + l``
+    for ``ys[r]`` at ``lams[l]``.
+
+    Tikhonov on an operator with ``solve_shifted`` is one call per row,
+    ``(G_i + lam * kappa**2 |block i| I) alpha_i = y_i`` for every block
+    and lambda in O(n) each; one row comes back as the array it wrote.
+    Otherwise one task of `workers` eigendecomposes a chunk of equal-size
+    blocks (:func:`_chunks`) as one :func:`spectral_model`, filters it
+    with one ``filter_values`` call and makes one broadcast
+    matrix-vector product per (block, lambda) row; the chunks are joined
+    in block order on this thread, so their arrays, made on pool threads,
+    are freed, and the level's operator forms no Gram matrix.
     """
-    kernel = ops[0].kernel
-    points = np.stack([op.points for op in ops])
+    level = level_operator(kernel, x, blocks)
+    if filt.kind == "tikhonov" and hasattr(level, "solve_shifted"):
+        lams = np.array([check_lambda(float(lam)) for lam in lams])
+        c = lams[:, None, None] * (kernel.kappa ** 2 * level.sizes)
+        rows = [level.solve_shifted(c, y)
+                for y in ys[:, np.concatenate(blocks)]]
+        return KernelExpansion(
+            rows[0] if len(rows) == 1 else np.concatenate(rows), level)
 
-    def outputs(ys):
-        return np.stack([_as_data(x, y)[1] for x, y in zip(points, ys,
-                                                           strict=True)])
-
-    if _solves_shifted(ops[0], filt):
-        (op,) = ops
-        scale = kernel.kappa ** 2 * op.sizes
-        def solve(lams, ys):
-            lams = np.array([check_lambda(float(lam)) for lam in lams])
-            return np.stack([op.solve_shifted(lams[:, None, None] * scale, y)
-                             for y in outputs(ys)])
-    else:
-        scale = kernel.kappa ** 2 * points.shape[-1]
-        evals, V = spectral_model(kernel, points)
-
-        def solve(lams, ys):
-            Vty = np.swapaxes(V, -1, -2) @ outputs(ys)[..., None]
-            gV = np.swapaxes(filter_values(filt, lams, evals), 0, 1) \
-                * Vty[:, None, :, 0]
+    def fit(chunk):
+        scale = kernel.kappa ** 2 * chunk.shape[-1]
+        evals, V = spectral_model(kernel, x[chunk])
+        g = np.swapaxes(filter_values(filt, lams, evals), 0, 1)
+        out = []
+        for y in ys:
+            Vty = np.swapaxes(V, -1, -2) @ y[chunk][..., None]
             # a matrix-vector product per row: one matrix product for
             # every lambda rounds differently
-            return (V[:, None] @ gV[..., None])[..., 0] / scale
-    return solve
+            out.append((V[:, None] @ (g * Vty[:, None, :, 0])[..., None])
+                       [..., 0] / scale)
+        return np.concatenate(out, axis=1)
+
+    weights = np.concatenate(
+        [c for coefs in parallel_map(fit, _chunks(blocks), workers)
+         for c in coefs], axis=-1)
+    return KernelExpansion(weights, level)
+
+
+def _iterate_level(kernel, filt, lam, x, ys, blocks) -> KernelExpansion:
+    """The iterative fits of every block ``x[ix]``, `ix` in `blocks`, to
+    every row of the checked outputs `ys`: :func:`filters.iterate` on
+    each block's ``M_i = G_i / (kappa**2 |block i|)`` from ``b_i = y_i /
+    (kappa**2 |block i|)``, stepping the level operator's ``(rows, m,
+    s)`` level vector.  Every step is elementwise or a block's own
+    product (``level_matvec``), so each block's coefficients are its own
+    fit's; k steps make ``k - 1`` products.  A lambda that needs more
+    than ``filters.MAX_STEPS`` steps is rejected before the operator is
+    built.
+    """
+    k = check_steps(filt.steps(lam))    # rejects non-iterative filters
+    op = level_operator(kernel, x, blocks)
+    scale = 1.0 / (kernel.kappa ** 2 * op.sizes)
+    b = scale * op.layout(ys[:, np.concatenate(blocks)])
+    steps = iterate(filt, b, lambda v: scale * op.level_matvec(v))
+    return KernelExpansion(op.blocks(next(islice(steps, k - 1, None))), op)
 
 
 def fit_spectral(kernel: Kernel, filt: FilterSpec, lam: float,
                  x, y) -> KernelExpansion:
     """Fit one block: filter the spectrum of the normalized Gram, or, for
-    Tikhonov on the built-in kernel, solve the shifted system (see
-    :func:`coefficient_solver`, which also serves several lambdas and a
-    stack of blocks)."""
+    Tikhonov on the built-in kernel, solve the shifted system (the level
+    of one block of :func:`_solve_level`)."""
     x, y = _as_data(x, y)
-    op = kernel_operator(kernel, x)
-    alpha = coefficient_solver([op], filt)([lam], [y])[0, 0]
-    return KernelExpansion(alpha, op)
+    return _solve_level(kernel, filt, [lam], x, y[None],
+                        [np.arange(x.size)], 1)[0]
 
 
 def fit_iterative(kernel: Kernel, filt: FilterSpec, lam: float,
                   x, y) -> KernelExpansion:
-    """Run an iterative filter as an actual iteration in coefficient space.
-
-    :func:`filters.iterate` on ``M = G / (kappa**2 n)`` from ``b = y /
-    (kappa**2 n)``; Landweber steps ``alpha + (b - M alpha)``.  Matches
-    `fit_spectral` with the same filter, with ``k - 1`` products with G
-    for k steps.  A lambda that needs more than ``filters.MAX_STEPS``
-    steps is rejected before any step is taken.
-    """
-    k = check_steps(filt.steps(lam))    # rejects non-iterative filters
+    """Run an iterative filter as an actual iteration in coefficient space
+    (the level of one block of :func:`_iterate_level`): matches
+    `fit_spectral` with the same filter."""
     x, y = _as_data(x, y)
-    op = kernel_operator(kernel, x)
-    scale = 1.0 / (kernel.kappa ** 2 * x.size)
-    steps = iterate(filt, scale * y, lambda v: scale * op.matvec(v))
-    return KernelExpansion(next(islice(steps, k - 1, None)), op)
+    return _iterate_level(kernel, filt, lam, x, y[None],
+                          [np.arange(x.size)])[0]
 
 
 def predict(expansion: KernelExpansion, x):

@@ -26,7 +26,7 @@ from ._parallel import _pool_workers, parallel_map
 from ._quadrature import gauss_legendre
 from .distributed import (_check_block_count, _target_norm_sq,
                           fit_distributed, partition)
-from .estimator import KernelExpansion, coefficient_solver
+from .estimator import KernelExpansion, _solve_level
 from .filters import LAMBDA_MIN, FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
 from .kernels import (_shifts_at_once, kernel_operator, rkhs_error_sq,
@@ -204,35 +204,39 @@ def _error_curves(kernel, filt, x, y, target, grid):
     """
     fvec = np.asarray(target(x), dtype=float)
     nrm = _target_norm_sq(target)
+    if not filt.iterative:
+        fits = _solve_level(kernel, filt, grid, x, y[None],
+                            [np.arange(x.size)], 1)
+        return np.asarray([rkhs_error_sq(fits.operator.quad_form(a), a, fvec,
+                                         nrm) for a in fits.coefficients])
     op = kernel_operator(kernel, x)
+    ks = np.asarray(grid)
+    scale = 1.0 / (kernel.kappa ** 2 * x.size)
+    wanted = np.zeros(int(ks[-1]) + 1, dtype=bool)
+    wanted[ks] = True
+    step = count(1)
     hk_sq = []
-    if filt.iterative:
-        ks = np.asarray(grid)
-        scale = 1.0 / (kernel.kappa ** 2 * x.size)
-        wanted = np.zeros(int(ks[-1]) + 1, dtype=bool)
-        wanted[ks] = True
-        step = count(1)
 
-        def apply(alpha):
-            Galpha = op.matvec(alpha)
-            if wanted[next(step)]:
-                hk_sq.append(rkhs_error_sq(float(alpha @ Galpha), alpha,
-                                           fvec, nrm))
-            return scale * Galpha
+    def apply(alpha):
+        Galpha = op.matvec(alpha)
+        if wanted[next(step)]:
+            hk_sq.append(rkhs_error_sq(float(alpha @ Galpha), alpha, fvec,
+                                       nrm))
+        return scale * Galpha
 
-        steps = iterate(filt, scale * y, apply)
-        apply(next(islice(steps, int(ks[-1]) - 1, None)))
-    else:
-        hk_sq = [rkhs_error_sq(op.quad_form(a), a, fvec, nrm)
-                 for a in coefficient_solver([op], filt)(grid, [y])[0]]
+    steps = iterate(filt, scale * y, apply)
+    apply(next(islice(steps, int(ks[-1]) - 1, None)))
     return np.asarray(hk_sq)
 
 
 def _resolve_pieces(cfg: ExperimentConfig):
-    """Kernel, filter and target of `cfg`, whose run count is checked
-    here: every study, oracle and lambda rule starts with this call."""
+    """Kernel, filter and target of `cfg`, whose run count and seed are
+    checked here: every study, oracle and lambda rule starts with this
+    call."""
     if cfg.runs < 1:
         raise ValueError(f"runs must be at least 1, got {cfg.runs}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     return (sobolev_min(), filter_by_name(cfg.filter, cfg.nu),
             target_by_name(cfg.target))
 

@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitkern import adaptivity, distributed
+from splitkern import adaptivity, estimator
 from splitkern.adaptivity import (adapt, default_m_sequence, empirical_error,
                                   fit_lattice, holdout_split, stopping_index)
 from splitkern.distributed import partition
-from splitkern.estimator import (KernelExpansion, coefficient_solver,
-                                 fit_spectral)
+from splitkern.estimator import KernelExpansion, fit_spectral
 from splitkern.experiments import gen_data
 from splitkern.filters import (filter_values, landweber, nu_method,
                                spectral_cutoff, tikhonov)
@@ -82,6 +81,21 @@ def test_empirical_error_matches_loop_oracle():
         sobolev_min(), rng.random(30)))
     manual = sum((y[i] - est(float(x[i]))) ** 2 for i in range(256)) / 256
     assert empirical_error(est, x, y) == pytest.approx(manual, abs=1e-12)
+
+
+def test_empirical_error_checks_validation_data():
+    # checked as fits check their data: a 1-element y_val was broadcast
+    # against the 100 predictions, and a NaN output gave NaN
+    exact = quadratic_bump()
+    xs = np.linspace(0.0, 1.0, 100)
+    with pytest.raises(ValueError, match="100 inputs but 1 outputs"):
+        empirical_error(exact, xs, [0.1])
+    y = exact(xs)
+    y[3] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        empirical_error(exact, xs, y)
+    with pytest.raises(ValueError, match="validation set is empty"):
+        empirical_error(exact, [], [])
 
 
 def test_holdout_split_properties():
@@ -325,8 +339,9 @@ def test_lattice_rows_are_single_lambda_fits(monkeypatch, kernel, filt):
     x, y = gen_data(quadratic_bump(), 200, 0.01, 16)
     lattice = np.logspace(-6, 0, 13)[::-1]
     blocks = partition(len(x), 7).blocks
-    solves = [coefficient_solver([kernel_operator(kernel, x[ix])], filt)(
-        lattice, [y[ix]])[0] for ix in blocks]
+    solves = [estimator._solve_level(kernel, filt, lattice, x[ix],
+                                     y[ix][None], [np.arange(ix.size)],
+                                     1).coefficients for ix in blocks]
     if not (filt.kind == "tikhonov"
             and hasattr(kernel_operator(kernel, x), "solve_shifted")):
         for ix, c in zip(blocks, solves):
@@ -335,11 +350,11 @@ def test_lattice_rows_are_single_lambda_fits(monkeypatch, kernel, filt):
     # adapt-user-kernel's m = 26 level (one block of 127 points, 25 of
     # 126) splits into near-equal chunks
     m26 = partition(3277, 26).blocks
-    assert list(map(len, distributed._chunks(m26))) == [1, 7, 6, 6, 6]
-    for cap, chunks in ((distributed.CHUNK_VALUES, [4, 3]),
+    assert list(map(len, estimator._chunks(m26))) == [1, 7, 6, 6, 6]
+    for cap, chunks in ((estimator.CHUNK_VALUES, [4, 3]),
                         (28 ** 2 - 1, [1] * 7)):
-        monkeypatch.setattr(distributed, "CHUNK_VALUES", cap)
-        assert list(map(len, distributed._chunks(blocks))) == chunks
+        monkeypatch.setattr(estimator, "CHUNK_VALUES", cap)
+        assert list(map(len, estimator._chunks(blocks))) == chunks
         for workers in (1, 2):
             fits = fit_lattice(kernel, filt, lattice, x, y, 7, workers)
             for i, lam in enumerate(lattice):
@@ -367,7 +382,7 @@ def test_lattice_fit_memory_is_bounded_by_the_chunk_cap():
     finally:
         tracemalloc.stop()
     out = sum(f.coefficients.nbytes for f in fits.block_fits)
-    assert peak < out + 3 * 8 * distributed.CHUNK_VALUES
+    assert peak < out + 3 * 8 * estimator.CHUNK_VALUES
 
 
 def test_adapt_builds_one_operator_per_level(monkeypatch):
@@ -381,3 +396,18 @@ def test_adapt_builds_one_operator_per_level(monkeypatch):
     result = adapt(x, y, sobolev_min(), tikhonov(), np.logspace(-6, 0, 13),
                    m_sequence=[16, 7, 3, 1], delta=0.5, seed=5, workers=2)
     assert len(builds) == len(result.trace)
+
+
+def test_one_output_shifted_lattice_keeps_the_solves_array(monkeypatch):
+    # a Tikhonov lattice of the built-in kernel holds the array its one
+    # shifted solve wrote, not a stacked or joined copy of it
+    solved = []
+    real = BlockLayoutOperator.solve_shifted
+    monkeypatch.setattr(BlockLayoutOperator, "solve_shifted",
+                        lambda self, c, y: solved.append(real(self, c, y))
+                        or solved[-1])
+    x, y = gen_data(quadratic_bump(), 300, 0.01, 19)
+    fits = fit_lattice(sobolev_min(), tikhonov(), np.logspace(-6, 0, 7),
+                       x, y, 5)
+    (out,) = solved
+    assert np.shares_memory(fits.coefficients, out)

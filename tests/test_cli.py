@@ -5,7 +5,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import splitkern
@@ -336,6 +335,25 @@ def test_non_finite_theory_parameter_exits_2(capsys, monkeypatch, command,
     code, out, err = run_cli(capsys, *command, flag, value)
     assert code == 2 and out == ""
     assert err == f"error: {flag[2:]} must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_beta_exits_2(capsys, value):
+    # inf was exit 3 ("cannot convert float infinity to integer"), nan an
+    # unnamed conversion error
+    code, out, err = run_cli(capsys, "theory", "--ns", "64", "--beta", value)
+    assert code == 2 and out == ""
+    assert err == f"error: beta must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "64", "--runs", "1"], ["adapt", "--n", "64"]])
+def test_negative_seed_exits_2(capsys, monkeypatch, command):
+    # named before any run, not numpy's "expected non-negative integer"
+    monkeypatch.setattr(experiments, "gen_data", _fail)
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("command, message", [

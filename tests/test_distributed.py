@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitkern import distributed, estimator
+from splitkern import estimator
 from splitkern.distributed import (Partition, diagnostic_split,
                                    fit_distributed, partition)
 from splitkern.estimator import fit_iterative, fit_spectral
@@ -284,7 +284,7 @@ def test_level_fit_rejects_bad_input_as_block_fits_do(kernel, dense_sobolev,
     # the level fit of the built-in kernel raises the block-by-block fit's
     # ValueError (CLI exit 2), and before it takes any step
     steps = []
-    monkeypatch.setattr(distributed, "iterate",
+    monkeypatch.setattr(estimator, "iterate",
                         lambda *a: steps.append(1) or iterate(*a))
     x, y = _data(40, seed=14)
     if bad.endswith("-y"):

@@ -97,8 +97,8 @@ def test_fit_iterative_rejects_too_many_steps(kernel):
 def test_fit_iterative_products(kernel, monkeypatch, filt):
     # k steps make k - 1 products with the Gram operator
     products = []
-    real = BlockLayoutOperator.matvec
-    monkeypatch.setattr(BlockLayoutOperator, "matvec",
+    real = BlockLayoutOperator.level_matvec
+    monkeypatch.setattr(BlockLayoutOperator, "level_matvec",
                         lambda self, v: products.append(1) or real(self, v))
     x, y = _data(30, seed=6)
     for k in (1, 2, 17):

@@ -15,10 +15,10 @@ from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
                                    results_csv, run_rng, simulate,
                                    summary_csv, sweep_alpha, sweep_n)
 from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
-from splitkern.kernels import (BlockLayoutOperator, KernelOperator, gram,
+from splitkern.kernels import (BlockLayoutOperator, KernelOperator,
                                kernel_operator, rkhs_norm_sq, sobolev_min,
                                user_kernel)
-from splitkern.smoothness import quadratic_bump, scaled_sine
+from splitkern.smoothness import quadratic_bump
 
 
 @pytest.fixture
