@@ -13,8 +13,11 @@ i.e. once the error stops improving appreciably, and the estimator fitted
 at level k* with its selected lambda is returned.  Validation data only
 ever enters through the error evaluation; the per-lambda fits depend on
 the training part alone.  A level's whole lattice is one estimator with a
-row per lambda, scored with one kernel evaluation per block against the
-validation points.
+row per lambda.  The first three levels, before any of which the rule
+cannot hold, are scored together as the rows of one estimator on the
+third level's operator, so each kernel value between a training and a
+validation point is computed once for all three; each later level is
+scored alone.
 """
 
 from __future__ import annotations
@@ -154,16 +157,31 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
     for m in m_sequence:
         _check_block_count(len(x_t), m)
 
+    # The rule holds at level 3 at the earliest, so levels 1-3 are scored
+    # at once: rows of one expansion on level 3's operator (every level
+    # holds x_t in one order), level k's scaled by m_3 / m_k so that the
+    # division by m_3 gives its own average.
+    L, m_3 = lattice.size, m_sequence[2]
+    rows = np.empty((3 * L, len(x_t)))
+    for j, m_k in enumerate(m_sequence[:3]):
+        fits = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k, workers)
+        np.multiply(fits.coefficients, m_3 / m_k, out=rows[j * L:(j + 1) * L])
+    first = np.split(empirical_error(KernelExpansion(rows, fits.operator),
+                                     x_v, y_v), 3)
+    del rows
+
     errs: list[float] = []
     trace: list[AdaptLevel] = []
     triggered = False
 
-    # The rule can only first hold at the level just scored, so the level
-    # returned (k*, or the last when exhausted) is always the last fitted.
+    # The level returned (k*, or the last when exhausted) is the last fitted.
     for k, m_k in enumerate(m_sequence, start=1):
+        if k <= 3:
+            errv = first[k - 1]
+        else:
+            fits = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k, workers)
+            errv = empirical_error(fits, x_v, y_v)
         # argmin over the descending lattice: ties go to the larger lambda
-        fits = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k, workers)
-        errv = empirical_error(fits, x_v, y_v)
         i = int(np.argmin(errv))
         errs.append(float(errv[i]))
         trace.append(AdaptLevel(

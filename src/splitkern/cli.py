@@ -113,6 +113,8 @@ def _cmd_theory(args) -> int:
         raise ValueError(f"block counts must be at least 1, got {ms}")
     if not math.isfinite(args.beta):
         raise ValueError(f"beta must be finite, got {args.beta}")
+    if args.beta <= 0:
+        raise ValueError(f"beta must be positive, got {args.beta:g}")
     rows = []
     for n in ns:
         p = theory.TheoryParams(r=args.r, b=args.b, s=args.s,

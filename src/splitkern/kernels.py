@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,9 +30,10 @@ import numpy as np
 # floating-point noise and clamped before any spectral filter is applied.
 PSD_TOLERANCE = 1e-10
 
-# Values a block-layout operator evaluates at once (blocks x points): its
-# temporaries stay far below glibc's mmap threshold, so they reuse heap
-# memory instead of faulting in fresh pages on every chunk.
+# Values a ``cross`` evaluates at once (blocks x points on the block
+# layout, anchors x points of a dense block): its temporaries stay far
+# below glibc's mmap threshold, so they reuse heap memory instead of
+# faulting in fresh pages on every chunk.
 CROSS_CHUNK = 8192
 
 # Level values' worth of shifts a shifted solve takes at once: the 40
@@ -191,9 +192,17 @@ class DenseOperator(KernelOperator):
         return out
 
     def cross(self, coef, t):
-        return reduce(np.add, (
-            a @ self.kernel.fn(p[:, None], t[None, :])
-            for a, p in zip(self._split(coef), self._split(self.points))))
+        """The blocks' ``a_i @ K(x_i, t)`` added in ascending block order,
+        each evaluated against `CROSS_CHUNK` values' worth of `t` at a
+        time: the pieces depend on the block's size alone, so a level's
+        sums are its blocks' own ``cross``s, bit for bit."""
+        out = np.zeros(np.shape(coef)[:-1] + t.shape)
+        for a, p in zip(self._split(coef), self._split(self.points)):
+            step = max(1, CROSS_CHUNK // p.size)
+            for lo in range(0, t.size, step):
+                out[..., lo:lo + step] += a @ self.kernel.fn(
+                    p[:, None], t[None, lo:lo + step])
+        return out
 
 
 def _bridge_sums(xs, a):

@@ -17,6 +17,12 @@ import numpy as np
 SOBOLEV_DECAY_SCALE = 4.0 / math.pi ** 2  # eigenvalues 4/(pi j)^2 of the
                                           # normalized Sobolev-kernel operator
 
+# Terms `power_effective_dimension` sums at most: its float arrays then
+# take 8 MiB each.  The CLI defaults sum 2048 terms and the tests at most
+# 3233 (lambda = 1e-4); at the default scale and b = 2 the cap admits
+# lambda down to about 6e-12.
+_MAX_TERMS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class TheoryParams:
@@ -105,18 +111,22 @@ def power_effective_dimension(scale: float, b: float, lam: float) -> float:
 
     Summed up to a truncation chosen so the midpoint tail-integral
     correction is accurate to 1e-8; the correction is added to the
-    partial sum.
+    partial sum.  A truncation beyond `_MAX_TERMS` terms, or not finite,
+    is rejected before any array is made.
     """
-    if scale <= 0 or b <= 1:
+    if not (scale > 0 and b > 1):
         raise ValueError("need scale > 0 and b > 1")
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
-    J = max(
-        2048,
-        int(math.ceil((b * scale / (24.0 * lam * 1e-8))
-                      ** (1.0 / (b + 1.0)))),
-        4 * int(math.ceil((scale / lam) ** (1.0 / b))),
-    )
+    tail_j = (b * scale / (24.0 * lam * 1e-8)) ** (1.0 / (b + 1.0))
+    knee = (scale / lam) ** (1.0 / b)          # mu_j = lam there
+    J = math.inf
+    if tail_j < math.inf and knee < math.inf:  # NaN is neither
+        J = max(2048, math.ceil(tail_j), 4 * math.ceil(knee))
+    if J > _MAX_TERMS:
+        raise ValueError(f"N(lambda) of the spectrum {scale:g} * j**-{b:g} "
+                         f"at lambda {lam:g} needs more than {_MAX_TERMS} "
+                         "terms")
     j = np.arange(1, J + 1, dtype=float)
     mu = scale * j ** -b
     head = float(np.sum(mu / (mu + lam)))

@@ -237,12 +237,13 @@ def test_adapt_solve_matches_eigh_path(dense_sobolev, seed):
         assert a.err == pytest.approx(b.err, rel=1e-9)
 
 
-def gaussian(calls=None, x_val=None):
-    """Gaussian user kernel; with `calls`, counts its evaluations at the
-    validation points `x_val`."""
+def gaussian(pairs=None, x_val=None):
+    """Gaussian user kernel; with `pairs`, records the number of (anchor,
+    point) pairs of each evaluation at some of the validation points
+    `x_val`."""
     def fn(x, t):
-        if calls is not None and np.array_equal(np.ravel(t), x_val):
-            calls.append(np.shape(x))
+        if pairs is not None and np.isin(t, x_val).all():
+            pairs.append(np.broadcast(x, t).size)
         return np.exp(-(x - t) ** 2 / (2 * 0.1 ** 2))
     return user_kernel(fn, kappa=1.0)
 
@@ -287,13 +288,63 @@ def test_lattice_errors_match_empirical_error_user_kernel():
 
 
 def test_adapt_evaluates_each_block_once_per_level():
+    # levels 1-3 are scored together, so every (training, validation)
+    # pair is evaluated once for the three, then once per later level:
+    # here the sequence stops at level 4, two evaluations of each pair
     x, y = gen_data(quadratic_bump(), 400, 0.01, 14)
     split = holdout_split(len(x), 0.2, seed=5)
-    calls = []
-    kernel = gaussian(calls, x[split.validation])
+    pairs = []
+    kernel = gaussian(pairs, x[split.validation])
     result = adapt(x, y, kernel, tikhonov(), np.logspace(-6, 0, 25),
                    m_sequence=[16, 7, 3, 1], delta=0.5, seed=5, workers=1)
-    assert len(calls) == sum(lev.m_k for lev in result.trace)
+    assert len(result.trace) == 4
+    assert sum(pairs) == (len(result.trace) - 2) \
+        * split.train.size * split.validation.size
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+@pytest.mark.parametrize("kernel, filt", [
+    (gaussian(), tikhonov()), (sobolev_min(), tikhonov()),
+    (sobolev_min(), nu_method())], ids=["gaussian", "solve", "nu-method"])
+def test_joint_scoring_matches_each_level_scored_alone(kernel, filt, seed):
+    # adapt scores levels 1-3 as the rows of one expansion on level 3's
+    # operator, level k's rows scaled by m_3 / m_k.  Level 3's rows are
+    # its own fit's, so its errors are bit for bit those of its fit
+    # scored alone.  A level-1 or -2 prediction adds the same terms,
+    # grouped by other blocks, and scales them differently.  With n_t
+    # training points and a row's coefficients a, either prediction is
+    # within 4 n_t eps sum|a| / m_k of the exact average: the Gaussian's
+    # dot products add terms |a_j K(x_j, t)| <= |a_j| in at most n_t
+    # roundings, the built-in kernel's three prefix sums terms of at
+    # most |a_j| (x and t lie in [0, 1]) in at most n_t each, and the
+    # sum over the blocks and the two scalings add m_k + 3 more.  So the
+    # two predictions differ by at most d = 8 n_t eps sum|a| / m_k and
+    # the errors by at most mean(2 |r| d + d^2), r the residual.
+    eps = np.finfo(float).eps
+    x, y = gen_data(quadratic_bump(), 400, 0.01, seed)
+    lattice = np.logspace(-6, 0, 13)[::-1]
+    result = adapt(x, y, kernel, filt, lattice, delta=0.5, seed=seed,
+                   workers=1)
+    split = result.split
+    x_t, y_t = x[split.train], y[split.train]
+    x_v, y_v = x[split.validation], y[split.validation]
+    errs = []
+    for m_k in default_m_sequence(x_t.size):
+        fits = fit_lattice(kernel, filt, lattice, x_t, y_t, m_k)
+        ref = empirical_error(fits, x_v, y_v)
+        i = int(np.argmin(ref))
+        errs.append(ref[i])
+        lev = result.trace[len(errs) - 1]
+        assert (lev.m_k, lev.lambda_hat) == (m_k, lattice[i])
+        if len(errs) >= 3:
+            assert lev.err == ref[i]
+        else:
+            d = 8 * x_t.size * eps * np.abs(fits[i].coefficients).sum() / m_k
+            r = np.abs(y_v - fits[i](x_v))
+            assert abs(lev.err - ref[i]) <= np.mean(2 * r * d + d ** 2)
+        if stopping_index(errs, 0.5) is not None:
+            break
+    assert result.k_star == len(errs) == len(result.trace)
 
 
 @pytest.mark.parametrize("kernel, filt", [

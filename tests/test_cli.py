@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import splitkern
-from splitkern import adaptivity, experiments
+from splitkern import adaptivity, experiments, theory
 from splitkern.cli import _config_from_args, build_parser, main
 from splitkern.experiments import SETTINGS, ExperimentConfig
 
@@ -344,6 +344,25 @@ def test_non_finite_beta_exits_2(capsys, value):
     code, out, err = run_cli(capsys, "theory", "--ns", "64", "--beta", value)
     assert code == 2 and out == ""
     assert err == f"error: beta must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_beta_exits_2(capsys, value):
+    # was "need scale > 0 and b > 1", which names no flag
+    code, out, err = run_cli(capsys, "theory", "--ns", "64", "--beta", value)
+    assert code == 2 and out == ""
+    assert err == f"error: beta must be positive, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["1e30", "1e308"])
+def test_beta_past_the_term_cap_exits_2(capsys, value):
+    # 1e308 was exit 3 ("cannot convert float infinity to integer"); 1e30
+    # would have summed 9.2e15 terms.  Both are rejected before any array
+    # is made
+    code, out, err = run_cli(capsys, "theory", "--ns", "64", "--beta", value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: N(lambda) of the spectrum {float(value):g}")
+    assert err.endswith(f"needs more than {theory._MAX_TERMS} terms\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from splitkern.estimator import KernelExpansion
-from splitkern.kernels import (BlockLayoutOperator, DenseOperator,
+from splitkern.kernels import (CROSS_CHUNK, BlockLayoutOperator, DenseOperator,
                                _tridiagonal_solve, gram, kernel_operator,
                                level_operator, rkhs_norm_sq, sobolev_min,
                                user_kernel)
@@ -220,6 +221,26 @@ def test_cross_rows_match_row_by_row(kernel, dense_sobolev, name):
     for row, c in zip(got, coef):
         scale = np.max(np.abs(c) @ K)
         assert np.max(np.abs(row - dense.cross(c, t))) <= 1e-13 * scale
+
+
+def test_dense_cross_memory_is_bounded_by_the_chunk():
+    # adapt's validation scoring at n = 4096 with 1000-anchor blocks: 25
+    # rows against 819 points.  The peak holds the (25, 819) result and
+    # the Gaussian rule's operand and value for one piece of CROSS_CHUNK
+    # kernel values (numpy frees each intermediate as the next is made),
+    # so four pieces' worth bounds it; the whole block's kernel values
+    # would take 6.5 MB per temporary
+    rng = np.random.default_rng(23)
+    op = kernel_operator(user_kernel(
+        lambda x, t: np.exp(-(x - t) ** 2 / 0.02), 1.0), rng.random(1000))
+    coef, t = rng.standard_normal((25, 1000)), rng.random(819)
+    tracemalloc.start()
+    try:
+        out = op.cross(coef, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 4 * 8 * CROSS_CHUNK
 
 
 def test_dense_operator_is_the_gram(dense_sobolev):

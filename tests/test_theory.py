@@ -131,6 +131,17 @@ def test_effective_dimension_lower_bound_below_top_eigenvalue():
         assert sobolev_n(lam) >= 0.5
 
 
+@pytest.mark.parametrize("scale, b, lam", [
+    (math.nan, 2.0, 0.1), (SOBOLEV_DECAY_SCALE, math.nan, 0.1),
+    (1e308, 2.0, 0.1),                     # the truncation overflows
+    (SOBOLEV_DECAY_SCALE, 2.0, 5e-12)])    # just past the term cap
+def test_power_effective_dimension_rejects_before_summing(monkeypatch, scale,
+                                                          b, lam):
+    monkeypatch.setattr(np, "arange", None)    # no array is made
+    with pytest.raises(ValueError):
+        power_effective_dimension(scale, b, lam)
+
+
 def test_rate_lambda_consistency_identity():
     # sigma * sqrt(lam^(-1/b) / (n lam)) == R * lam^r at the chosen lam,
     # exactly, whenever the choice is unclamped
