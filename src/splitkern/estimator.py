@@ -20,7 +20,6 @@ agreement is part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby, islice
 
 import numpy as np
@@ -59,14 +58,6 @@ class KernelExpansion:
 
     def __getitem__(self, i):
         return KernelExpansion(self.coefficients[i], self.operator)
-
-    @cached_property
-    def block_fits(self) -> tuple:
-        """Each block's expansion, on its own one-block operator."""
-        op = self.operator
-        return tuple(KernelExpansion(a, kernel_operator(op.kernel, p))
-                     for a, p in zip(op._split(self.coefficients),
-                                     op._split(op.points)))
 
     def as_expansion(self) -> KernelExpansion:
         """The mean as one RKHS element: itself for one block, else the

@@ -9,7 +9,10 @@ the constants of the defining axioms:
     sup |t g_lam(t)|          <= Dprime
     sup |g_lam(t)|            <= E / lam
     sup |1 - t g_lam(t)|      <= gamma0
-    sup |1 - t g_lam(t)| t^q  <= gamma_q(q) * lam^q   for q <= qualification
+    sup |1 - t g_lam(t)| t^q  <= gamma_q * lam^q   for q <= qualification
+
+No fit reads the bounds; the tests check all four for every family on a
+grid of lambda and t, and hold the table of gamma_q.
 
 Iterative families are indexed by an integer step count rather than a
 continuous parameter: a requested `lam` maps to `k = ceil(1/lam)` steps
@@ -65,29 +68,6 @@ class FilterSpec:
             raise ValueError(f"{self.kind} has no iteration count")
         kf = np.asarray(k, dtype=float)
         return 1.0 / kf if self.kind == "landweber" else kf ** -2.0
-
-    def effective_lambda(self, lam: float) -> float:
-        """Parameter actually realized (equals `lam` for non-iterative)."""
-        if self.iterative:
-            return float(self.step_lambda(self.steps(lam)))
-        return check_lambda(lam)
-
-    def gamma_q(self, q: float) -> float:
-        """Constant in the qualification bound for exponent `q`."""
-        if q <= 0:
-            raise ValueError("exponent must be positive")
-        if q > self.qualification + 1e-12:
-            raise ValueError(
-                f"{self.kind} has qualification {self.qualification}, "
-                f"requested exponent {q}")
-        if self.kind == "landweber":
-            return 1.0 if q <= 1 else q ** q
-        if self.kind == "nu-method":
-            # calibrated bound, tight within a small factor on dense grids;
-            # interpolated below the full qualification via |r| <= 1
-            base = max(1.0, self.nu ** (2.0 * self.nu))
-            return base ** (q / self.nu)
-        return 1.0
 
 
 def tikhonov() -> FilterSpec:
@@ -251,73 +231,3 @@ def filter_values(filt: FilterSpec, lam, t) -> np.ndarray:
                 kept[k] = u
         rows = [kept[k] for k in ks]
     return np.array(rows).reshape(lams.shape + t.shape)
-
-
-def g(filt: FilterSpec, lam: float, t):
-    """Scalar filter value `g_lam(t)` for `t` in (0, 1]."""
-    ts = np.asarray(t, dtype=float)
-    if ts.size and ts.min() <= 0:
-        raise ValueError("t must lie in (0, 1]")
-    out = filter_values(filt, lam, ts)
-    return float(out) if np.isscalar(t) else out
-
-
-def residual(filt: FilterSpec, lam: float, t):
-    """Residual `1 - t * g_lam(t)`, the damping left after filtering."""
-    ts = np.asarray(t, dtype=float)
-    return (1.0 - ts * g(filt, lam, t)) if not np.isscalar(t) \
-        else float(1.0 - t * g(filt, lam, t))
-
-
-@dataclass
-class AxiomReport:
-    """Grid maxima of the four filter axioms; `violations` names each one
-    above the filter's documented bound."""
-
-    max_tg: float
-    max_g_scaled: float       # sup |g| * lam_eff
-    max_residual: float
-    max_qualification: float  # sup |r| t^q / lam_eff^q
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_axioms(filt: FilterSpec, lambda_grid, t_grid,
-                  q: float | None = None) -> AxiomReport:
-    """Check the four defining bounds of `filt` over a parameter grid.
-
-    For iterative filters the bounds are checked against the effective
-    parameter of the induced step count.  Returns a report; violations
-    (beyond 1e-12) are listed, not raised.
-    """
-    lams = np.asarray(lambda_grid, dtype=float).ravel()
-    ts = np.asarray(t_grid, dtype=float).ravel()
-    if lams.size == 0 or ts.size == 0:
-        raise ValueError("grids must be nonempty")
-    if ts.min() <= 0 or ts.max() > 1:
-        raise ValueError("t grid must lie in (0, 1]")
-    if q is None:
-        q = min(filt.qualification, 1.0)
-    gq = filt.gamma_q(q)
-
-    # a row per lambda; np.max keeps a NaN, which then fails its bound
-    gv = filter_values(filt, lams, ts)
-    lam_eff = np.vectorize(filt.effective_lambda, otypes=[float])(lams)
-    rv = np.abs(1.0 - ts * gv)
-    max_tg = float(np.max(np.abs(ts * gv)))
-    max_gs = float(np.max(np.max(np.abs(gv), axis=1) * lam_eff))
-    max_r = float(np.max(rv))
-    max_quali = float(np.max(np.max(rv * ts ** q, axis=1) / lam_eff ** q))
-
-    checks = [
-        ("t*g", max_tg, filt.Dprime),
-        ("g*lambda", max_gs, filt.E),
-        ("residual", max_r, filt.gamma0),
-        (f"qualification(q={q:g})", max_quali, gq),
-    ]
-    return AxiomReport(max_tg, max_gs, max_r, max_quali, [
-        f"{label}: {value:.15g} exceeds bound {bound:g}"
-        for label, value, bound in checks if not value <= bound + 1e-12])

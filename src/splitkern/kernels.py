@@ -75,8 +75,8 @@ def sobolev_min() -> Kernel:
 
 def user_kernel(fn, kappa) -> Kernel:
     """Wrap a custom positive semidefinite kernel with its sup bound."""
-    if not 0 <= kappa < np.inf:
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     return Kernel(fn, float(kappa))
 
 

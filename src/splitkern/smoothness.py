@@ -197,10 +197,3 @@ def max_smoothness(coefficients) -> SmoothnessReport:
         indices_used=js[nz], fit_rms=float(np.sqrt(np.mean(resid ** 2))),
         parseval_sum=parseval,
         verdict=f"source condition holds for r < {r_max:.4g}")
-
-
-def tail_sum(coefficients, r: float) -> np.ndarray:
-    """Partial sums of ``j**(4r) c_j**2``; bounded iff r is admissible."""
-    c = np.asarray(coefficients, dtype=float)
-    js = np.arange(1, c.size + 1, dtype=float)
-    return np.cumsum(js ** (4.0 * r) * c ** 2)

@@ -1,4 +1,5 @@
-"""Closed-form rate and parameter formulas, plus their empirical checks.
+"""Closed-form formulas of the rate theory: the a-priori lambda, the rate,
+the admissible partition-growth exponent, N(lambda) and the factor B.
 
 The problem class is parametrized by a source-condition exponent `r`
 (smoothness of the target relative to the kernel), an eigenvalue decay
@@ -62,20 +63,9 @@ def rate(p: TheoryParams) -> float:
     return p.R * base ** (p.b * (p.r + p.s) / (2 * p.b * p.r + p.b + 1))
 
 
-def alpha_bound(p: TheoryParams, which: str = "combined") -> float:
-    """Largest partition-growth exponent compatible with the full rate.
-
-    `which` selects the condition: "combined" (the headline bound),
-    "approximation" (bias part only) or "sample" (variance part only).
-    """
-    denom = 2 * p.b * p.r + p.b + 1
-    if which == "combined":
-        return min(2 * p.b * p.r, p.b + 1) / denom
-    if which == "approximation":
-        return 2 * p.b * min(p.r, 1.0) / denom
-    if which == "sample":
-        return 2 * p.b * p.r / denom
-    raise ValueError(f"unknown bound variant {which!r}")
+def alpha_bound(p: TheoryParams) -> float:
+    """Largest partition-growth exponent compatible with the full rate."""
+    return min(2 * p.b * p.r, p.b + 1) / (2 * p.b * p.r + p.b + 1)
 
 
 def _power_tail(a: float, b: float, lam: float, X: float) -> float:
@@ -102,6 +92,8 @@ def effective_dimension(eigenvalues, lam: float) -> float:
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
     mu = np.asarray(eigenvalues, dtype=float)
+    if not np.isfinite(mu).all():
+        raise ValueError("eigenvalues must be finite")
     mu = np.sort(mu[mu > 0.0])[::-1]
     return float(np.sum(mu / (mu + lam)))
 
@@ -131,14 +123,6 @@ def power_effective_dimension(scale: float, b: float, lam: float) -> float:
     mu = scale * j ** -b
     head = float(np.sum(mu / (mu + lam)))
     return head + _power_tail(scale, b, lam, J + 0.5)
-
-
-def effective_dimension_bracket(b: float, beta: float, kappa: float,
-                                lam: float) -> tuple[float, float]:
-    """Lower/upper envelope ``(1/2, beta*b/(b-1) * (kappa^2 lam)^(-1/b))``."""
-    if b <= 1:
-        raise ValueError("b must exceed 1")
-    return 0.5, beta * b / (b - 1.0) * (kappa ** 2 * lam) ** (-1.0 / b)
 
 
 def b_quantity(n_block: float, lam: float, n_lambda: float) -> float:

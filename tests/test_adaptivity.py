@@ -15,6 +15,8 @@ from splitkern.kernels import (BlockLayoutOperator, gram, kernel_operator,
                                sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump
 
+from reference import block_fits
+
 
 def brute_force_stop(errs, delta):
     """Literal re-derivation of the stopping rule for cross-checking."""
@@ -127,7 +129,7 @@ def test_fit_lattice_pure_and_validation_free():
     a = fit_lattice(kernel, tikhonov(), lattice, x, y, 4)
     b = fit_lattice(kernel, tikhonov(), lattice, x, y, 4)
     for ea, eb in zip(a, b):
-        for fa, fb in zip(ea.block_fits, eb.block_fits):
+        for fa, fb in zip(block_fits(ea), block_fits(eb)):
             assert np.array_equal(fa.coefficients, fb.coefficients)
 
 
@@ -168,7 +170,7 @@ def test_adapt_training_fits_independent_of_validation():
                      y[split.train], 4)[0]
     f2 = fit_lattice(kernel, tikhonov(), [0.1], x[split.train],
                      y_mangled[split.train], 4)[0]
-    for a, b in zip(f1.block_fits, f2.block_fits):
+    for a, b in zip(block_fits(f1), block_fits(f2)):
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
@@ -281,7 +283,7 @@ def test_lattice_errors_match_empirical_error_user_kernel():
         for est, err in zip(fits, got):
             d = sum(2 * f.points.size * eps * np.abs(f.coefficients)
                     @ np.abs(kernel.fn(f.points[:, None], x_v[None, :]))
-                    for f in est.block_fits) / m
+                    for f in block_fits(est)) / m
             r = np.abs(y_v - est(x_v))
             assert abs(err - empirical_error(est, x_v, y_v)) \
                 <= np.mean(2 * r * d + d ** 2)
@@ -357,7 +359,7 @@ def test_adapt_identical_across_workers(kernel, filt):
                       delta=0.5, seed=6, workers=w) for w in (1, 2))
     assert one.trace == two.trace
     assert (one.k_star, one.lambda_hat) == (two.k_star, two.lambda_hat)
-    for a, b in zip(one.estimator.block_fits, two.estimator.block_fits):
+    for a, b in zip(block_fits(one.estimator), block_fits(two.estimator)):
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
@@ -409,7 +411,7 @@ def test_lattice_rows_are_single_lambda_fits(monkeypatch, kernel, filt):
         for workers in (1, 2):
             fits = fit_lattice(kernel, filt, lattice, x, y, 7, workers)
             for i, lam in enumerate(lattice):
-                for ix, fit, c in zip(blocks, fits[i].block_fits, solves,
+                for ix, fit, c in zip(blocks, block_fits(fits[i]), solves,
                                       strict=True):
                     ref = fit_spectral(kernel, filt, lam, x[ix], y[ix])
                     assert np.array_equal(fit.points, ref.points)
@@ -432,7 +434,7 @@ def test_lattice_fit_memory_is_bounded_by_the_chunk_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    out = sum(f.coefficients.nbytes for f in fits.block_fits)
+    out = sum(f.coefficients.nbytes for f in block_fits(fits))
     assert peak < out + 3 * 8 * estimator.CHUNK_VALUES
 
 

@@ -11,6 +11,8 @@ from splitkern.experiments import gen_data, hk_error
 from splitkern.kernels import BlockLayoutOperator, rkhs_norm_sq, sobolev_min
 from splitkern.smoothness import quadratic_bump, zero_target
 
+from reference import block_fits
+
 
 @pytest.fixture
 def kernel():
@@ -73,7 +75,8 @@ def test_m1_identity(kernel):
     single = fit_spectral(kernel, tikhonov(), 0.1, x, y)
     avg = fit_distributed(kernel, tikhonov(), 0.1, x, y, partition(64, 1))
     assert avg.operator.m == 1
-    assert np.array_equal(avg.block_fits[0].coefficients, single.coefficients)
+    assert np.array_equal(block_fits(avg)[0].coefficients,
+                          single.coefficients)
 
 
 @pytest.mark.parametrize("filt,lam,fit", [
@@ -91,7 +94,7 @@ def test_block_fit_path_follows_filter(kernel, dense_sobolev, filt, lam,
             x, y = _data(n, seed=4)
             part = partition(n, 3)
             avg = fit_distributed(kern, filt, lam, x, y, part)
-            for ix, block in zip(part.blocks, avg.block_fits, strict=True):
+            for ix, block in zip(part.blocks, block_fits(avg), strict=True):
                 ref = fit(kern, filt, lam, x[ix], y[ix])
                 assert np.array_equal(block.coefficients, ref.coefficients)
 
@@ -102,10 +105,10 @@ def test_prediction_is_mean_of_local_predictions(kernel):
     avg = fit_distributed(kernel, tikhonov(), 0.1, x, y, part)
     rng = np.random.default_rng(2)
     xs = rng.random(100)
-    locals_ = np.stack([f(xs) for f in avg.block_fits])
+    fits = block_fits(avg)
+    locals_ = np.stack([f(xs) for f in fits])
     assert np.max(np.abs(avg(xs) - locals_.mean(axis=0))) < 1e-12
-    assert abs(avg(0.3) - 0.5 * (avg.block_fits[0](0.3)
-                                 + avg.block_fits[1](0.3))) < 1e-12
+    assert abs(avg(0.3) - 0.5 * (fits[0](0.3) + fits[1](0.3))) < 1e-12
 
 
 def test_identical_blocks_average_to_local(kernel):
@@ -113,7 +116,7 @@ def test_identical_blocks_average_to_local(kernel):
     x = np.concatenate([x_half, x_half])
     y = np.concatenate([y_half, y_half])
     avg = fit_distributed(kernel, tikhonov(), 0.2, x, y, partition(32, 2))
-    local = avg.block_fits[0]
+    local = block_fits(avg)[0]
     for xs in np.linspace(0, 1, 17):
         assert abs(avg(xs) - local(xs)) < 1e-13
 
@@ -151,7 +154,7 @@ def test_iterative_blocks_match_dense_kernel(kernel, dense_sobolev):
     fast = fit_distributed(kernel, nu_method(), 1.0 / 15 ** 2, x, y, part)
     ref = fit_distributed(dense_sobolev, nu_method(), 1.0 / 15 ** 2, x, y,
                           part)
-    for a, b in zip(fast.block_fits, ref.block_fits):
+    for a, b in zip(block_fits(fast), block_fits(ref)):
         assert np.max(np.abs(a.coefficients - b.coefficients)) \
             <= 1e-10 * np.max(np.abs(b.coefficients))
 
@@ -251,7 +254,7 @@ def test_diagnostic_split_fits_are_fit_distributed(kernel, dense_sobolev,
             for est, values in ((split.fitted, y),
                                 (split.surrogate, target(x))):
                 ref = fit_distributed(kern, filt, 1e-3, x, values, part)
-                for a, b in zip(est.block_fits, ref.block_fits, strict=True):
+                for a, b in zip(block_fits(est), block_fits(ref), strict=True):
                     assert np.array_equal(a.coefficients, b.coefficients)
             assert split.approximation_norm == hk_error(ref, target)
 

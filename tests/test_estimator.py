@@ -8,6 +8,8 @@ from splitkern.filters import (LAMBDA_MIN, MAX_STEPS, filter_values, landweber,
 from splitkern.kernels import (BlockLayoutOperator, DenseOperator, gram,
                                kernel_operator, sobolev_min, user_kernel)
 
+from reference import axiom_maxima
+
 
 @pytest.fixture
 def kernel():
@@ -210,11 +212,9 @@ def test_filtered_spectrum_respects_axioms(kernel):
     pos = ev[ev > 0]
     for filt, lam in [(tikhonov(), 0.03), (landweber(), 0.01),
                       (nu_method(), 0.04), (spectral_cutoff(), 0.02)]:
-        gv = filter_values(filt, lam, pos)
-        lam_eff = filt.effective_lambda(lam)
-        assert np.max(np.abs(gv * pos)) <= filt.Dprime + 1e-12
-        assert np.max(np.abs(gv)) <= filt.E / lam_eff + 1e-9
-        assert np.max(np.abs(1 - gv * pos)) <= filt.gamma0 + 1e-12
+        maxima = axiom_maxima(filt, [lam], pos)
+        assert all(value <= bound + 1e-12
+                   for value, bound in maxima.values()), maxima
 
 
 def test_predict_keeps_2d_shape(kernel, dense_sobolev):

@@ -5,32 +5,36 @@ import pytest
 
 from splitkern import filters
 from splitkern.filters import (LAMBDA_MIN, by_name, check_lambda,
-                               filter_values, g, landweber, nu_method,
-                               residual, spectral_cutoff, tikhonov,
-                               verify_axioms)
+                               filter_values, landweber, nu_method,
+                               spectral_cutoff, tikhonov)
+
+from reference import axiom_maxima
 
 LOG_GRID = np.logspace(-4, 0, 100)
 
 
 def test_tikhonov_values():
     f = tikhonov()
-    assert g(f, 0.5, 0.5) == 1.0
-    assert residual(f, 0.1, 0.9) == pytest.approx(0.1, abs=1e-15)
+    assert filter_values(f, 0.5, 0.5) == 1.0
+    assert 1 - 0.9 * filter_values(f, 0.1, 0.9) == pytest.approx(
+        0.1, abs=1e-15)
 
 
 def test_landweber_values():
     f = landweber()
     for t in [0.05, 0.3, 1.0]:
-        assert g(f, 1.0, t) == pytest.approx(1.0, abs=1e-15)  # k = 1
-    assert g(f, 1 / 3, 0.5) == pytest.approx(1.75, abs=1e-12)  # 1 + .5 + .25
-    assert residual(f, 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert filter_values(f, 1.0, t) == pytest.approx(1.0, abs=1e-15)
+    assert filter_values(f, 1 / 3, 0.5) == pytest.approx(
+        1.75, abs=1e-12)                                 # 1 + .5 + .25
+    assert 1 - filter_values(f, 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cutoff_values():
     f = spectral_cutoff()
-    assert residual(f, 0.3, 0.2) == 1.0          # below the cutoff, g = 0
-    assert g(f, 0.3, 0.3) == pytest.approx(1 / 0.3)  # boundary included
-    assert residual(f, 0.3, 0.3) == pytest.approx(0.0, abs=1e-15)
+    assert filter_values(f, 0.3, 0.2) == 0.0     # below the cutoff
+    assert filter_values(f, 0.3, 0.3) == pytest.approx(1 / 0.3)  # included
+    assert 1 - 0.3 * filter_values(f, 0.3, 0.3) == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_by_name_round_trip():
@@ -43,17 +47,13 @@ def test_by_name_round_trip():
 
 def test_domain_validation():
     f = tikhonov()
-    with pytest.raises(ValueError):
-        g(f, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        g(f, 0.5, 1.2)
-    with pytest.raises(ValueError):
-        g(f, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        g(f, 1.5, 0.5)
+    for t in (-0.1, 1.2):
+        with pytest.raises(ValueError):
+            filter_values(f, 0.5, t)
+    for lam in (0.0, 1.5, np.nextafter(LAMBDA_MIN, 0.0)):
+        with pytest.raises(ValueError):
+            filter_values(f, lam, 0.5)
     assert check_lambda(LAMBDA_MIN) == LAMBDA_MIN
-    with pytest.raises(ValueError):
-        g(f, np.nextafter(LAMBDA_MIN, 0.0), 0.5)
 
 
 def test_step_mapping():
@@ -68,31 +68,30 @@ def test_step_mapping():
     for k in range(1, 60):
         assert lw.steps(1.0 / k) == k
         assert nm.steps(float(k) ** -2) == k
-    assert lw.effective_lambda(0.3) == 0.25
-    assert nm.effective_lambda(0.3) == 0.25
+    assert lw.step_lambda(lw.steps(0.3)) == 0.25
+    assert nm.step_lambda(nm.steps(0.3)) == 0.25
 
 
 @pytest.mark.parametrize("filt", [tikhonov(), landweber(), nu_method(),
                                   nu_method(2.0), spectral_cutoff()])
 def test_axioms_on_grid(filt):
-    report = verify_axioms(filt, LOG_GRID, LOG_GRID)
-    assert report.ok, report.violations
+    maxima = axiom_maxima(filt, LOG_GRID, LOG_GRID)
+    assert all(value <= bound + 1e-12
+               for value, bound in maxima.values()), maxima
 
 
 def test_axioms_tight_constants():
-    tik = verify_axioms(tikhonov(), LOG_GRID, LOG_GRID)
-    lw = verify_axioms(landweber(), LOG_GRID, LOG_GRID)
-    for rep in (tik, lw):
-        assert rep.max_tg <= 1 + 1e-12
-        assert rep.max_g_scaled <= 1 + 1e-12
-        assert rep.max_residual <= 1 + 1e-12
-        assert rep.max_qualification <= 1 + 1e-12
+    for filt in (tikhonov(), landweber()):
+        maxima = axiom_maxima(filt, LOG_GRID, LOG_GRID)
+        assert all(value <= 1 + 1e-12
+                   for value, _ in maxima.values()), maxima
 
 
 def test_cutoff_high_qualification():
-    rep = verify_axioms(spectral_cutoff(), LOG_GRID, LOG_GRID, q=3.0)
-    assert rep.max_qualification <= 1.0
-    assert rep.ok
+    maxima = axiom_maxima(spectral_cutoff(), LOG_GRID, LOG_GRID, q=3.0)
+    assert maxima["qualification"][0] <= 1.0
+    assert all(value <= bound + 1e-12
+               for value, bound in maxima.values()), maxima
 
 
 def test_landweber_closed_form_matches_summation():
@@ -102,7 +101,7 @@ def test_landweber_closed_form_matches_summation():
         direct = np.zeros_like(ts)
         for j in range(k):
             direct += (1.0 - ts) ** j
-        vals = g(lw, 1.0 / k, ts)
+        vals = filter_values(lw, 1.0 / k, ts)
         assert np.max(np.abs(vals - direct)) < 1e-10
 
 
@@ -142,25 +141,30 @@ def test_nu_method_is_polynomial_of_degree_k_minus_1():
 def test_nu_method_first_polynomials():
     nm = nu_method()
     # g_1 is the constant 6/5; g_2(t) = w1 (1 + mu2) + w2 - w2 w1 t
-    assert g(nm, 1.0, 0.37) == pytest.approx(1.2, abs=1e-15)
+    assert filter_values(nm, 1.0, 0.37) == pytest.approx(1.2, abs=1e-15)
     w1 = 6.0 / 5.0
     mu2, w2 = 5.0 / 63.0, 40.0 / 21.0
     for t in [0.1, 0.5, 1.0]:
         expected = w1 * (1 + mu2) + w2 * (1 - t * w1)
-        assert g(nm, 0.25, t) == pytest.approx(expected, rel=1e-14)
+        assert filter_values(nm, 0.25, t) == pytest.approx(expected,
+                                                           rel=1e-14)
+
+
+def _gamma_q(filt, q):
+    return axiom_maxima(filt, [0.5], [0.5], q)["qualification"][1]
 
 
 def test_gamma_q_catalog():
-    assert tikhonov().gamma_q(1.0) == 1.0
+    assert _gamma_q(tikhonov(), 1.0) == 1.0
     with pytest.raises(ValueError):
-        tikhonov().gamma_q(2.0)
-    assert landweber().gamma_q(0.5) == 1.0
-    assert landweber().gamma_q(3.0) == 27.0
-    assert spectral_cutoff().gamma_q(7.0) == 1.0
-    assert nu_method().gamma_q(1.0) == 1.0
-    assert nu_method(2.0).gamma_q(2.0) == 16.0
+        _gamma_q(tikhonov(), 2.0)
+    assert _gamma_q(landweber(), 0.5) == 1.0
+    assert _gamma_q(landweber(), 3.0) == 27.0
+    assert _gamma_q(spectral_cutoff(), 7.0) == 1.0
+    assert _gamma_q(nu_method(), 1.0) == 1.0
+    assert _gamma_q(nu_method(2.0), 2.0) == 16.0
     with pytest.raises(ValueError):
-        nu_method().gamma_q(1.5)
+        _gamma_q(nu_method(), 1.5)
 
 
 def test_filter_values_at_zero():
@@ -174,30 +178,10 @@ def test_filter_values_at_zero():
     assert val == pytest.approx(0.4 * k * (k + 2), rel=1e-12)
 
 
-def test_verify_axioms_flags_nan_maxima():
-    # np.max keeps NaN, so a filter whose values are NaN fails every bound
-    spec = filters.FilterSpec("nu-method", nu=math.nan)
-    report = verify_axioms(spec, LOG_GRID, LOG_GRID)
-    assert [v.split(":")[0] for v in report.violations] == [
-        "t*g", "g*lambda", "residual", "qualification(q=1)"]
-    assert math.isnan(report.max_tg) and not report.ok
-
-
 @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
 def test_nu_method_rejects_non_finite_or_nonpositive_nu(nu):
     with pytest.raises(ValueError, match="nu must be finite and positive"):
         nu_method(nu)
-
-
-def test_verify_axioms_flags_violations():
-    bad = tikhonov()
-    report = verify_axioms(bad, [0.5], [0.5], q=1.0)
-    assert report.ok
-    # shrink a documented bound artificially and expect a flag
-    import dataclasses
-    worse = dataclasses.replace(bad, Dprime=0.1)
-    report = verify_axioms(worse, [0.5], [0.5], q=1.0)
-    assert not report.ok and "t*g" in report.violations[0]
 
 
 @pytest.mark.parametrize("filt", [tikhonov(), landweber(), nu_method(),

@@ -39,15 +39,14 @@ def test_eval_rejects_out_of_domain(kernel, dense_sobolev):
 
 def test_kappa_values(kernel):
     assert kernel.kappa == 0.5
-    zero = user_kernel(lambda x, t: np.zeros_like(x * t), kappa=0.0)
-    assert zero.kappa == 0.0
     other = user_kernel(lambda x, t: np.minimum(x, t), kappa=1.0)
     assert other.kappa == 1.0
 
 
-@pytest.mark.parametrize("kappa", [-0.5, np.nan, np.inf])
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, np.nan, np.inf])
 def test_user_kernel_rejects_bad_kappa(kappa):
-    with pytest.raises(ValueError, match="kappa must be finite"):
+    # every fit divides by kappa**2
+    with pytest.raises(ValueError, match="kappa must be finite and positive"):
         user_kernel(lambda x, t: np.minimum(x, t), kappa=kappa)
 
 

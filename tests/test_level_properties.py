@@ -20,6 +20,7 @@ from splitkern.estimator import fit_iterative, fit_spectral
 from splitkern.filters import landweber, nu_method, tikhonov
 from splitkern.kernels import (gram, kernel_operator, level_operator,
                                sobolev_min, user_kernel)
+from reference import block_fits
 from test_operator_properties import PROPERTY, _term_scale, anchor_sets, seeds
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -63,7 +64,7 @@ def test_level_fit_is_per_block_fit_iterative(level, seed, kind, filt, k,
     lam = _lambda(filt, k)
     est = fit_distributed(kernel, filt, lam, x, y, part)
     assert est.operator.m == part.m
-    for ix, block in zip(part.blocks, est.block_fits, strict=True):
+    for ix, block in zip(part.blocks, block_fits(est), strict=True):
         ref = fit_iterative(kernel, filt, lam, x[ix], y[ix])
         assert block.coefficients.tobytes() == ref.coefficients.tobytes()
         assert block.points.tobytes() == ref.points.tobytes()
@@ -199,14 +200,14 @@ def test_tikhonov_level_fits_are_fit_spectral(level, seed, lams):
     x, part = level
     y = np.random.default_rng(seed).standard_normal(x.size)
     est = fit_distributed(KERNEL, tikhonov(), lams[0], x, y, part)
-    for ix, block in zip(part.blocks, est.block_fits, strict=True):
+    for ix, block in zip(part.blocks, block_fits(est), strict=True):
         ref = fit_spectral(KERNEL, tikhonov(), lams[0], x[ix], y[ix])
         assert block.coefficients.tobytes() == ref.coefficients.tobytes()
         assert block.points.tobytes() == ref.points.tobytes()
     fits = fit_lattice(KERNEL, tikhonov(), lams, x, y, part.m, 1)
     blocks = partition(x.size, part.m).blocks
     for lam, row in zip(lams, fits, strict=True):
-        for ix, block in zip(blocks, row.block_fits, strict=True):
+        for ix, block in zip(blocks, block_fits(row), strict=True):
             ref = fit_spectral(KERNEL, tikhonov(), lam, x[ix], y[ix])
             assert block.coefficients.tobytes() == ref.coefficients.tobytes()
 

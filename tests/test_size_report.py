@@ -25,6 +25,9 @@ def test_size_report_prints_lines_and_settable_values():
     assert out[0] == f"lines {lines}"
     assert out[1].startswith("settable values ")
     assert int(out[1].split()[-1]) > 0
+    tests = sum(p.read_text().count("\n")
+                for p in (ROOT / "tests").glob("*.py"))
+    assert out[2:] == [f"test lines {tests}"]
 
 
 def test_settable_values_rule():

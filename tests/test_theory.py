@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from splitkern.estimator import spectral_model
-from splitkern.kernels import sobolev_min
+from splitkern.kernels import gram, sobolev_min
 from splitkern.theory import (SOBOLEV_DECAY_SCALE, TheoryParams, alpha_bound,
-                              b_quantity, effective_dimension,
-                              effective_dimension_bracket, lambda_choice,
+                              b_quantity, effective_dimension, lambda_choice,
                               power_effective_dimension, rate)
 
 
@@ -64,15 +63,12 @@ def test_alpha_bound_values():
 
 
 def test_alpha_bound_variants():
-    p = TheoryParams(r=1.5, b=2.0)
-    denom = 2 * p.b * p.r + p.b + 1
-    assert alpha_bound(p, "approximation") == pytest.approx(2 * p.b / denom)
-    assert alpha_bound(p, "sample") == pytest.approx(2 * p.b * p.r / denom)
-    with pytest.raises(ValueError):
-        alpha_bound(p, "bogus")
-    # the combined bound equals the sample bound for small r
-    small = TheoryParams(r=0.5, b=2.0)
-    assert alpha_bound(small) == alpha_bound(small, "sample")
+    # the bound is the smaller of two conditions: 2br / denom up to
+    # r = (b + 1)/(2b), and (b + 1)/denom beyond it
+    for r, b in [(0.5, 2.0), (0.75, 2.0), (1.5, 2.0), (0.3, 3.0), (4.0, 3.0)]:
+        denom = 2 * b * r + b + 1
+        expected = (2 * b * r if r <= (b + 1) / (2 * b) else b + 1) / denom
+        assert alpha_bound(TheoryParams(r=r, b=b)) == pytest.approx(expected)
     # and is at most 1
     for r in [0.1, 0.75, 3.0, 50.0]:
         assert alpha_bound(TheoryParams(r=r, b=2.0)) <= 1.0
@@ -82,21 +78,25 @@ def test_effective_dimension_single_eigenvalue():
     assert effective_dimension([0.1], 0.1) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_effective_dimension_rejects_non_finite_eigenvalues(bad):
+    # not dropped as a non-positive value, nor summed to a NaN
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        effective_dimension([bad, 0.5], 0.1)
+
+
 def test_effective_dimension_matches_dense_trace():
     kernel = sobolev_min()
     rng = np.random.default_rng(21)
     for n in [16, 64, 128]:
         x = rng.random(n)
         evals, _ = spectral_model(kernel, x)
-        M = np.diag(evals)  # same spectrum as the dense operator
-        from splitkern.kernels import gram
         Mfull = gram(kernel, x) / (kernel.kappa ** 2 * n)
         for lam in [0.1, 0.01]:
             oracle = float(np.trace(
                 np.linalg.solve(Mfull + lam * np.eye(n), Mfull)))
             assert effective_dimension(evals, lam) == pytest.approx(
                 oracle, abs=1e-10)
-        del M
 
 
 def test_effective_dimension_analytic_closed_form():
@@ -107,15 +107,6 @@ def test_effective_dimension_analytic_closed_form():
         closed = (w / math.tanh(w) - 1.0) / 2.0
         assert sobolev_n(lam) == pytest.approx(
             closed, rel=1e-8, abs=1e-8)
-
-
-def test_effective_dimension_within_bracket():
-    kappa = 0.5
-    for lam in np.logspace(-4, -1, 13):
-        lo, hi = effective_dimension_bracket(2.0, SOBOLEV_DECAY_SCALE,
-                                             kappa, lam)
-        val = sobolev_n(lam)
-        assert lo <= val <= hi
 
 
 def test_effective_dimension_monotonicity():

@@ -1,4 +1,5 @@
-"""Print the package's size: its lines by ``wc -l`` and its settable values.
+"""Print the package's size: its lines by ``wc -l`` and its settable
+values, and then the lines of its tests by ``wc -l``.
 
 Settable values are counted by AST over every module of the package,
 private modules included:
@@ -12,7 +13,9 @@ A name is public when it does not start with an underscore.  Usage::
 
     python tools/size_report.py [PACKAGE_DIR]
 
-PACKAGE_DIR defaults to this repository's ``src/splitkern``.
+PACKAGE_DIR defaults to this repository's ``src/splitkern``.  The tests
+counted are ``PACKAGE_DIR/../../tests/*.py``, so the tests of the checkout
+that holds PACKAGE_DIR.
 """
 
 from __future__ import annotations
@@ -70,8 +73,11 @@ def main(argv=None) -> int:
         text = path.read_text()
         lines += text.count("\n")
         values += settable_values(ast.parse(text))
+    tests = sum(path.read_text().count("\n")
+                for path in (package / ".." / ".." / "tests").glob("*.py"))
     print(f"lines {lines}")
     print(f"settable values {values}")
+    print(f"test lines {tests}")
     return 0
 
 
