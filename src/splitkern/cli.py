@@ -29,6 +29,7 @@ import numpy as np
 
 from . import adaptivity, experiments, smoothness, theory
 from .experiments import ExperimentConfig, csv_table
+from .filters import MAX_STEPS
 
 
 def _emit(text: str, out: str | None, label: str) -> None:
@@ -60,6 +61,9 @@ def _parse_lattice(text: str) -> np.ndarray:
             raise ValueError(f"--lattice must be log:<min>:<max>:<count> with "
                              f"an integer count >= 1, got {text!r}")
         lo, hi, count = float(fields[1]), float(fields[2]), int(fields[3])
+        if count > MAX_STEPS:
+            raise ValueError(f"--lattice count must be at most {MAX_STEPS}, "
+                             f"got {count}")
         if not (0 < lo < math.inf and 0 < hi < math.inf):
             raise ValueError(f"lattice bounds must be positive and finite, "
                              f"got {text!r}")

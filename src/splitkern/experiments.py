@@ -27,7 +27,7 @@ from ._quadrature import gauss_legendre
 from .distributed import (_check_block_count, _target_norm_sq,
                           fit_distributed, partition)
 from .estimator import KernelExpansion, _solve_level
-from .filters import LAMBDA_MIN, FilterSpec, check_steps, iterate
+from .filters import LAMBDA_MIN, MAX_STEPS, FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
 from .kernels import (_shifts_at_once, kernel_operator, rkhs_error_sq,
                       rkhs_norm_sq, sobolev_min)
@@ -255,6 +255,9 @@ def _default_grid(cfg: ExperimentConfig, filt: FilterSpec):
         return np.arange(1, check_steps(filt.steps(cfg.grid_min)) + 1)
     if cfg.grid_size < 1:
         raise ValueError(f"grid_size must be at least 1, got {cfg.grid_size}")
+    if cfg.grid_size > MAX_STEPS:
+        raise ValueError(f"grid_size must be at most {MAX_STEPS}, got "
+                         f"{cfg.grid_size}")
     return np.logspace(0.0, math.log10(cfg.grid_min), cfg.grid_size)
 
 

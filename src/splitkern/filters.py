@@ -131,7 +131,8 @@ LAMBDA_MIN = 1e-14
 # Most steps an iterative fit runs: the Landweber count at the default
 # oracle grid floor, 1e-6.  The closed forms (`FilterSpec.steps`,
 # `filter_values`) take any count; an iteration of 1e14 steps, which
-# Landweber at LAMBDA_MIN asks for, would never finish.
+# Landweber at LAMBDA_MIN asks for, would never finish.  Also the most
+# points of an oracle lambda grid and of an `adapt` lattice.
 MAX_STEPS = 10 ** 6
 
 

@@ -1,5 +1,5 @@
 import contextlib
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from unittest import mock
 
 import numpy as np
@@ -19,15 +19,20 @@ def dense_sobolev():
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The sizes of the thread pools that `parallel_map` starts, in order."""
+    """The threads that run the tasks of each `parallel_map` call that
+    starts helper threads (its helpers and the calling thread), in order."""
     starts = []
+    calls = {}          # a call's shared drain loop -> its index in starts
 
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            starts.append(max_workers)
-            super().__init__(max_workers)
+    class CountingThread(threading.Thread):
+        def __init__(self, target):
+            if target not in calls:
+                calls[target] = len(starts)
+                starts.append(1)
+            starts[calls[target]] += 1
+            super().__init__(target=target)
 
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(_parallel, "Thread", CountingThread)
     return starts
 
 

@@ -398,7 +398,12 @@ def test_negative_seed_exits_2(capsys, monkeypatch, command):
        "--lattice must be log:<min>:<max>:<count> with an integer count "
        f">= 1, got {text!r}")
       for text in ("log:1e-3:1", "log:1e-3:1:-1", "log:1e-3:1:0",
-                   "log:1e-3:1:2.5"))])
+                   "log:1e-3:1:2.5")),
+    # above filters.MAX_STEPS: the logspace alone would take 8 GB
+    (["oracle", "--filter", "tikhonov", "--grid-size", "1000000000"],
+     "grid_size must be at most 1000000, got 1000000000"),
+    (["adapt", "--lattice", "log:1e-6:1:1000000000"],
+     "--lattice count must be at most 1000000, got 1000000000")])
 def test_bad_grid_or_lattice_bound_exits_2(capsys, monkeypatch, command,
                                            message):
     # checked where each setting is read, before any data is drawn: no

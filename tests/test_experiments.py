@@ -441,14 +441,14 @@ def test_reproducible_across_worker_counts(bump, pooled):
     assert pooled == [2, 2, 4, 4]
 
 
-def _no_thread(max_workers):
-    raise AssertionError(f"started a pool of {max_workers} threads")
+def _no_thread(target):
+    raise AssertionError("started a helper thread")
 
 
 def test_small_studies_run_inline(bump, monkeypatch):
     # one run's numpy calls hold n values: two threads would spend their
     # time handing the GIL over
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", _no_thread)
+    monkeypatch.setattr(_parallel, "Thread", _no_thread)
     nu = ExperimentConfig(filter="nu-method", n=1024, sigma=0.01,
                           lam="oracle", k_max=16, runs=2, seed=1, workers=2)
     assert len(sweep_alpha(nu, [0.0, 0.5]).rows) == 4

@@ -6,6 +6,9 @@ and ``from __future__`` imports are skipped.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,14 @@ def test_unused_import_is_found():
                      "from __future__ import annotations\n"
                      "np.zeros(islice)\n")
     assert _unused_imports(tree) == ["groupby (line 3)", "os (line 1)"]
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # parallel_map needs no executor; concurrent.futures would bring
+    # logging and queue into every start-up
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import splitkern.cli, sys; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
