@@ -29,10 +29,9 @@ inline (median of 5 fresh processes each, 10 runs unless stated):
 So a study's Monte-Carlo runs go to the threads only when one run's
 largest numpy call holds at least `POOL_VALUES` values
 (:func:`_pool_workers`): n for an iterative filter's level vector, n
-times the shifts of one chunk of Tikhonov's shifted solve
-(``kernels._shifts_at_once``; a chunk holds at least min(40 n, 16384)
-values, so the rule pools the same runs as when all 40 were solved at
-once), n**2 for cut-off's ``eigh`` (``experiments._run_workers``).
+times the shifts of Tikhonov's shifted solve (its chunks of at least
+min(40 n, 16384) values pool alike), n**2 for cut-off's ``eigh``
+(``experiments._run_workers``).
 Smaller runs go inline, one after another.  A level's eigendecomposing
 fit (``estimator._solve_level``) hands the threads one chunk of
 equal-size blocks per task, not one block: each task is one stacked

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import _checked
 from .distributed import _check_block_count, partition
 from .estimator import KernelExpansion, _as_data, _solve_level
 from .filters import FilterSpec
@@ -137,6 +138,7 @@ def adapt(x, y, kernel: Kernel, filt: FilterSpec, lattice,
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    _checked(workers)               # before any fit, whichever path it takes
     lattice = np.sort(np.asarray(lattice, dtype=float))[::-1]
     if lattice.size == 0:
         raise ValueError("lambda lattice is empty")

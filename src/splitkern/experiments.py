@@ -29,8 +29,7 @@ from .distributed import (_check_block_count, _target_norm_sq,
 from .estimator import KernelExpansion, _solve_level
 from .filters import LAMBDA_MIN, MAX_STEPS, FilterSpec, check_steps, iterate
 from .filters import by_name as filter_by_name
-from .kernels import (_shifts_at_once, kernel_operator, rkhs_error_sq,
-                      rkhs_norm_sq, sobolev_min)
+from .kernels import kernel_operator, rkhs_error_sq, rkhs_norm_sq, sobolev_min
 from .smoothness import target_by_name
 
 RESULT_HEADER = "n,m,alpha,lambda,k,run,hk_error,l2_error,wall_ms"
@@ -47,13 +46,11 @@ class ExperimentConfig:
     nu: float = 1.0
     n: int = 1024
     alpha: float = 0.0
-    m: int | None = None            # overrides alpha when set
     sigma: float = 0.005
     lam: str | float = "oracle"     # "oracle" | "theory" | explicit value
     runs: int = 30
     seed: int = 0
     workers: int | None = None
-    shuffle: bool = False
     grid_min: float = 1e-6
     grid_size: int = 40
     k_max: int | None = None
@@ -108,14 +105,12 @@ SETTINGS = {
     "nu": (float, "order of the nu-method"),
     "n": (int, "sample size"),
     "alpha": (float, "partition-growth exponent (m = round(n**alpha))"),
-    "m": (int, "explicit number of blocks (overrides --alpha)"),
     "sigma": (float, "noise standard deviation"),
     "lambda": (_parse_lambda, "'oracle', 'theory', or an explicit value"),
     "runs": (int, "Monte-Carlo repetitions"),
     "seed": (int, "master seed"),
     "workers": (int, "most threads for the Monte-Carlo runs (default: the "
                      "usable CPUs); small runs go on one"),
-    "shuffle": (_parse_bool, "shuffle before partitioning"),
     "grid_min": (float, "smallest lambda of the oracle grid"),
     "grid_size": (int, "points in the oracle lambda grid"),
     "k_max": (int, "largest step count swept for iterative filters"),
@@ -265,12 +260,11 @@ def _run_workers(cfg: ExperimentConfig, filt: FilterSpec,
                  shifts: int) -> int:
     """Threads for a study's runs at ``cfg.n``, by the size of one run's
     largest numpy call (:func:`_parallel._pool_workers`): the level vector
-    of an iterative filter (n values), Tikhonov's solve of one chunk of
-    its `shifts` shifts (n times :func:`kernels._shifts_at_once`) or
-    cut-off's ``eigh`` (n**2)."""
+    of an iterative filter (n values), Tikhonov's shifted solve of its
+    `shifts` shifts (n times `shifts`) or cut-off's ``eigh`` (n**2)."""
     n = cfg.n
     values = (n if filt.iterative
-              else n * _shifts_at_once(n, shifts) if filt.kind == "tikhonov"
+              else n * shifts if filt.kind == "tikhonov"
               else n * n)
     return _pool_workers(cfg.workers, values)
 
@@ -341,12 +335,6 @@ def resolve_lambda(cfg: ExperimentConfig) -> float:
     return float(cfg.lam)
 
 
-def _alpha_of(n: int, m: int) -> float:
-    if m <= 1 or n <= 1:
-        return 0.0
-    return math.log(m) / math.log(n)
-
-
 def _levels_for(n: int, alphas) -> list[tuple[float, int]]:
     """(alpha label, block count) pairs for the requested exponents, m =
     round(n**alpha): the one rule from alpha to m."""
@@ -364,28 +352,24 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
     underlies each, so comparisons across levels are paired.  The rows
     follow `levels`.
 
-    Each level's average is scored, in RKHS and in L2, as one expansion
-    on the Gram operator of the run's whole sample, reindexed into the
-    level's block order: x is sorted once per run.  A level of one block
-    is that expansion itself, and is fitted first, as its fit's operator
-    is that one.
+    A level is m consecutive blocks (:func:`distributed.partition`), so
+    its blocks hold the sample in its own order, and its average is
+    scored, in RKHS and in L2, as one expansion on the Gram operator of
+    the run's whole sample: x is sorted once per run.  A level of one
+    block is that expansion itself, and is fitted first, as its fit's
+    operator is that one.
     """
-    rng = run_rng(cfg.seed, run)
-    x, y = gen_data(target, cfg.n, cfg.sigma, rng)
+    x, y = gen_data(target, cfg.n, cfg.sigma, run_rng(cfg.seed, run))
     k = filt.steps(lam) if filt.iterative else None
-    # drawn in level order, whatever order the levels are fitted in
-    seeds = rng.spawn(len(levels)) if cfg.shuffle else [None] * len(levels)
     op, results = None, [None] * len(levels)
     for i in sorted(range(len(levels)), key=lambda i: levels[i][1] != 1):
         a, m = levels[i]
         t0 = time.perf_counter()
-        part = partition(cfg.n, m, seeds[i])
-        est = fit_distributed(kernel, filt, lam, x, y, part)
+        est = fit_distributed(kernel, filt, lam, x, y, partition(cfg.n, m))
         if op is None:
             op = est.operator if m == 1 else kernel_operator(kernel, x)
-        # est.as_expansion() without its sort: the anchors in block order
-        exp = est if m == 1 else KernelExpansion(
-            est.coefficients / m, op._reordered(np.concatenate(part.blocks)))
+        # est.as_expansion() without its sort
+        exp = est if m == 1 else KernelExpansion(est.coefficients / m, op)
         hk = hk_error(exp, target)
         l2 = l2_error(exp, target, cfg.quad_nodes)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
@@ -397,8 +381,7 @@ def _assess_run(cfg, kernel, filt, target, lam, run, levels):
 
 def simulate(cfg: ExperimentConfig) -> SweepResult:
     """Monte-Carlo repetitions of one configuration."""
-    levels = (_levels_for(cfg.n, [cfg.alpha]) if cfg.m is None
-              else [(_alpha_of(cfg.n, cfg.m), cfg.m)])
+    levels = _levels_for(cfg.n, [cfg.alpha])
     return _study(cfg, [cfg.n], lambda n: levels)
 
 

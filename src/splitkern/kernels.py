@@ -19,15 +19,16 @@ derivative and the O(n) solves of its shifted systems ``(G + c I) a = y``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-# Eigenvalues this far below zero (relative to the largest) are treated as
-# floating-point noise and clamped before any spectral filter is applied.
+# How far below zero rounding may take a quadratic form that cannot be
+# negative, as an absolute value: ``a' G a`` in `rkhs_norm_sq` and the
+# squared error of `rkhs_error_sq` are clamped to 0 above -PSD_TOLERANCE
+# and raise below it (a kernel that is not positive semidefinite).
 PSD_TOLERANCE = 1e-10
 
 # Values a ``cross`` evaluates at once (blocks x points on the block
@@ -147,11 +148,6 @@ class KernelOperator:
     def _split(self, values) -> list:
         """Each block's part of the last axis of flat `values`."""
         return np.split(values, np.cumsum(self.sizes[:-1, 0]), axis=-1)
-
-    def _reordered(self, index) -> "KernelOperator":
-        """The operator of the anchors ``points[index]`` of a level of one,
-        `index` a permutation of them."""
-        return type(self)(self.kernel, self.points[index], self.sizes[:, 0])
 
 
 class DenseOperator(KernelOperator):
@@ -344,20 +340,6 @@ class BlockLayoutOperator(KernelOperator):
         """The flat values of a level vector: :meth:`layout` inverted."""
         return np.reshape(a, np.shape(a)[:-2] + (-1,)).take(self._slot, -1)
 
-    def _reordered(self, index):
-        """This operator's sort, reindexed for the anchors ``points[index]``
-        (`index` a permutation): no second sort.  Exactly tied anchors keep
-        this operator's order among themselves, where a sort of the
-        reordered anchors would take theirs, so their sums may then differ
-        in the last bits."""
-        op = copy.copy(self)
-        op.points = self.points[index]
-        op._slot = self._slot[index]
-        inverse = np.empty_like(index)
-        inverse[index] = np.arange(index.size)
-        op._source = inverse[self._source]
-        return op
-
     def _sums(self, level):
         """:func:`_bridge_sums` of each level row, pads masked: ``(..., m,
         s + 1)``, segment r of row i at ``[..., i, r]``."""
@@ -541,8 +523,8 @@ def level_operator(kernel: Kernel, x, blocks) -> KernelOperator:
 
 def rkhs_norm_sq(expansion) -> float:
     """Squared RKHS norm ``alpha' G alpha`` of a kernel expansion: of a
-    level's average, one expansion by its ``as_expansion()``.  Tiny
-    negative values from rounding are clamped to zero.
+    level's average, one expansion by its ``as_expansion()``.  Rounding
+    below zero is clamped; below ``-PSD_TOLERANCE`` raises.
     """
     expansion = expansion.as_expansion()
     val = expansion.operator.quad_form(
@@ -558,8 +540,8 @@ def rkhs_error_sq(quad: float, alpha, f_values, f_norm_sq: float) -> float:
     """``||f_hat - f||^2 = a' G a - 2 a . f(x) + ||f||^2`` by the reproducing
     property, for the expansion with weights `alpha` at anchors x, from
     ``quad = a' G a`` and ``f_values = f(x)``.  Rounding below zero is
-    clamped; below -1e-10 (a kernel that is not PSD) raises."""
+    clamped; below ``-PSD_TOLERANCE`` (a kernel that is not PSD) raises."""
     sq = quad - 2.0 * float(alpha @ f_values) + f_norm_sq
-    if sq < -1e-10:
+    if sq < -PSD_TOLERANCE:
         raise ArithmeticError(f"negative squared error {sq}")
     return max(sq, 0.0)

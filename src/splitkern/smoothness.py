@@ -36,7 +36,6 @@ class TargetFunction:
     fn: Callable
     rkhs_norm_sq: float | None = None
     coefficient_rule: Callable | None = None  # j-array -> coefficients
-    derivative: Callable | None = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -58,7 +57,6 @@ def quadratic_bump() -> TargetFunction:
         fn=lambda x: 0.5 * x * (1.0 - x),
         rkhs_norm_sq=1.0 / 12.0,
         coefficient_rule=_bump_coeffs,
-        derivative=lambda x: 0.5 - x,
     )
 
 
@@ -74,15 +72,13 @@ def scaled_sine() -> TargetFunction:
         fn=lambda x: np.sin(2.0 * math.pi * x) / (2.0 * math.pi),
         rkhs_norm_sq=0.5,
         coefficient_rule=_sine_coeffs,
-        derivative=lambda x: np.cos(2.0 * math.pi * x),
     )
 
 
 def zero_target() -> TargetFunction:
     return TargetFunction(name="zero", fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                           rkhs_norm_sq=0.0,
-                          coefficient_rule=lambda j: np.zeros(np.shape(j)),
-                          derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+                          coefficient_rule=lambda j: np.zeros(np.shape(j)))
 
 
 _TARGETS = {

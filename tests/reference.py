@@ -1,5 +1,8 @@
 """References that tests check the package against and no package module
-reads: the filter axioms on a grid, and a level's blocks as expansions."""
+reads: the filter axioms on a grid, a level's blocks as expansions, and
+the derivatives of the built-in targets."""
+
+import math
 
 import numpy as np
 
@@ -47,3 +50,12 @@ def block_fits(expansion) -> tuple:
     return tuple(KernelExpansion(a, kernel_operator(op.kernel, p))
                  for a, p in zip(op._split(expansion.coefficients),
                                  op._split(op.points)))
+
+
+# The derivative of each built-in target, by its name: the RKHS norm of
+# the Sobolev kernel's space is ``int f'^2``.
+DERIVATIVES = {
+    "quadratic-bump": lambda x: 0.5 - x,
+    "scaled-sine": lambda x: np.cos(2.0 * math.pi * x),
+    "zero": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+}

@@ -133,21 +133,19 @@ def test_cli_determinism_across_workers(tmp_path, capsys, pooled):
     assert pooled == [2, 2]             # the oracle's runs, then the study's
 
 
-@pytest.mark.parametrize("shuffle", [("--shuffle",), ()],
-                         ids=["shuffled", "contiguous"])
 @pytest.mark.parametrize("filt,k_max", [("nu-method", ("--k-max", "16")),
                                         ("landweber", ("--k-max", "60")),
                                         ("cutoff", ())],
                          ids=["nu-method", "landweber", "cutoff"])
 def test_sweep_alpha_identical_across_workers(tmp_path, capsys, pooled, filt,
-                                              k_max, shuffle):
+                                              k_max):
     texts = []
     for i, workers in enumerate(("1", "2")):
         out_file = tmp_path / f"sweep{i}.csv"
         code, _, _ = run_cli(capsys, "sweep-alpha", "--filter", filt,
                              "--n", "256", "--sigma", "0.005",
                              "--lambda", "oracle", *k_max,
-                             "--alphas", "0,0.3,0.6,1", *shuffle,
+                             "--alphas", "0,0.3,0.6,1",
                              "--runs", "3", "--seed", "7",
                              "--workers", workers, "--out", str(out_file))
         assert code == 0
@@ -264,8 +262,7 @@ def test_empty_or_repeated_list_exits_2(capsys, monkeypatch, command, name):
 
 
 @pytest.mark.parametrize("command, m, n", [
-    (["simulate", "--m", "0"], 0, 1024),
-    (["simulate", "--m", "5000", "--n", "2048"], 5000, 2048),
+    (["simulate", "--alpha", "1.2", "--n", "64"], 147, 64),
     (["sweep-alpha", "--alphas", "0,1.2", "--n", "64"], 147, 64),
     (["sweep-n", "--ns", "1,16", "--alphas", "0,1.2"], 28, 16),
     (["adapt", "--m-sequence", "20,10,0"], 0, 819)])
@@ -437,25 +434,55 @@ def test_workers_below_one_exits_2(capsys, monkeypatch, workers):
     assert err == f"error: workers must be at least 1, got {workers}\n"
 
 
+@pytest.mark.parametrize("filt", ["tikhonov", "nu-method"])
+def test_adapt_workers_below_one_exits_2(capsys, monkeypatch, filt):
+    # checked before the first level is fitted, whether or not the fits
+    # of that filter reach a thread pool
+    monkeypatch.setattr(adaptivity, "fit_lattice", _fail)
+    code, out, err = run_cli(capsys, "adapt", "--filter", filt, "--n", "256",
+                             "--workers", "0")
+    assert code == 2 and out == ""
+    assert err == "error: workers must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--m", "4"],
+                                  ["sweep-alpha", "--shuffle"]])
+def test_block_count_and_shuffle_flags_are_gone(capsys, argv):
+    # a study level is round(n**alpha) consecutive blocks, set by --alpha
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("line", ["shuffle = true", "m = 4"])
+def test_block_count_and_shuffle_config_keys_exit_2(tmp_path, capsys,
+                                                    monkeypatch, line):
+    monkeypatch.setattr(experiments, "gen_data", _fail)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nn = 64\nruns = 1\n{line}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(ini))
+    assert code == 2 and out == ""
+    assert err == f"error: unknown config key {line.split()[0]!r}\n"
+
+
 def test_sweep_n_tikhonov_identical_across_workers(tmp_path, capsys, pooled):
-    # m = 1 and the level solves of m = n**0.5 blocks, contiguous and
-    # shuffled
-    for shuffle in ([], ["--shuffle"]):
-        texts = []
-        for i, workers in enumerate(("1", "2")):
-            out_file = tmp_path / f"rate{i}.csv"
-            code, _, _ = run_cli(capsys, "sweep-n", "--filter", "tikhonov",
-                                 "--lambda", "oracle", "--ns", "64,128,256",
-                                 "--alphas", "0,0.5", *shuffle,
-                                 "--sigma", "0.005", "--runs", "3",
-                                 "--seed", "4", "--workers", workers,
-                                 "--out", str(out_file))
-            assert code == 0
-            summary = out_file.with_suffix(".summary.csv")
-            texts.append(out_file.read_bytes() + summary.read_bytes())
-        assert texts[0] == texts[1]
-        assert b"\n256,16,0.5," in texts[0]
-    assert pooled == [2, 2] * 3 * 2     # oracle and study, 3 sizes, twice
+    # m = 1 and the level solves of m = n**0.5 blocks
+    texts = []
+    for i, workers in enumerate(("1", "2")):
+        out_file = tmp_path / f"rate{i}.csv"
+        code, _, _ = run_cli(capsys, "sweep-n", "--filter", "tikhonov",
+                             "--lambda", "oracle", "--ns", "64,128,256",
+                             "--alphas", "0,0.5", "--sigma", "0.005",
+                             "--runs", "3", "--seed", "4",
+                             "--workers", workers, "--out", str(out_file))
+        assert code == 0
+        summary = out_file.with_suffix(".summary.csv")
+        texts.append(out_file.read_bytes() + summary.read_bytes())
+    assert texts[0] == texts[1]
+    assert b"\n256,16,0.5," in texts[0]
+    assert pooled == [2, 2] * 3         # oracle and study, 3 sizes
 
 
 @pytest.mark.parametrize("command", ["oracle", "simulate", "sweep-alpha",
@@ -476,10 +503,10 @@ def test_config_file_value_overridden_by_flag(tmp_path):
                    "runs = 2\nr = 0.25\nR = 2.5\nk_max = 7\n")
     args = build_parser().parse_args([
         "simulate", "--config", str(ini), "--n", "96", "--lambda", "oracle",
-        "--R", "3", "--k-max", "9", "--shuffle"])
+        "--R", "3", "--k-max", "9", "--timing"])
     assert _config_from_args(args) == ExperimentConfig(
         filter="tikhonov", n=96, lam="oracle", runs=2, r=0.25, R=3.0,
-        k_max=9, shuffle=True)
+        k_max=9, timing=True)
 
 
 @pytest.mark.parametrize("flag", ["--n", "--lambda", "--k-max"])

@@ -16,9 +16,11 @@ from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
                                    summary_csv, sweep_alpha, sweep_n)
 from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
 from splitkern.kernels import (BlockLayoutOperator, KernelOperator,
-                               kernel_operator, rkhs_norm_sq, sobolev_min,
-                               user_kernel)
+                               _shifts_at_once, kernel_operator, rkhs_norm_sq,
+                               sobolev_min, user_kernel)
 from splitkern.smoothness import quadratic_bump
+
+from reference import DERIVATIVES
 
 
 @pytest.fixture
@@ -89,13 +91,14 @@ def _segment_quadrature_oracle(est, target, nodes=24):
     pts, alpha = exp.points, exp.coefficients
     edges = np.unique(np.concatenate([[0.0], np.sort(pts), [1.0]]))
     xg, wg = np.polynomial.legendre.leggauss(nodes)
+    target_deriv = DERIVATIVES[target.name]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         xs = 0.5 * (a + b) + 0.5 * (b - a) * xg
         ws = 0.5 * (b - a) * wg
         deriv = np.array([float(np.sum(alpha * ((x < pts) - pts)))
                           for x in xs])
-        total += float(np.sum(ws * (deriv - target.derivative(xs)) ** 2))
+        total += float(np.sum(ws * (deriv - target_deriv(xs)) ** 2))
     return math.sqrt(total)
 
 
@@ -191,11 +194,9 @@ def _tied_sample(target, n, sigma, rng):
     return x, target(x) + sigma * rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("filt, lam", [(nu_method(), 1.0 / 12 ** 2),
                                        (tikhonov(), 1e-4)])
-def test_assessment_l2_is_the_block_average_l2(bump, monkeypatch, filt, lam,
-                                               shuffle):
+def test_assessment_l2_is_the_block_average_l2(bump, monkeypatch, filt, lam):
     # the harness scores L2 on one expansion over the whole sample; that is
     # the block average's L2 to rounding, and bit for bit at m = 1
     fits = {}
@@ -208,7 +209,7 @@ def test_assessment_l2_is_the_block_average_l2(bump, monkeypatch, filt, lam,
 
     monkeypatch.setattr(experiments, "gen_data", _tied_sample)
     monkeypatch.setattr(experiments, "fit_distributed", recording)
-    cfg = ExperimentConfig(n=600, sigma=0.01, shuffle=shuffle, seed=4)
+    cfg = ExperimentConfig(n=600, sigma=0.01, seed=4)
     levels = [(0.5, 28), (0.0, 1), (0.2, 2), (0.3, 5), (0.8, 147)]
     rows = experiments._assess_run(cfg, sobolev_min(), filt, bump, lam, 0,
                                    levels)
@@ -469,12 +470,13 @@ def test_oracles_with_large_calls_use_the_pool(bump, pool_starts, filt, n):
 
 @pytest.mark.parametrize("n", [204, 205, 256, 4096, 40000])
 def test_tikhonov_pool_rule_counts_one_chunk_of_shifts(n):
-    # one chunk of shifts holds at least min(40 n, 16384) values, so the
-    # runs pool exactly as when all 40 shifts (or the assessment's one)
-    # counted at once
+    # the rule counts all `shifts` shifts, and pools exactly the runs it
+    # would if it counted one chunk of them, what a shifted solve holds
+    # at once: a chunk holds at least min(40 n, 16384) values
     for shifts in (40, 1):
         cfg = ExperimentConfig(filter="tikhonov", n=n, workers=2)
-        whole = 2 if n * shifts >= _parallel.POOL_VALUES else 1
+        chunk = _shifts_at_once(n, shifts)
+        whole = 2 if n * chunk >= _parallel.POOL_VALUES else 1
         assert experiments._run_workers(cfg, tikhonov(), shifts) == whole
 
 
@@ -580,7 +582,7 @@ def test_tikhonov_oracle_run_memory_bounded_at_paper_scale():
 def test_sweep_alpha_equals_sweep_n_at_one_size(bump):
     cfg = ExperimentConfig(filter="nu-method", n=96, sigma=0.01,
                            lam="oracle", k_max=12, runs=3, seed=5,
-                           workers=2, shuffle=True)
+                           workers=2)
     alphas = [0.0, 0.3, 0.5]
     by_alpha = sweep_alpha(cfg, alphas)
     by_n = sweep_n(cfg, [cfg.n], alphas)
@@ -594,7 +596,7 @@ def test_settings_cover_every_config_field():
     names = {f.name for f in fields(ExperimentConfig)}
     assert set(SETTINGS) == (names - {"lam"}) | {"lambda"}
     cfg = ExperimentConfig.from_mapping({"LAM": "theory", "R": "2",
-                                         "r": "0.3", "Shuffle": "yes"})
-    assert (cfg.lam, cfg.R, cfg.r, cfg.shuffle) == ("theory", 2.0, 0.3, True)
+                                         "r": "0.3", "Timing": "yes"})
+    assert (cfg.lam, cfg.R, cfg.r, cfg.timing) == ("theory", 2.0, 0.3, True)
     with pytest.raises(ValueError, match="k_max"):
         ExperimentConfig.from_mapping({"k_max": "many"})

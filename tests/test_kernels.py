@@ -150,6 +150,21 @@ def test_rkhs_norm_sq_values(kernel):
     assert rkhs_norm_sq(cancel) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_rkhs_norm_sq_clamps_rounding_and_rejects_a_negative_form():
+    # the negated built-in kernel's form is -0.25 at one anchor at 0.5; a
+    # kernel of -1e-12 everywhere gives -9e-12 at three, within rounding
+    negated = user_kernel(lambda x, t: x * t - np.minimum(x, t), kappa=0.5)
+    exp = KernelExpansion(np.ones(1), kernel_operator(negated, [0.5]))
+    with pytest.raises(ArithmeticError,
+                       match="Gram quadratic form is negative"):
+        rkhs_norm_sq(exp)
+    tiny = user_kernel(lambda x, t: np.full(np.broadcast(x, t).shape, -1e-12),
+                       kappa=1.0)
+    exp = KernelExpansion(np.ones(3), kernel_operator(tiny, [0.2, 0.5, 0.8]))
+    assert exp.operator.quad_form(exp.coefficients) < 0
+    assert rkhs_norm_sq(exp) == 0.0
+
+
 def test_rkhs_norm_matches_derivative_integral(kernel):
     # independent check: ||f||^2 = int f'^2 for f in the expansion span,
     # with f' piecewise constant between anchors
@@ -249,42 +264,6 @@ def test_dense_operator_is_the_gram(dense_sobolev):
     a = np.random.default_rng(7).standard_normal(pts.size)
     assert np.array_equal(op.matvec(a), G @ a)
     assert op.quad_form(a) == float(a @ (G @ a))
-
-
-@pytest.mark.parametrize("name", ["unsorted", "endpoints", "single"])
-def test_reordered_operator_is_the_reordered_anchors_operator(kernel,
-                                                              dense_sobolev,
-                                                              name):
-    # the structured operator reindexes its sort instead of sorting again;
-    # with no tied interior anchors every product is a fresh operator's
-    pts = ANCHORS[name]
-    rng = np.random.default_rng(pts.size + 2)
-    index = rng.permutation(pts.size)
-    t = np.concatenate([rng.random(30), pts])
-    a = rng.standard_normal((2, pts.size))
-    for kern in (kernel, dense_sobolev):
-        got = kernel_operator(kern, pts)._reordered(index)
-        ref = kernel_operator(kern, pts[index])
-        assert type(got) is type(ref)
-        assert np.array_equal(got.points, ref.points)
-        assert np.array_equal(got.matvec(a[0]), ref.matvec(a[0]))
-        assert np.array_equal(got.cross(a, t), ref.cross(a, t))
-        assert got.quad_form(a[1]) == ref.quad_form(a[1])
-
-
-@pytest.mark.parametrize("name", ["unsorted", "tied", "endpoints"])
-def test_reordered_operator_after_a_product(kernel, name):
-    # a product caches the operator's segment map; the reordered copy
-    # must not reuse it, as its values come in another order
-    pts = ANCHORS[name]
-    rng = np.random.default_rng(pts.size + 3)
-    index = rng.permutation(pts.size)
-    v = rng.standard_normal(pts.size)
-    op = kernel_operator(kernel, pts)
-    assert np.allclose(op.matvec(v), gram(kernel, pts) @ v,
-                       rtol=0, atol=1e-12)
-    got = op._reordered(index).matvec(v)
-    assert np.allclose(got, gram(kernel, pts[index]) @ v, rtol=0, atol=1e-12)
 
 
 _PAIRS = np.random.default_rng(8).random(24)
