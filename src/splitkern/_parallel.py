@@ -17,21 +17,27 @@ Measured on a 2-core x86-64 machine (numpy 2.4, one BLAS thread), two
 threads each stepping one level's ``level_matvec`` reach 0.61-0.74x the
 serial throughput at n = 1024, 0.73-0.76x at 4096, 0.92-0.95x at 16384
 and 0.98-1.11x at 65536.  Whole studies on two workers, pooled against
-inline (median of 5 fresh processes each, 10 runs unless stated):
+inline (medians of fresh processes, 10 runs unless stated):
 
 - nu-method ``sweep-alpha`` (``--k-max 64``, three alphas): n = 4096
-  (4 runs) 0.084 s against 0.065 s, 8192 0.22 against 0.19 s (10
-  processes each), 16384 0.38 against 0.47 s;
-- Tikhonov ``sweep-n``: n = 4096 0.19 against 0.25 s, 16384 (four
-  alphas) 0.75 against 0.84 s;
+  (4 runs) 0.084 s against 0.065 s, 8192 0.22 against 0.19 s (0 of 10
+  alternating pairs faster pooled), 16384 0.58 against 0.66 s (9 of 10);
+- Tikhonov ``oracle`` (30 runs, 10 alternating pairs): n = 16384 1.55
+  against 1.64 s and 32768 2.43 against 2.50 s, faster pooled in 8 and
+  7 of 10 pairs for 40% more CPU time; with OpenBLAS's default threads
+  inline wins 8 of 10 pairs at each n (2.22 against 1.86 s and 2.97
+  against 2.66 s);
+- Tikhonov ``sweep-n`` (n = 4096 to 32768, four alphas, 30 runs, 6
+  pairs): 5.96 against 6.51 s, for 26% more CPU time;
 - cut-off ``oracle``: n = 256 0.068 against 0.105 s.
 
 So a study's Monte-Carlo runs go to the threads only when one run's
 largest numpy call holds at least `POOL_VALUES` values
-(:func:`_pool_workers`): n for an iterative filter's level vector, n
-times the shifts of Tikhonov's shifted solve (its chunks of at least
-min(40 n, 16384) values pool alike), n**2 for cut-off's ``eigh``
-(``experiments._run_workers``).
+(:func:`_pool_workers`): n for an iterative filter's level vector, n**2
+for cut-off's ``eigh`` (``experiments._run_workers``).  Tikhonov's runs
+count as one value: its shifted solve is one cyclic reduction of
+O(log n) short numpy calls per chunk of shifts, at any n, and a second
+thread buys it at most 8% of the wall time for 26-40% more CPU time.
 Smaller runs go inline, one after another.  A level's eigendecomposing
 fit (``estimator._solve_level``) hands the threads one chunk of
 equal-size blocks per task, not one block: each task is one stacked
@@ -44,11 +50,10 @@ import os
 from threading import Lock, Thread
 
 # Fewest values the largest numpy call of one task must hold for tasks to
-# go to the threads: runs of 4096 values lose on two threads and runs of
-# 16384 gain (above).  At 8192 the nu-method sweep-alpha loses (0.22
-# against 0.19 s) and Tikhonov sweep-n's assessment gained (0.80 against
-# 0.83 s in an earlier measurement).
-POOL_VALUES = 8192
+# go to the threads: the nu-method's runs of 8192 values lose on two
+# threads (0.22 against 0.19 s) and its runs of 16384 gain (0.58 against
+# 0.66 s, above).
+POOL_VALUES = 16384
 
 
 def default_workers() -> int:

@@ -256,16 +256,15 @@ def _default_grid(cfg: ExperimentConfig, filt: FilterSpec):
     return np.logspace(0.0, math.log10(cfg.grid_min), cfg.grid_size)
 
 
-def _run_workers(cfg: ExperimentConfig, filt: FilterSpec,
-                 shifts: int) -> int:
+def _run_workers(cfg: ExperimentConfig, filt: FilterSpec) -> int:
     """Threads for a study's runs at ``cfg.n``, by the size of one run's
-    largest numpy call (:func:`_parallel._pool_workers`): the level vector
-    of an iterative filter (n values), Tikhonov's shifted solve of its
-    `shifts` shifts (n times `shifts`) or cut-off's ``eigh`` (n**2)."""
+    largest numpy call (:func:`_parallel._pool_workers`): n level values
+    for an iterative filter, n**2 for cut-off's ``eigh``.  Tikhonov's
+    shifted solve is many short numpy calls at any n, so its runs count
+    as one value, below any threshold that keeps small runs inline."""
     n = cfg.n
-    values = (n if filt.iterative
-              else n * shifts if filt.kind == "tikhonov"
-              else n * n)
+    values = (n if filt.iterative else n * n if filt.kind == "cutoff"
+              else 1)
     return _pool_workers(cfg.workers, values)
 
 
@@ -298,7 +297,7 @@ def oracle_select(cfg: ExperimentConfig) -> OracleSelection:
         return _error_curves(kernel, filt, x, y, target, grid)
 
     hk_sq = np.stack(parallel_map(one_run, range(cfg.runs),
-                                  _run_workers(cfg, filt, grid.size)))
+                                  _run_workers(cfg, filt)))
     rms = np.sqrt(hk_sq.mean(axis=0))
     best = int(np.argmin(rms))
     return OracleSelection(
@@ -439,7 +438,7 @@ def _study(cfg: ExperimentConfig, ns, levels_of) -> SweepResult:
         per_run = parallel_map(
             lambda r: _assess_run(cfg_n, kernel, filt, target, lam, r,
                                   levels),
-            range(cfg.runs), _run_workers(cfg_n, filt, 1))
+            range(cfg.runs), _run_workers(cfg_n, filt))
         rows.extend(row for rows_ in per_run for row in rows_)
     summary = _group_stats(rows)
     slopes = {}

@@ -38,9 +38,9 @@ PSD_TOLERANCE = 1e-10
 CROSS_CHUNK = 8192
 
 # Level values' worth of shifts a shifted solve takes at once: the 40
-# oracle shifts at n = 131072 peak at 72 MiB, the (40, n) result included,
-# not 473 MiB.  Larger chunks make fewer numpy calls, which pays on two
-# pool threads at n = 4096 to 16384, but keep more bytes live.
+# oracle shifts at n = 131072 peak at 66 MiB of numpy memory, the (40, n)
+# result included, not 414 MiB (tracemalloc).  Larger chunks make fewer
+# numpy calls but keep more bytes live.
 SHIFT_CHUNK = 2 ** 15
 
 
@@ -414,29 +414,27 @@ class BlockLayoutOperator(KernelOperator):
           and a solve that takes the tied anchors as gaps of zero misses
           by 4e-14 to 7.5e-14 (four shifts from 1 to 1e-14 times
           ``kappa**2 n``, six draws);
-        - ``G_u = S (H - h h') S'``, with ``S`` the lower-triangular ones
-          matrix, ``h`` the Brownian-bridge increments (gaps
-          ``0 -> u_1, ..., u_{N-1} -> u_N``) and ``H = diag(h)``.  So
-          ``beta = D' (A - h h')^{-1} D ybar``, where ``D`` is the first
-          difference and ``A = H + D diag(c/d) D'`` is tridiagonal and
-          strictly diagonally dominant.  No entry of ``A`` divides by a
-          gap, which is why near-tied anchors lose no accuracy here while
-          the tridiagonal inverse of ``G`` (entries ``1/h``) does.
-        - ``A`` is solved by cyclic reduction and ``-h h'`` by
-          Sherman-Morrison.  Its denominator ``1 - h' A^{-1} h`` equals
-          ``(1 - u_N) + (c/d_N) (A^{-1} h)_N`` (from ``A 1 = h + (c/d_N)
-          e_N``), a sum of positive terms, so it is formed without
-          cancellation.
+        - the bridge is Brownian motion pinned at 1, so the merged system
+          is Brownian motion's at ``u_1, ..., u_N`` and ``u_{N+1} = 1``,
+          the last point with shift 0 and output 0 (an exact observation
+          of ``f(1) = 0``): the first N entries of its solution are
+          ``beta``.  Its covariance ``min(u_j, u_k)`` is ``S diag(g) S'``,
+          with ``S`` the lower-triangular ones matrix and ``g`` the N + 1
+          gaps ``0 -> u_1, ..., u_N -> 1``; with ``D = S^{-1}`` the first
+          difference, ``(diag(g) + D diag(c/d, 0) D') b = D [ybar; 0]`` and
+          ``beta_k = b_k - b_{k+1}``.
+        - that matrix is tridiagonal and strictly diagonally dominant by
+          the gaps, and no entry divides by a gap, which is why near-tied
+          anchors lose no accuracy here while the tridiagonal inverse of
+          ``G`` (entries ``1/g``) does.
 
         Blocks with the same count N of distinct interior anchors form
-        one call of :func:`_tridiagonal_solve`, with the blocks, the
-        shifts and the two right-hand sides on its leading axes: each
-        system keeps its own reduction and bits, and uniform data makes at
-        most two calls per chunk of shifts.  ``h' A^{-1} D ybar`` of every
-        block and shift is one sum over the last axis, whose rows are
-        added as in a one-block, one-shift solve.  What no shift changes
-        is set up once; then `SHIFT_CHUNK` values' worth of shifts at a
-        time are solved into the one result, whatever ``len(c)``.
+        one call of :func:`_tridiagonal_solve` on one right-hand side,
+        with the blocks and the shifts on its leading axes: each system
+        keeps its own reduction and bits, and uniform data makes at most
+        two calls per chunk of shifts.  What no shift changes is set up
+        once; then `SHIFT_CHUNK` values' worth of shifts at a time are
+        solved into the one result, whatever ``len(c)``.
         """
         c = np.asarray(c, dtype=float)
         if not ((c.ndim == 1 or c.shape[1:] == self.sizes.shape)
@@ -467,10 +465,10 @@ class BlockLayoutOperator(KernelOperator):
             k = np.flatnonzero(count[block] == N).reshape(-1, N)  # by block
             zero = np.zeros((len(k), 1))       # faster than diff's prepend=
             gaps = np.diff(np.concatenate([zero, u[k], zero + 1.0], axis=1))
-            # the two right-hand sides D ybar and h, by block
-            rhs = np.stack([np.diff(np.concatenate([zero, ybar[k]], axis=1)),
-                            gaps[:, :-1]], axis=1)
-            systems.append((k, block[k[:, 0]], gaps, d[k][:, None, :], rhs))
+            # the right-hand side D [ybar; 0], by block
+            rhs = np.diff(np.concatenate([zero, ybar[k], zero], axis=1))
+            systems.append((k, block[k[:, 0]], gaps, d[k][:, None, :],
+                            rhs[:, None]))
         mean = np.zeros(m * s)
         mean[at] = ybar[group]
         resid = level - mean.reshape(m, s)     # y - ybar
@@ -482,22 +480,14 @@ class BlockLayoutOperator(KernelOperator):
                                  (m, len(cl)))  # block, shift
             beta_d = np.empty((len(cl), start.size))   # beta / d
             for k, rows, gaps, dk, rhs in systems:
-                h = gaps[:, :-1]
-                # blocks, shifts, then the two right-hand sides, along the
-                # leading axes; position along the last
+                # blocks and shifts along the leading axes, position along
+                # the last: diag(g) + D diag(w, 0) D', w = c / d
                 w = cb[rows][..., None] / dk           # (rows, L, N)
-                diag = h[:, None] + w
-                diag[..., 1:] += w[..., :-1]
-                z = _tridiagonal_solve(diag[:, :, None], -w[:, :, None, :-1],
-                                       rhs[:, None])
-                zb, zh = z[:, :, 0], z[:, :, 1]  # A^{-1} D ybar, A^{-1} h
-                denom = gaps[:, -1:] + w[..., -1] * zh[..., -1]
-                # h' zb of every block and shift: each row is summed as in
-                # a one-block, one-shift solve
-                hz = (zb * h[:, None]).sum(-1)
-                v = zb + zh * (hz / denom)[..., None]
-                beta = v.copy()
-                beta[..., :-1] -= v[..., 1:]           # D' v
+                diag = gaps[:, None].repeat(len(cl), axis=1)
+                diag[..., :-1] += w
+                diag[..., 1:] += w
+                b = _tridiagonal_solve(diag, -w, rhs)
+                beta = b[..., :-1] - b[..., 1:]
                 beta_d[:, k] = np.moveaxis(beta / dk, 1, 0)
             # (y - ybar) / c, which is alpha at the anchors at 0 or 1
             out = resid / cb.T[:, :, None]

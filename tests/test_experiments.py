@@ -16,8 +16,8 @@ from splitkern.experiments import (ExperimentConfig, RESULT_HEADER,
                                    summary_csv, sweep_alpha, sweep_n)
 from splitkern.filters import MAX_STEPS, landweber, nu_method, tikhonov
 from splitkern.kernels import (BlockLayoutOperator, KernelOperator,
-                               _shifts_at_once, kernel_operator, rkhs_norm_sq,
-                               sobolev_min, user_kernel)
+                               kernel_operator, rkhs_norm_sq, sobolev_min,
+                               user_kernel)
 from splitkern.smoothness import quadratic_bump
 
 from reference import DERIVATIVES
@@ -453,31 +453,37 @@ def test_small_studies_run_inline(bump, monkeypatch):
     nu = ExperimentConfig(filter="nu-method", n=1024, sigma=0.01,
                           lam="oracle", k_max=16, runs=2, seed=1, workers=2)
     assert len(sweep_alpha(nu, [0.0, 0.5]).rows) == 4
+    # a level vector of 8192 values, where two threads still lose
+    oracle_select(replace(nu, n=8192, k_max=4))
     tik = replace(nu, filter="tikhonov", lam=1e-3)
     assert len(sweep_n(tik, [512, 2048], [0.0, 0.5]).rows) == 8
 
 
-@pytest.mark.parametrize("filt,n", [("tikhonov", 256), ("cutoff", 96)])
+@pytest.mark.parametrize("filt,n", [("cutoff", 128), ("nu-method", 16384)])
 def test_oracles_with_large_calls_use_the_pool(bump, pool_starts, filt, n):
-    # Tikhonov solves its 40 shifts of n values in one chunk, cut-off
-    # eigendecomposes n x n: at least POOL_VALUES values per call
-    assert n * (40 if filt == "tikhonov" else n) >= _parallel.POOL_VALUES
+    # cut-off eigendecomposes n x n, the nu-method steps a level vector of
+    # n values: at least POOL_VALUES values per call
+    assert n * (n if filt == "cutoff" else 1) >= _parallel.POOL_VALUES
     cfg = ExperimentConfig(filter=filt, n=n, sigma=0.01, runs=2, seed=1,
-                           workers=2)
+                           k_max=4, workers=2)
     oracle_select(cfg)
     assert pool_starts == [2]
 
 
 @pytest.mark.parametrize("n", [204, 205, 256, 4096, 40000])
-def test_tikhonov_pool_rule_counts_one_chunk_of_shifts(n):
-    # the rule counts all `shifts` shifts, and pools exactly the runs it
-    # would if it counted one chunk of them, what a shifted solve holds
-    # at once: a chunk holds at least min(40 n, 16384) values
-    for shifts in (40, 1):
-        cfg = ExperimentConfig(filter="tikhonov", n=n, workers=2)
-        chunk = _shifts_at_once(n, shifts)
-        whole = 2 if n * chunk >= _parallel.POOL_VALUES else 1
-        assert experiments._run_workers(cfg, tikhonov(), shifts) == whole
+def test_tikhonov_runs_never_pool(n):
+    # the shifted solve is many short numpy calls at any n, which two
+    # threads would spend handing the GIL over
+    cfg = ExperimentConfig(filter="tikhonov", n=n, workers=2)
+    assert experiments._run_workers(cfg, tikhonov()) == 1
+    assert experiments._run_workers(replace(cfg, n=n * n), tikhonov()) == 1
+
+
+def test_tikhonov_oracle_runs_inline_at_paper_scale(bump, monkeypatch):
+    monkeypatch.setattr(_parallel, "Thread", _no_thread)
+    cfg = ExperimentConfig(filter="tikhonov", n=16384, sigma=0.01, runs=2,
+                           seed=1, workers=2)
+    assert 0 < oracle_select(cfg).index < 39
 
 
 def test_pool_workers_checks_workers_before_the_size_rule():

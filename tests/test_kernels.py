@@ -355,16 +355,26 @@ def test_tridiagonal_solve_matches_dense_solve(n):
 
 
 _P = np.random.default_rng(3).random(5)
+_U = np.random.default_rng(5).random(6)
+_ULP = 2.0 ** -53                         # float spacing just below 1
 
 
 @pytest.mark.parametrize("pts", [
     np.concatenate([_P, [1e-12, 1.0 - 1e-12, 0.5, 0.25, 0.75]]),
     np.concatenate([_P, _P + 1e-13]),
-], ids=["near-both-ends", "pairs-1e-13"])
+    np.array([0.3]),
+    np.array([1e-300, 0.25, 0.5, np.nextafter(1.0, 0.0)]),
+    np.concatenate([_U, 1.0 - _ULP * np.array([1, 2, 5, 9])]),
+    np.concatenate([_U, _ULP * np.array([1, 2, 5, 9])]),
+], ids=["near-both-ends", "pairs-1e-13", "one-anchor", "extremes",
+        "four-within-1e-15-of-1", "four-within-1e-15-of-0"])
 def test_solve_shifted_matches_exact_solve(kernel, pts):
     # to 1e-13 of the largest coefficient: the dense LU solve misses this
-    # by 6e-12 on the pairs, and a Sherman-Morrison denominator formed as
-    # 1 - h'A^{-1}h (cancelling to about 1e-12 here) by 1e-11 near the ends
+    # by 6e-12 on the pairs.  The solve borders the bridge's system with
+    # the exact observation f(1) = 0 at a last point 1, so its last gap
+    # 1 - u_N is a diagonal term like any other, however small; a border
+    # eliminated by hand, as 1 - h'A^{-1}h with h the gaps up to u_N,
+    # cancels to about 1e-12 near the ends and misses by 1e-11 there
     y = np.random.default_rng(4).standard_normal(pts.size)
     c = np.array([1.0, 1e-2, 1e-4, 1e-6]) * kernel.kappa ** 2 * pts.size
     got = kernel_operator(kernel, pts).solve_shifted(c, y)
